@@ -17,7 +17,6 @@ participants.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -196,9 +195,6 @@ class DeployReport:
             "mixed_count": len(self.mixed),
             "trace_hash": self.trace.hash64(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def detect_mixed(report: DeployReport) -> list[CollectiveInstance]:

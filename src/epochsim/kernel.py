@@ -112,9 +112,6 @@ class Trace:
     def hash64(self) -> str:
         return digest64(self.to_jsonl())
 
-    def events_for(self, target: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.target == target]
-
 
 # ---------------------------------------------------------------------------
 # Delay policies
@@ -257,7 +254,6 @@ class Simulation:
         self._order: list[str] = []
         self._crashed: set[str] = set()
         self._records: list[TraceRecord] = []
-        self._ran = False
 
     # -- registry ----------------------------------------------------------
 
@@ -326,12 +322,8 @@ class Simulation:
             _, _, ev = heapq.heappop(self._queue)
             self.now = ev.time
             self._process(ev)
-        self._ran = True
-        final = {
-            name: h.epoch_state()
-            for name, h in ((n, self._handlers[n]) for n in self._order)
-            if h.epoch_state() is not None
-        }
+        states = ((name, self._handlers[name].epoch_state()) for name in self._order)
+        final = {name: state for name, state in states if state is not None}
         return Trace(seed=self.config.seed, records=tuple(self._records), final_states=final)
 
     def _process(self, ev: Event) -> None:

@@ -29,9 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Above this n the closed forms are evaluated in the log domain.
-LOG_DOMAIN_THRESHOLD = 10_000
-
 
 class LatticeError(ValueError):
     pass
@@ -159,15 +156,6 @@ class TernaryModelParams:
         return 1.0 - self.q - self.p
 
 
-def _pow(base: float, n: int) -> float:
-    # Log-domain evaluation keeps huge-n closed forms well behaved.
-    if base == 0.0:
-        return 0.0
-    if n >= LOG_DOMAIN_THRESHOLD:
-        return math.exp(n * math.log(base))
-    return base ** n
-
-
 def pr_atomic_binary(params: BinaryModelParams, *, common_shock: float = 0.0) -> float:
     """Probability the vector is Top or BottomAll in the binary model.
 
@@ -176,14 +164,14 @@ def pr_atomic_binary(params: BinaryModelParams, *, common_shock: float = 0.0) ->
     BottomAll outcome); otherwise components are independent. Default off.
     """
     _check_shock(common_shock)
-    iid = _pow(params.q, params.n) + _pow(1.0 - params.q, params.n)
+    iid = params.q ** params.n + (1.0 - params.q) ** params.n
     return common_shock + (1.0 - common_shock) * iid
 
 
 def pr_mixed_analytic(params: BinaryModelParams, *, common_shock: float = 0.0) -> float:
     """Probability of a mixed vector: 1 - q^n - (1-q)^n, shock-adjusted."""
     _check_shock(common_shock)
-    iid = 1.0 - _pow(params.q, params.n) - _pow(1.0 - params.q, params.n)
+    iid = 1.0 - params.q ** params.n - (1.0 - params.q) ** params.n
     return (1.0 - common_shock) * iid
 
 
@@ -200,8 +188,8 @@ class TernaryBounds:
 
 def pr_atomic_ternary(params: TernaryModelParams) -> TernaryBounds:
     return TernaryBounds(
-        atomic_bound=_pow(params.q, params.n) + _pow(params.p, params.n),
-        operational_bound=_pow(params.q, params.n),
+        atomic_bound=params.q ** params.n + params.p ** params.n,
+        operational_bound=params.q ** params.n,
     )
 
 

@@ -5,6 +5,10 @@ A persistence attempt for epoch e walks strictly ordered stages:
     Idle -> BufferFlush -> DmaTransfer -> WriteSyscall -> Fsync
          -> MetadataUpdate -> Done
 
+All stage durations are drawn when the attempt begins. The kernel sees a
+single completion event per attempt; a crash reads the stage in progress
+off the precomputed timeline of stage end ticks.
+
 Crashing mid-attempt leaves the component in one of three durable states,
 looked up by the stage in progress: early stages leave the prior epoch
 intact, a crash inside the write/fsync window leaves the bytes ambiguous,
@@ -24,6 +28,7 @@ Two write modes:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import TYPE_CHECKING, Mapping
@@ -179,8 +184,8 @@ class PersistenceProcess(Component):
         self.staged_ready = False   # staged copy of epoch e is durable
         self.resolved = False       # a commit/rollback directive was applied
         self.acked = False
-        self.attempt = 0            # staleness guard for queued stage advances
-        self._durations: dict[PersistenceStage, int] = {}
+        self.attempt = 0            # staleness guard for the queued completion
+        self._stage_ends: tuple[int, ...] = ()  # end tick of each active stage
         self.ack_to: str | None = None
         self.decision_record = None  # protocols.DecisionRecord, wired externally
         self.corrupt_ack = False
@@ -198,8 +203,8 @@ class PersistenceProcess(Component):
             elif mtype in ("commit", "rollback"):
                 self.apply_directive(sim, mtype, payload["epoch"])
         elif event.kind is EventKind.LOCAL_STEP:
-            if payload.get("action") == "stage_advance" and payload.get("attempt") == self.attempt:
-                self._advance(sim, PersistenceStage[payload["to"]])
+            if payload.get("action") == "persist_done" and payload.get("attempt") == self.attempt:
+                self._complete(sim)
 
     # -- persistence attempt -------------------------------------------------
 
@@ -212,29 +217,21 @@ class PersistenceProcess(Component):
                 f"{self.name}: persist for epoch {epoch}, expected {self.epoch}")
         self.tentative = tentative
         self.attempt += 1
-        self.stage = PersistenceStage.BUFFER_FLUSH
+        self.stage = PersistenceStage.BUFFER_FLUSH  # in flight; on_crash finds the exact stage
         # Draw every stage duration now, in stage order, so the draw sequence
         # is a deterministic function of the event order.
-        self._durations = {
-            s: sim.policy.stage_duration(sim.rng, self.name, s.name)
-            for s in ACTIVE_STAGES
-        }
-        self._schedule_advance(sim, PersistenceStage.BUFFER_FLUSH)
-
-    def _schedule_advance(self, sim: Simulation, current: PersistenceStage) -> None:
-        nxt = PersistenceStage(current + 1)
-        sim.schedule(sim.now + self._durations[current], self.name, EventKind.LOCAL_STEP,
-                     {"action": "stage_advance", "attempt": self.attempt,
-                      "to": nxt.name, "epoch": self.epoch})
-
-    def _advance(self, sim: Simulation, to_stage: PersistenceStage) -> None:
-        self.stage = to_stage
-        if to_stage is PersistenceStage.DONE:
-            self._complete(sim)
-        else:
-            self._schedule_advance(sim, to_stage)
+        end = sim.now
+        ends = []
+        for s in ACTIVE_STAGES:
+            end += sim.policy.stage_duration(sim.rng, self.name, s.name)
+            ends.append(end)
+        self._stage_ends = tuple(ends)
+        sim.schedule(end, self.name, EventKind.LOCAL_STEP,
+                     {"action": "persist_done", "attempt": self.attempt,
+                      "epoch": self.epoch})
 
     def _complete(self, sim: Simulation) -> None:
+        self.stage = PersistenceStage.DONE
         if self.tentative:
             self.staged_ready = True
             if self.ack_to is not None:
@@ -266,11 +263,15 @@ class PersistenceProcess(Component):
             self.state = ComponentEpochState.prior(self.epoch)
             self.staged_ready = False
             self.stage = PersistenceStage.IDLE
+            self.attempt += 1  # a rollback ends the attempt in flight
         self.resolved = True
 
     # -- crash and recovery ----------------------------------------------------
 
     def on_crash(self, sim: Simulation, event: Event) -> None:
+        if self.stage in ACTIVE_STAGES:
+            # Crashes are injected at setup, so one at stage k's end tick sees stage k.
+            self.stage = ACTIVE_STAGES[bisect_left(self._stage_ends, sim.now)]
         self.crash_log.append(CrashRecord(self.stage.name, self.acked, self.tentative))
         if self.stage in ACTIVE_STAGES:
             kind = self.durability.outcome_at(self.stage)
@@ -288,7 +289,7 @@ class PersistenceProcess(Component):
                 self.stage = (PersistenceStage.DONE
                               if kind is OutcomeKind.COMMITTED
                               else PersistenceStage.IDLE)
-            self.attempt += 1  # invalidate queued stage advances
+            self.attempt += 1  # invalidate the queued completion
         # A crash at Idle or Done changes nothing durable: a completed direct
         # persist is stable, and durable staged data survives.
 

@@ -82,17 +82,6 @@ class ProtocolOutcome:
         return (self.decision is Decision.COMMITTED
                 and self.vector_class is not AtomicityClass.TOP)
 
-    def to_json_record(self, protocol: str, seed: int,
-                       attempts: int | None = None) -> dict:
-        rec = {
-            "protocol": protocol,
-            "seed": seed,
-            "decision": self.decision.value,
-            "vector_class": self.vector_class.value,
-            "attempts": attempts,
-        }
-        return rec
-
 
 @dataclass
 class DecisionRecord:

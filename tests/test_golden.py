@@ -1,0 +1,56 @@
+"""Golden stdout: the README example commands in every output format.
+
+Each case runs one CLI invocation in process and compares its stdout byte
+for byte with a file under tests/golden/. A mismatch fails with a unified
+diff. After a change that is meant to alter output, regenerate the files
+from the repository root with
+
+    PYTHONPATH=src:tests python -c "import test_golden as g; [(g.GOLDEN / f).write_text(g.render(a)) for f, a in g.CASES]"
+
+and explain the change in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import difflib
+import io
+from pathlib import Path
+
+import pytest
+
+from epochsim.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+EXAMPLES = {
+    "lattice-table": ["lattice-table"],
+    "straddle": ["straddle", "--grid", "4"],
+    "bilateral-vs-naive": ["bilateral-vs-naive", "--runs", "300", "--workers", "4"],
+    "adamw-skew": ["adamw-skew"],
+    "retry": ["retry", "--runs", "400"],
+    "deploy": ["deploy", "--budget", "300"],
+}
+
+CASES = [(f"{name}.{fmt}", argv + ["--format", fmt])
+         for name, argv in EXAMPLES.items()
+         for fmt in ("text", "csv", "json")]
+# The narrative is printed in text format only.
+CASES.append(("straddle-narrative.text", ["straddle", "--grid", "4", "--narrative"]))
+
+
+def render(argv: list[str]) -> str:
+    buf = io.StringIO()
+    code = main(argv, stdout=buf)
+    assert code == EXIT_OK, (argv, code)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("filename,argv", CASES, ids=[f for f, _ in CASES])
+def test_stdout_matches_golden(filename, argv):
+    want = (GOLDEN / filename).read_text()
+    got = render(argv)
+    if got != want:
+        diff = difflib.unified_diff(want.splitlines(keepends=True),
+                                    got.splitlines(keepends=True),
+                                    fromfile=f"golden/{filename}", tofile="stdout")
+        pytest.fail("".join(diff), pytrace=False)

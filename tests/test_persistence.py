@@ -1,4 +1,4 @@
-"""Persistence pipeline: stage walk, crash outcomes, staged commits."""
+"""Persistence pipeline: stage timeline, crash outcomes, staged commits."""
 
 from __future__ import annotations
 
@@ -96,29 +96,8 @@ def test_uninterrupted_persist_commits():
     trace = sim.run_until_quiescent()
     state = trace.final_states["c0"]
     assert state == ComponentEpochState.committed(1)
-    # deliver at 2, five stages of 2 ticks each: last advance fires at 12
+    # deliver at 2, five stages of 2 ticks each: the attempt completes at 12
     assert trace.records[-1].time == 12
-
-
-def test_stage_walk_is_ordered():
-    sim = _start(ticks=1)
-    proc = sim.handler("c0")
-    order = []
-    advance = proc._advance
-
-    def spy(sim_, to):
-        order.append(to)
-        advance(sim_, to)
-
-    proc._advance = spy
-    sim.run_until_quiescent()
-    assert order == [
-        PersistenceStage.DMA_TRANSFER,
-        PersistenceStage.WRITE_SYSCALL,
-        PersistenceStage.FSYNC,
-        PersistenceStage.METADATA_UPDATE,
-        PersistenceStage.DONE,
-    ]
 
 
 def test_begin_while_busy_rejected():
@@ -185,18 +164,38 @@ def test_crash_after_done_is_committed():
     assert proc.crash_log[0].stage == "DONE"
 
 
-@pytest.mark.parametrize("crash_time,symbol", [
-    (3, EpochSymbol.E_MINUS_1),   # BUFFER_FLUSH
-    (5, EpochSymbol.E_MINUS_1),   # DMA_TRANSFER
-    (7, EpochSymbol.BOTTOM),      # WRITE_SYSCALL
-    (9, EpochSymbol.BOTTOM),      # FSYNC
-    (11, EpochSymbol.E),          # METADATA_UPDATE
+# Fixed(2): the checkpoint lands at t=2 and stage k ends at t=2+2k. A crash
+# on the delivery tick, or exactly at a stage's end tick, sees that stage.
+_STAGE_AT_TICK = [
+    (1, "IDLE", EpochSymbol.E_MINUS_1),  # the checkpoint lands mid-crash
+    (2, "BUFFER_FLUSH", EpochSymbol.E_MINUS_1),
+    (3, "BUFFER_FLUSH", EpochSymbol.E_MINUS_1),
+    (4, "BUFFER_FLUSH", EpochSymbol.E_MINUS_1),
+    (5, "DMA_TRANSFER", EpochSymbol.E_MINUS_1),
+    (6, "DMA_TRANSFER", EpochSymbol.E_MINUS_1),
+    (7, "WRITE_SYSCALL", EpochSymbol.BOTTOM),
+    (8, "WRITE_SYSCALL", EpochSymbol.BOTTOM),
+    (9, "FSYNC", EpochSymbol.BOTTOM),
+    (10, "FSYNC", EpochSymbol.BOTTOM),
+    (11, "METADATA_UPDATE", EpochSymbol.E),
+    (12, "METADATA_UPDATE", EpochSymbol.E),
+    (13, "DONE", EpochSymbol.E),
+]
+
+
+@pytest.mark.parametrize("crash_time,stage,symbol,tentative", [
+    pytest.param(t, stage, symbol, tentative,
+                 id=f"{t}-EpochSymbol.{symbol.name}" + ("-tentative" if tentative else ""))
+    for t, stage, symbol in _STAGE_AT_TICK for tentative in (False, True)
 ])
-def test_crash_symbol_by_stage(crash_time, symbol):
-    sim = _start(ticks=2)
+def test_crash_symbol_by_stage(crash_time, stage, symbol, tentative):
+    sim = _staged(ticks=2)[0] if tentative else _start(ticks=2)
     sim.inject_crash("c0", crash_time)
     trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"].to_symbol() is symbol
+    assert sim.handler("c0").crash_log[0].stage == stage
+    # a tentative attempt never touches the stable copy
+    want = EpochSymbol.E_MINUS_1 if tentative else symbol
+    assert trace.final_states["c0"].to_symbol() is want
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,23 @@ def test_bilateral_crash_after_ack_still_commits_uniformly():
     assert out.vector_class is AtomicityClass.TOP
 
 
+def test_bilateral_rollback_ends_inflight_persists():
+    # Fixed(2): checkpoints land at t=2, the timeout rolls back at t=3 and
+    # the directives land at t=5, mid-attempt. The rolled-back attempts must
+    # not finish, ack, or count c1's crash at t=9 as a crash mid-FSYNC.
+    sim = new_simulation(2, FixedDelay(2), seed=0)
+    out = run_bilateral(sim, BilateralConfig(ack_timeout=3), crashes=[("c1", 9)])
+    assert out.decision is Decision.ROLLED_BACK
+    assert out.decision_time == 3
+    assert out.vector_class is AtomicityClass.BOTTOM_ALL
+    c0, c1 = sim.handler("c0"), sim.handler("c1")
+    assert c0.stage is PersistenceStage.IDLE
+    assert not c0.staged_ready and not c0.acked
+    assert [r.stage for r in c1.crash_log] == ["IDLE"]
+    assert not any(r.kind == "deliver" and r.payload.get("type") == "ready"
+                   for r in out.trace.records)
+
+
 def test_bilateral_coordinator_crash_blocks():
     sim = new_simulation(2, FixedDelay(1), seed=0)
     out = run_bilateral(sim, BilateralConfig(ack_timeout=30),
