@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable
 
 from .kernel import AdversarialSchedule, new_simulation
 from .lattice import AtomicityClass, EpochVector
-from .persistence import PersistenceStage
+from .persistence import ACTIVE_STAGES
 from .protocols import NaiveCheckpointConfig, ProtocolOutcome, run_naive
 
 # Earliest boundary with room for a full early completer: delivery at t=1
@@ -33,11 +33,7 @@ FULL_STRADDLE_THRESHOLD = 7
 # Earliest boundary any straddle fits: the target must begin at t_c - 1 >= 1.
 MIN_BOUNDARY = 2
 
-_STAGE_NAMES = [s.name for s in (PersistenceStage.BUFFER_FLUSH,
-                                 PersistenceStage.DMA_TRANSFER,
-                                 PersistenceStage.WRITE_SYSCALL,
-                                 PersistenceStage.FSYNC,
-                                 PersistenceStage.METADATA_UPDATE)]
+_STAGE_NAMES = [s.name for s in ACTIVE_STAGES]
 
 
 class WitnessFalsification(AssertionError):

@@ -10,8 +10,9 @@ Subcommands:
   deploy              naive vs consensus fleet deployment battery
 
 Every subcommand takes --seed and emits it in the output, and rerunning
-with an identical configuration produces byte-identical output. Flags win
-over values from --config (a JSON object keyed by flag name).
+with an identical configuration produces byte-identical output. --config
+names a JSON object whose keys are flag names; each entry is parsed as if
+given on the command line before the user's own flags, so flags win.
 
 Exit codes: 0 all embedded checks passed; 2 usage error; 3 lattice table
 mismatch; 4 expected witness not found; 5 bilateral run ended mixed;
@@ -48,19 +49,21 @@ def _json_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict[str, Any]) -> None:
-    """Fill args from --config for any flag the user left at its default."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
+def _config_flags(path: str) -> list[str]:
+    """Flags for the JSON object in `path`: key k becomes --k ("_" read as
+    "-"), true the bare switch, false nothing, any other v --k str(v)."""
+    with open(path, "r", encoding="utf-8") as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError("expected a JSON object")
+    flags: list[str] = []
     for key, value in conf.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            continue
-        # Flags given on the command line win over the config file.
-        if getattr(args, dest) == parser_defaults.get(dest):
-            setattr(args, dest, value)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False:
+            flags += [flag, str(value)]
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +74,7 @@ def _apply_config(args: argparse.Namespace, parser_defaults: dict[str, Any]) -> 
 def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
     if args.q is not None or args.n is not None:
         if args.q is None or args.n is None:
-            raise SystemExit("--q and --n must be given together")
+            raise ValueError("--q and --n must be given together")
         rows = [lattice.reliability_row(args.q, args.n)]
         check = False
     else:
@@ -380,15 +383,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int:
     out = stdout if stdout is not None else sys.stdout
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if args.config:
+        try:
+            flags = _config_flags(args.config)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config {args.config}: {exc}")
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     if args.command == "straddle" and args.n < 2:
         parser.error("straddle requires --n >= 2")
-    defaults = {a.dest: a.default
-                for sub in parser._subparsers._group_actions
-                for a in sub.choices[args.command]._actions}
-    _apply_config(args, defaults)
     func: Callable[[argparse.Namespace, TextIO], int] = args.func
-    return func(args, out)
+    try:
+        return func(args, out)
+    except ValueError as exc:
+        print(f"epochsim: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -226,7 +226,7 @@ def skew_consistency_check(pair: tuple[EpochTypedOptimizerState, EpochTypedOptim
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticTask:
     """Diagonal quadratic with optional per-step batch noise.
 
@@ -234,17 +234,20 @@ class QuadraticTask:
     is 0.5 * sum(A * (w - target - scale * xi)^2), and the batch gradient
     is its derivative. Noise is a pure function of (seed, step), so two
     trajectories replaying the same steps see identical batches.
+
+    Build tasks with `of`, which copies curvature and target into
+    read-only float64 arrays. Tasks compare by identity.
     """
 
-    curvature: tuple[float, ...]
-    target: tuple[float, ...]
+    curvature: np.ndarray
+    target: np.ndarray
     noise_scale: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.curvature) != len(self.target):
+        if self.curvature.shape != self.target.shape:
             raise ValueError("curvature and target must have the same dimension")
-        if any(a <= 0 for a in self.curvature):
+        if np.any(self.curvature <= 0):
             raise ValueError("curvature must be positive definite")
         if self.noise_scale < 0:
             raise ValueError("noise scale must be non-negative")
@@ -252,19 +255,15 @@ class QuadraticTask:
     @classmethod
     def of(cls, curvature, target, *, noise_scale: float = 0.0,
            seed: int = 0) -> QuadraticTask:
-        return cls(curvature=tuple(float(a) for a in curvature),
-                   target=tuple(float(t) for t in target),
+        curvature = np.array(curvature, dtype=np.float64)
+        target = np.array(target, dtype=np.float64)
+        curvature.flags.writeable = target.flags.writeable = False
+        return cls(curvature=curvature, target=target,
                    noise_scale=noise_scale, seed=seed)
 
     @property
     def dim(self) -> int:
         return len(self.curvature)
-
-    def _a(self) -> np.ndarray:
-        return np.asarray(self.curvature, dtype=np.float64)
-
-    def _t(self) -> np.ndarray:
-        return np.asarray(self.target, dtype=np.float64)
 
     def noise(self, step: int) -> np.ndarray:
         if self.noise_scale == 0.0:
@@ -280,17 +279,17 @@ class QuadraticTask:
 
     def loss(self, w) -> float:
         w = np.asarray(w, dtype=np.float64)
-        return float(0.5 * np.sum(self._a() * (w - self._t()) ** 2))
+        return float(0.5 * np.sum(self.curvature * (w - self.target) ** 2))
 
     def batch_loss(self, w, xi) -> float:
         w = np.asarray(w, dtype=np.float64)
-        shifted = self._t() + self.noise_scale * np.asarray(xi)
-        return float(0.5 * np.sum(self._a() * (w - shifted) ** 2))
+        shifted = self.target + self.noise_scale * np.asarray(xi)
+        return float(0.5 * np.sum(self.curvature * (w - shifted) ** 2))
 
     def gradient(self, w, step: int) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
-        shifted = self._t() + self.noise_scale * self.noise(step)
-        return self._a() * (w - shifted)
+        shifted = self.target + self.noise_scale * self.noise(step)
+        return self.curvature * (w - shifted)
 
 
 def run_trajectory(task: QuadraticTask, hyper: AdamWHyperparams, steps: int, *,
@@ -344,25 +343,23 @@ def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
         raise ValueError("horizon must be at least 1")
     if not (1 <= skew_epoch < horizon):
         raise ValueError("skew epoch must satisfy 1 <= skew_epoch < horizon")
-    ref_states = run_trajectory(task, hyper, horizon, w0=w0)
-    base = ref_states[skew_epoch]
-    mixed_state = EpochTypedOptimizerState.make(
-        w=base.w, m=ref_states[skew_epoch - 1].m, v=base.v, g=base.g,
-        rng=base.rng, data_pos=base.data_pos,
-        tags=replace(base.tags, m=base.tags.m - 1))
-    mixed_states = list(ref_states[:skew_epoch]) + [mixed_state]
-    state = mixed_state
-    for k in range(skew_epoch, horizon):
-        grad = task.gradient(state.w, k)
-        state = adamw_step(state, grad, hyper, StepMode.COERCE)
-        mixed_states.append(state)
+    ref = initial_state(task.dim, w0=w0, rng_seed=task.seed)
+    mixed = ref
     rows = []
     for k in range(horizon + 1):
-        dist = float(np.linalg.norm(ref_states[k].w - mixed_states[k].w))
+        if k > 0:
+            prev_m = ref.m
+            ref = adamw_step(ref, task.gradient(ref.w, k - 1), hyper)
+            mixed = ref if k <= skew_epoch else adamw_step(
+                mixed, task.gradient(mixed.w, k - 1), hyper, StepMode.COERCE)
+        if k == skew_epoch:
+            mixed = EpochTypedOptimizerState.make(
+                w=ref.w, m=prev_m, v=ref.v, g=ref.g,
+                rng=ref.rng, data_pos=ref.data_pos,
+                tags=replace(ref.tags, m=ref.tags.m - 1))
         rows.append(DivergenceRow(
-            step=k, distance=dist,
-            ref_loss=task.loss(ref_states[k].w),
-            mixed_loss=task.loss(mixed_states[k].w)))
+            step=k, distance=float(np.linalg.norm(ref.w - mixed.w)),
+            ref_loss=task.loss(ref.w), mixed_loss=task.loss(mixed.w)))
     return DivergenceSeries(skew_epoch=skew_epoch, horizon=horizon, rows=tuple(rows))
 
 

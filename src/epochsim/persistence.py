@@ -308,7 +308,3 @@ class PersistenceProcess(Component):
 
     def symbol(self) -> EpochSymbol:
         return self.state.to_symbol()
-
-    @property
-    def tentative_pending(self) -> bool:
-        return self.staged_ready and not self.resolved

@@ -344,10 +344,6 @@ class ComparisonReport:
     def naive_disagreement_rate(self) -> float:
         return self.naive.disagreements / self.runs
 
-    @property
-    def bilateral_mixed(self) -> int:
-        return self.bilateral.mixed
-
     def to_json_obj(self) -> dict:
         return {
             "runs": self.runs, "n": self.n, "seed": self.seed,
@@ -524,14 +520,14 @@ def retry_sweep(p0: float, n: int, alphas: Sequence[float], runs: int, seed: int
                 attempt_factory: Callable[[int], AttemptFn] = bernoulli_attempt) -> list[RetrySummary]:
     out = []
     attempt = attempt_factory(n)
-    for alpha in alphas:
+    for j, alpha in enumerate(alphas):
         model = RetryModel(base_failure_prob=p0, amplification=alpha,
                            max_attempts=max_attempts)
         total_attempts = 0
         total_load = 0.0
         successes = 0
         for i in range(runs):
-            rng = random.Random(derive_seed(seed, int(alpha * 1000) * 1_000_003 + i))
+            rng = random.Random(derive_seed(seed, j * runs + i))
             stats = run_retry_loop(model, attempt, rng)
             total_attempts += stats.attempts
             total_load += stats.total_load

@@ -10,6 +10,7 @@ import pytest
 from epochsim.cli import (
     EXIT_NO_WITNESS,
     EXIT_OK,
+    EXIT_USAGE,
     build_parser,
     main,
 )
@@ -195,16 +196,72 @@ def test_explicit_flag_beats_config(tmp_path):
     assert "3/3 mixed" in out
 
 
-def test_config_ignores_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"grid": 2, "nonsense": True}))
-    code, _ = run_cli("straddle", "--config", str(conf))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("straddle", "--config", str(conf))
+    assert exc.value.code == 2
+
+
+def test_config_string_value_is_parsed_like_a_flag(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grid": "3"}))
+    code, out = run_cli("straddle", "--config", str(conf))
     assert code == EXIT_OK
+    assert "3/3 mixed" in out
+
+
+def test_config_rejects_ill_typed_value(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grid": "three"}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("straddle", "--config", str(conf))
+    assert exc.value.code == 2
+
+
+def test_explicit_flag_at_its_default_beats_config(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grid": 3, "seed": 12}))
+    code, out = run_cli("straddle", "--config", str(conf), "--seed", "0")
+    assert code == EXIT_OK
+    assert "seed: 0" in out
+
+
+def test_config_booleans_toggle_switches(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grid": 3, "no_crash": True, "narrative": False}))
+    code, out = run_cli("straddle", "--config", str(conf))
+    assert code == EXIT_OK
+    assert "negative control (no crash): 0/3" in out
 
 
 # ---------------------------------------------------------------------------
 # failure exit codes
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("bilateral-vs-naive", "--n", "0"),
+    ("bilateral-vs-naive", "--runs", "0"),
+    ("bilateral-vs-naive", "--ack-timeout", "0"),
+    ("lattice-table", "--q", "1.5", "--n", "3"),
+    ("lattice-table", "--q", "0.5"),
+    ("retry", "--alphas", "0.5"),
+    ("retry", "--p0", "2"),
+    ("deploy", "--n", "1"),
+    ("deploy", "--budget", "0"),
+    ("adamw-skew", "--horizon", "1"),
+    ("straddle", "--grid", "0"),
+], ids="_".join)
+def test_invalid_value_is_usage_error(argv, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("epochsim: error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_straddle_rejects_single_component():

@@ -1,5 +1,9 @@
 """Golden stdout: the README example commands in every output format.
 
+One case outside the README, adamw-skew-noisy, runs the divergence series
+at dim 64 with batch noise, so that every element of the task arrays and
+the noise stream reaches the output.
+
 Each case runs one CLI invocation in process and compares its stdout byte
 for byte with a file under tests/golden/. A mismatch fails with a unified
 diff. After a change that is meant to alter output, regenerate the files
@@ -27,6 +31,8 @@ EXAMPLES = {
     "straddle": ["straddle", "--grid", "4"],
     "bilateral-vs-naive": ["bilateral-vs-naive", "--runs", "300", "--workers", "4"],
     "adamw-skew": ["adamw-skew"],
+    "adamw-skew-noisy": ["adamw-skew", "--dim", "64", "--noise", "0.1", "--horizon", "12",
+                         "--skew-epoch", "3", "--seed", "5"],
     "retry": ["retry", "--runs", "400"],
     "deploy": ["deploy", "--budget", "300"],
 }

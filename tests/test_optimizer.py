@@ -9,7 +9,9 @@ import pytest
 
 from epochsim.optimizer import (
     AdamWHyperparams,
+    DivergenceRow,
     EpochTags,
+    EpochTypedOptimizerState,
     QuadraticTask,
     StepMode,
     TypeViolationError,
@@ -171,6 +173,19 @@ def test_task_gradient_matches_finite_difference():
         assert g[i] == pytest.approx(fd, abs=1e-4)
 
 
+def test_task_arrays_are_read_only_copies():
+    curvature = np.array([2.0, 0.5])
+    task = QuadraticTask.of(curvature, [1.0, -1.0])
+    assert isinstance(task.curvature, np.ndarray)
+    assert task.curvature.dtype == np.float64 and task.target.dtype == np.float64
+    with pytest.raises(ValueError):
+        task.curvature[0] = 1.0
+    with pytest.raises(ValueError):
+        task.target[0] = 1.0
+    curvature[0] = 9.0
+    assert task.curvature[0] == 2.0
+
+
 def test_task_noise_deterministic_per_step():
     task = QuadraticTask.of([1.0], [0.0], noise_scale=0.5, seed=7)
     assert np.array_equal(task.noise(3), task.noise(3))
@@ -227,6 +242,34 @@ def test_divergence_first_step_closed_form():
         / (np.sqrt(v_hat) + hyper.eps)
     want = float(np.linalg.norm(dw))
     assert series.rows[k + 1].distance == pytest.approx(want, abs=1e-10)
+
+
+def _two_run_divergence(task, hyper, skew_epoch, horizon, w0):
+    """Both trajectories materialised in full, then compared step by step."""
+    ref = run_trajectory(task, hyper, horizon, w0=w0)
+    base = ref[skew_epoch]
+    state = EpochTypedOptimizerState.make(
+        w=base.w, m=ref[skew_epoch - 1].m, v=base.v, g=base.g,
+        rng=base.rng, data_pos=base.data_pos,
+        tags=replace(base.tags, m=base.tags.m - 1))
+    mixed = ref[:skew_epoch] + [state]
+    for k in range(skew_epoch, horizon):
+        state = adamw_step(state, task.gradient(state.w, k), hyper, StepMode.COERCE)
+        mixed.append(state)
+    return [DivergenceRow(step=k, distance=float(np.linalg.norm(r.w - x.w)),
+                          ref_loss=task.loss(r.w), mixed_loss=task.loss(x.w))
+            for k, (r, x) in enumerate(zip(ref, mixed))]
+
+
+@pytest.mark.parametrize("skew_epoch", [1, 4, 11])
+def test_divergence_matches_two_run_reference(skew_epoch):
+    task = QuadraticTask.of([2.0, 0.7, 3.5], [0.5, -1.0, 0.25],
+                            noise_scale=0.1, seed=13)
+    hyper = AdamWHyperparams(lr=0.05)
+    w0 = [1.0, -0.5, 2.0]
+    series = trajectory_divergence(task, hyper, skew_epoch=skew_epoch,
+                                   horizon=12, w0=w0)
+    assert list(series.rows) == _two_run_divergence(task, hyper, skew_epoch, 12, w0)
 
 
 def test_divergence_requires_interior_skew():

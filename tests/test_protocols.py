@@ -285,6 +285,23 @@ def test_retry_sweep_reproducible():
     assert a == b
 
 
+def test_retry_sweep_alphas_never_share_a_stream():
+    # alphas that agree to three decimals still get distinct streams
+    firsts = []
+
+    def recording_attempt(n):
+        def attempt(k, p, rng):
+            if k == 1:
+                firsts.append(rng.random())
+            return True
+        return attempt
+
+    retry_sweep(0.1, 1, [1.0001, 1.0002], runs=50, seed=0,
+                attempt_factory=recording_attempt)
+    assert len(firsts) == 100
+    assert len(set(firsts)) == 100
+
+
 def test_simulated_attempt_drives_real_protocol():
     # an attempt backed by the bilateral simulator: failure prob p is
     # realized as the probability that some participant crashes pre-ack
