@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable
 
 from .kernel import AdversarialSchedule, new_simulation
 from .lattice import AtomicityClass, EpochVector
-from .persistence import ACTIVE_STAGES
+from .persistence import ACTIVE_STAGE_NAMES
 from .protocols import NaiveCheckpointConfig, ProtocolOutcome, run_naive
 
 # Earliest boundary with room for a full early completer: delivery at t=1
@@ -32,8 +32,6 @@ from .protocols import NaiveCheckpointConfig, ProtocolOutcome, run_naive
 FULL_STRADDLE_THRESHOLD = 7
 # Earliest boundary any straddle fits: the target must begin at t_c - 1 >= 1.
 MIN_BOUNDARY = 2
-
-_STAGE_NAMES = [s.name for s in ACTIVE_STAGES]
 
 
 class WitnessFalsification(AssertionError):
@@ -113,7 +111,7 @@ def construct_straddling(n: int, j: int, t_c: int) -> StraddlingSchedule:
         if i == j:
             continue
         deliver[name] = 1
-        for s in _STAGE_NAMES:
+        for s in ACTIVE_STAGE_NAMES:
             durations[(name, s)] = 1
 
     if t_c >= 4:
@@ -125,7 +123,7 @@ def construct_straddling(n: int, j: int, t_c: int) -> StraddlingSchedule:
         begin = t_c - 1
         per_stage = [2, 1, 1, 1, 1]
     deliver[target_name] = begin
-    for s, d in zip(_STAGE_NAMES, per_stage):
+    for s, d in zip(ACTIVE_STAGE_NAMES, per_stage):
         durations[(target_name, s)] = d
     complete = begin + sum(per_stage)
 

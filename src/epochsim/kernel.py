@@ -12,6 +12,11 @@ RECOVER after a policy-drawn delay. While a component is down, DELIVER,
 LOCAL_STEP, and TIMER_FIRE events addressed to it are dropped (recorded
 in the trace with a dropped flag). Crashing an already-crashed component
 is a no-op.
+
+Payload ownership: schedule and set_timer take ownership of the payload
+dict they are given and store it as is, without a copy; the caller must
+not mutate it afterwards. send copies its message once, because it adds
+the "src" key, so a caller may reuse or mutate its message dict freely.
 """
 
 from __future__ import annotations
@@ -54,26 +59,58 @@ class EventKind(str, Enum):
     TIMER_FIRE = "timer_fire"
 
 
-@dataclass(frozen=True)
-class Event:
-    time: VirtualTime
-    seq: int
-    target: str
-    kind: EventKind
-    payload: Mapping[str, Any]
+# Lowercase trace name of each kind, looked up once per processed event.
+_KIND_VALUE: dict[EventKind, str] = {k: k.value for k in EventKind}
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class _Record:
+    """Slotted value record: positional fields, equality and repr by field."""
+
+    __slots__ = ()
+    __hash__ = None  # payloads are dicts, so records are not hashable
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
+class Event(_Record):
+    """One scheduled event; read-only once scheduled."""
+
+    __slots__ = ("time", "seq", "target", "kind", "payload")
+
+    def __init__(self, time: VirtualTime, seq: int, target: str, kind: EventKind,
+                 payload: Mapping[str, Any]) -> None:
+        self.time = time
+        self.seq = seq
+        self.target = target
+        self.kind = kind
+        self.payload = payload
+
+
+class TraceRecord(_Record):
     """One processed event, plus whether it was dropped (target down)."""
 
-    time: VirtualTime
-    seq: int
-    target: str
-    kind: str
-    payload: Mapping[str, Any]
-    dropped: bool = False
-    note: str | None = None
+    __slots__ = ("time", "seq", "target", "kind", "payload", "dropped", "note")
+
+    def __init__(self, time: VirtualTime, seq: int, target: str, kind: str,
+                 payload: Mapping[str, Any], dropped: bool = False,
+                 note: str | None = None) -> None:
+        self.time = time
+        self.seq = seq
+        self.target = target
+        self.kind = kind
+        self.payload = payload
+        self.dropped = dropped
+        self.note = note
 
     def to_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {
@@ -274,19 +311,16 @@ class Simulation:
 
     # -- scheduling --------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def schedule(self, time: VirtualTime, target: str, kind: EventKind,
                  payload: Mapping[str, Any] | None = None) -> Event:
+        """Queue an event; the kernel takes ownership of payload (None is {})."""
         if time < self.now:
             raise SchedulePastError(f"cannot schedule at t={time}, now is t={self.now}")
         if target not in self._handlers:
             raise ConfigError(f"unknown component {target!r}")
-        ev = Event(time=time, seq=self._next_seq(), target=target, kind=kind,
-                   payload=dict(payload or {}))
-        heapq.heappush(self._queue, (ev.time, ev.seq, ev))
+        self._seq = seq = self._seq + 1
+        ev = Event(time, seq, target, kind, {} if payload is None else payload)
+        heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
     def send(self, src: str, dst: str, msg: Mapping[str, Any]) -> Event:
@@ -313,47 +347,46 @@ class Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run_until_quiescent(self) -> Trace:
+        queue, handlers, crashed = self._queue, self._handlers, self._crashed
+        record = self._records.append
+        limit = self.config.step_limit
+        pop = heapq.heappop
+        crash, recover = EventKind.CRASH, EventKind.RECOVER
         steps = 0
-        while self._queue:
+        while queue:
             steps += 1
-            if steps > self.config.step_limit:
-                raise StepLimitExceeded(
-                    f"exceeded {self.config.step_limit} events; likely livelock")
-            _, _, ev = heapq.heappop(self._queue)
+            if steps > limit:
+                raise StepLimitExceeded(f"exceeded {limit} events; likely livelock")
+            ev = pop(queue)[2]
             self.now = ev.time
-            self._process(ev)
-        states = ((name, self._handlers[name].epoch_state()) for name in self._order)
-        final = {name: state for name, state in states if state is not None}
-        return Trace(seed=self.config.seed, records=tuple(self._records), final_states=final)
-
-    def _process(self, ev: Event) -> None:
-        handler = self._handlers[ev.target]
-        dropped = False
-        note = None
-        if ev.kind is EventKind.CRASH:
-            if ev.target in self._crashed:
-                note = "already crashed"
-            else:
-                self._crashed.add(ev.target)
-                handler.on_crash(self, ev)
-                if not ev.payload.get("permanent"):
-                    delay = self.policy.recovery_delay(self.rng, ev.target)
-                    self.schedule(self.now + delay, ev.target,
-                                  EventKind.RECOVER, {})
-        elif ev.kind is EventKind.RECOVER:
-            if ev.target in self._crashed:
-                self._crashed.discard(ev.target)
-                handler.on_recover(self, ev)
-            else:
-                note = "not crashed"
-        else:
-            if ev.target in self._crashed:
+            target, kind = ev.target, ev.kind
+            handler = handlers[target]
+            dropped = False
+            note = None
+            if kind is crash:
+                if target in crashed:
+                    note = "already crashed"
+                else:
+                    crashed.add(target)
+                    handler.on_crash(self, ev)
+                    if not ev.payload.get("permanent"):
+                        delay = self.policy.recovery_delay(self.rng, target)
+                        self.schedule(self.now + delay, target, recover, {})
+            elif kind is recover:
+                if target in crashed:
+                    crashed.discard(target)
+                    handler.on_recover(self, ev)
+                else:
+                    note = "not crashed"
+            elif target in crashed:
                 dropped = True
             else:
                 handler.on_event(self, ev)
-        self._records.append(TraceRecord(
-            time=ev.time, seq=ev.seq, target=ev.target, kind=ev.kind.value,
-            payload=ev.payload, dropped=dropped, note=note))
+            record(TraceRecord(ev.time, ev.seq, target, _KIND_VALUE[kind], ev.payload,
+                               dropped, note))
+        states = ((name, handlers[name].epoch_state()) for name in self._order)
+        final = {name: state for name, state in states if state is not None}
+        return Trace(seed=self.config.seed, records=tuple(self._records), final_states=final)
 
 
 def new_simulation(n: int, delay_policy: DelayPolicy, seed: int, *,

@@ -62,6 +62,8 @@ ACTIVE_STAGES: tuple[PersistenceStage, ...] = (
     PersistenceStage.FSYNC,
     PersistenceStage.METADATA_UPDATE,
 )
+# Their names, as passed to DelayPolicy.stage_duration.
+ACTIVE_STAGE_NAMES: tuple[str, ...] = tuple(s.name for s in ACTIVE_STAGES)
 
 
 class OutcomeKind(str, Enum):
@@ -198,6 +200,8 @@ class PersistenceProcess(Component):
         if event.kind is EventKind.DELIVER:
             mtype = payload.get("type")
             if mtype == "checkpoint":
+                if self.resolved:
+                    return  # a directive overtook this checkpoint; nothing to do
                 self.begin_persist(sim, payload["epoch"],
                                    tentative=bool(payload.get("tentative", False)))
             elif mtype in ("commit", "rollback"):
@@ -220,10 +224,11 @@ class PersistenceProcess(Component):
         self.stage = PersistenceStage.BUFFER_FLUSH  # in flight; on_crash finds the exact stage
         # Draw every stage duration now, in stage order, so the draw sequence
         # is a deterministic function of the event order.
+        stage_duration, rng, name = sim.policy.stage_duration, sim.rng, self.name
         end = sim.now
         ends = []
-        for s in ACTIVE_STAGES:
-            end += sim.policy.stage_duration(sim.rng, self.name, s.name)
+        for stage_name in ACTIVE_STAGE_NAMES:
+            end += stage_duration(rng, name, stage_name)
             ends.append(end)
         self._stage_ends = tuple(ends)
         sim.schedule(end, self.name, EventKind.LOCAL_STEP,

@@ -2,7 +2,10 @@
 
 One case outside the README, adamw-skew-noisy, runs the divergence series
 at dim 64 with batch noise, so that every element of the task arrays and
-the noise stream reaches the output.
+the noise stream reaches the output. The FLAGS cases cover options the
+README examples leave at their defaults: the straddle negative control,
+a single lattice cell, the aborting fence policy, and a wider cluster at
+a non-default seed.
 
 Each case runs one CLI invocation in process and compares its stdout byte
 for byte with a file under tests/golden/. A mismatch fails with a unified
@@ -37,8 +40,16 @@ EXAMPLES = {
     "deploy": ["deploy", "--budget", "300"],
 }
 
+FLAGS = {
+    "straddle-no-crash": ["straddle", "--grid", "4", "--no-crash"],
+    "lattice-table-cell": ["lattice-table", "--q", "0.99", "--n", "64"],
+    "deploy-fence-abort": ["deploy", "--budget", "300", "--fence-abort"],
+    "bilateral-vs-naive-n8": ["bilateral-vs-naive", "--n", "8", "--runs", "200",
+                              "--seed", "7"],
+}
+
 CASES = [(f"{name}.{fmt}", argv + ["--format", fmt])
-         for name, argv in EXAMPLES.items()
+         for name, argv in {**EXAMPLES, **FLAGS}.items()
          for fmt in ("text", "csv", "json")]
 # The narrative is printed in text format only.
 CASES.append(("straddle-narrative.text", ["straddle", "--grid", "4", "--narrative"]))

@@ -16,6 +16,7 @@ from epochsim.kernel import (
     SimConfig,
     Simulation,
     StepLimitExceeded,
+    Trace,
     UniformDelay,
     digest64,
     new_simulation,
@@ -82,16 +83,17 @@ def test_duplicate_registration_rejected():
 
 
 def test_identical_seed_identical_trace():
-    def run(seed: int) -> str:
+    def run(seed: int) -> Trace:
         sim = new_simulation(3, UniformDelay(1, 5), seed=seed)
         for name in sim.component_names():
             sim.send("driver", name, {"type": "checkpoint", "epoch": 1})
         sim.inject_crash("c1", 4)
-        return sim.run_until_quiescent().to_jsonl()
+        return sim.run_until_quiescent()
 
     a, b = run(99), run(99)
-    assert a == b
-    assert run(100) != a
+    assert a.to_jsonl() == b.to_jsonl()
+    assert a.records == b.records  # records compare field by field
+    assert run(100).to_jsonl() != a.to_jsonl()
 
 
 def test_trace_hash_is_stable_blake2b():
@@ -213,3 +215,24 @@ def test_empty_queue_yields_empty_trace_and_initial_states():
     states = trace.final_states
     assert set(states) == {"c0", "c1"}
     assert all(s.epoch == 0 for s in states.values())  # untouched prior epoch
+
+
+def test_send_copies_the_message_once():
+    # send owns a copy with "src" added; the caller's dict is never aliased
+    sim, recs = _sim(n=1)
+    msg = {"type": "checkpoint", "tag": "sent"}
+    ev = sim.send("driver", "r0", msg)
+    msg["tag"] = "mutated"
+    msg["extra"] = 1
+    sim.run_until_quiescent()
+    assert ev.payload == {"type": "checkpoint", "tag": "sent", "src": "driver"}
+    assert "src" not in msg
+    assert recs[0].seen[0][2] == "sent"
+
+
+def test_schedule_without_payload_gets_a_fresh_dict():
+    sim, _ = _sim(n=1)
+    a = sim.schedule(1, "r0", EventKind.LOCAL_STEP)
+    b = sim.schedule(1, "r0", EventKind.LOCAL_STEP, None)
+    assert a.payload == {} and b.payload == {}
+    assert a.payload is not b.payload

@@ -1,0 +1,108 @@
+"""Protocol invariants over generated crash schedules, delays and timeouts.
+
+Fixed-seed batteries only sample the schedules a seed happens to draw;
+these properties let Hypothesis search for a counterexample instead. The
+bilateral protocol must never end Mixed, a decided run must converge to
+the decision, and a component that has applied its directive does no
+further work: it sends nothing and its durable state stays put.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epochsim.kernel import SimConfig, Simulation, UniformDelay
+from epochsim.lattice import AtomicityClass
+from epochsim.persistence import ComponentEpochState, PersistenceProcess
+from epochsim.protocols import BilateralConfig, Decision, conv_holds, run_bilateral
+
+EPOCH = 1
+
+
+class WatchedProcess(PersistenceProcess):
+    """Records any change to durable state made after the directive landed."""
+
+    def __init__(self, name: str, violations: list[str]) -> None:
+        super().__init__(name, epoch=EPOCH)
+        self.violations = violations
+
+    def _watch(self, hook, sim, event) -> None:
+        before = (self.state, self.staged_ready) if self.resolved else None
+        hook(sim, event)
+        if before is not None and (self.state, self.staged_ready) != before:
+            self.violations.append(f"{self.name} changed state at t={sim.now}")
+
+    def on_event(self, sim, event):
+        self._watch(super().on_event, sim, event)
+
+    def on_crash(self, sim, event):
+        self._watch(super().on_crash, sim, event)
+
+    def on_recover(self, sim, event):
+        self._watch(super().on_recover, sim, event)
+
+
+class WatchedSimulation(Simulation):
+    """Records any message a resolved component sends."""
+
+    def __init__(self, config: SimConfig, violations: list[str]) -> None:
+        super().__init__(config)
+        self.violations = violations
+
+    def send(self, src, dst, msg):
+        sender = self.handler(src) if src in self.component_names() else None
+        if isinstance(sender, PersistenceProcess) and sender.resolved:
+            self.violations.append(f"{src} sent {msg.get('type')} at t={self.now}")
+        return super().send(src, dst, msg)
+
+
+@st.composite
+def bilateral_runs(draw):
+    n = draw(st.integers(1, 4))
+    lo = draw(st.integers(1, 3))
+    hi = draw(st.integers(lo, 8))
+    crashes = draw(st.lists(
+        st.tuples(st.integers(0, n - 1).map(lambda i: f"c{i}"), st.integers(1, 30)),
+        max_size=4))
+    coordinator_crash_at = draw(st.none() | st.integers(1, 30))
+    return dict(n=n, delay=UniformDelay(lo, hi), seed=draw(st.integers(0, 2**32)),
+                ack_timeout=draw(st.integers(1, 20)), crashes=crashes,
+                coordinator_crash_at=coordinator_crash_at)
+
+
+def _run(case):
+    violations: list[str] = []
+    sim = WatchedSimulation(SimConfig(n_components=case["n"], delay_policy=case["delay"],
+                                      seed=case["seed"]), violations)
+    for i in range(case["n"]):
+        sim.register(WatchedProcess(f"c{i}", violations))
+    out = run_bilateral(sim, BilateralConfig(epoch=EPOCH, ack_timeout=case["ack_timeout"]),
+                        crashes=case["crashes"],
+                        coordinator_crash_at=case["coordinator_crash_at"])
+    return out, violations
+
+
+@settings(max_examples=100, deadline=None)
+@given(bilateral_runs())
+def test_bilateral_is_never_mixed(case):
+    out, _ = _run(case)
+    assert out.vector_class is not AtomicityClass.MIXED
+
+
+@settings(max_examples=100, deadline=None)
+@given(bilateral_runs())
+def test_decided_run_converges_to_its_decision(case):
+    out, _ = _run(case)
+    if out.decision is Decision.COMMITTED:
+        assert conv_holds(out.trace, EPOCH)
+    elif out.decision is Decision.ROLLED_BACK:
+        prior = ComponentEpochState.prior(EPOCH)
+        assert all(s == prior for s in out.trace.final_states.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(bilateral_runs())
+def test_resolved_component_does_no_further_work(case):
+    _, violations = _run(case)
+    assert violations == []

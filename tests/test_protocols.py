@@ -8,7 +8,7 @@ import random
 import pytest
 
 from epochsim.adversary import search_schedules
-from epochsim.kernel import FixedDelay, Trace, UniformDelay, new_simulation
+from epochsim.kernel import AdversarialSchedule, FixedDelay, Trace, UniformDelay, new_simulation
 from epochsim.lattice import AtomicityClass, EpochSymbol
 from epochsim.persistence import PersistenceStage
 from epochsim.protocols import (
@@ -135,6 +135,21 @@ def test_bilateral_rollback_ends_inflight_persists():
     assert c0.stage is PersistenceStage.IDLE
     assert not c0.staged_ready and not c0.acked
     assert [r.stage for r in c1.crash_log] == ["IDLE"]
+    assert not any(r.kind == "deliver" and r.payload.get("type") == "ready"
+                   for r in out.trace.records)
+
+
+def test_bilateral_ignores_checkpoint_after_rollback():
+    # c0's checkpoint takes 6 ticks; the timeout rolls back at t=1 and the
+    # rollback overtakes it at t=2. The late checkpoint must not start a
+    # persist on a resolved component, nor send a ready ack after it.
+    policy = AdversarialSchedule(message_delays={("c0", "checkpoint"): 6})
+    sim = new_simulation(2, policy, seed=0)
+    out = run_bilateral(sim, BilateralConfig(ack_timeout=1))
+    assert out.decision is Decision.ROLLED_BACK
+    c0 = sim.handler("c0")
+    assert c0.stage is PersistenceStage.IDLE
+    assert not c0.staged_ready and not c0.acked
     assert not any(r.kind == "deliver" and r.payload.get("type") == "ready"
                    for r in out.trace.records)
 
