@@ -72,6 +72,8 @@ def _config_flags(path: str) -> list[str]:
 
 
 def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
+    if args.trials < 0:
+        raise ValueError("--trials must not be negative")
     if args.q is not None or args.n is not None:
         if args.q is None or args.n is None:
             raise ValueError("--q and --n must be given together")
@@ -151,8 +153,7 @@ def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
     report = protocols.compare_protocols(
         n=args.n, runs=args.runs, seed=args.seed, crash_prob=args.crash_prob,
-        boundary_time=args.t_c, ack_timeout=args.ack_timeout,
-        workers=args.workers)
+        boundary_time=args.t_c, ack_timeout=args.ack_timeout)
     obj = report.to_json_obj()
     if args.format == "json":
         print(_json_dumps(obj), file=out)
@@ -341,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crash-prob", type=float, default=0.15)
     p.add_argument("--t-c", type=int, default=10)
     p.add_argument("--ack-timeout", type=int, default=30)
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_bilateral_vs_naive)
 

@@ -264,7 +264,7 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
         sim.inject_crash(component, time)
     if propose_time is not None:
         # The register linearizes the write at the propose time; model it as
-        # a timer on the runner so it lands in trace order.
+        # a timer on propose_hook so it lands in trace order.
         sim.register(_ProposeHook(register))
         sim.schedule(max(propose_time, 1), "propose_hook", EventKind.TIMER_FIRE,
                      {"type": "propose", "version": int(FirmwareEpoch.F1)})

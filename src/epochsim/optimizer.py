@@ -150,7 +150,7 @@ def adamw_step(state: EpochTypedOptimizerState, gradient,
         mismatches = {name: tag for name, tag in state.tags.as_dict().items()
                       if tag != expected}
         raise TypeViolationError(mismatches, expected)
-    grad = np.asarray(gradient, dtype=np.float64)
+    grad = np.array(gradient, dtype=np.float64)
     if grad.shape != state.w.shape:
         raise ValueError("gradient shape does not match the state")
     b1, b2 = hyper.beta1, hyper.beta2
@@ -163,7 +163,9 @@ def adamw_step(state: EpochTypedOptimizerState, gradient,
                                   + hyper.weight_decay * state.w)
     tags = (EpochTags.uniform(t) if mode is StepMode.STRICT
             else state.tags.advanced_per_field())
-    return EpochTypedOptimizerState.make(
+    # w_new, m_new and v_new are fresh arrays and grad is a copy, so the
+    # new state owns all four without copying them again.
+    return EpochTypedOptimizerState(
         w=w_new, m=m_new, v=v_new, g=grad,
         rng=_mix64(state.rng), data_pos=state.data_pos + 1, tags=tags)
 

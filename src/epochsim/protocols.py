@@ -26,7 +26,6 @@ k fails each component with min(1, p0 * alpha^(k-1)).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -318,13 +317,6 @@ class ClassTallies:
         if outcome.disagreement:
             self.disagreements += 1
 
-    def merge(self, other: ClassTallies) -> None:
-        self.top += other.top
-        self.bottom_all += other.bottom_all
-        self.mixed += other.mixed
-        self.no_decision += other.no_decision
-        self.disagreements += other.disagreements
-
     def to_json_obj(self) -> dict:
         return {"top": self.top, "bottom_all": self.bottom_all, "mixed": self.mixed,
                 "no_decision": self.no_decision, "disagreements": self.disagreements}
@@ -355,20 +347,34 @@ class ComparisonReport:
         }
 
 
-def _battery_chunk(indices: Sequence[int], n: int, seed: int, crash_prob: float,
-                   boundary_time: int, ack_timeout: int, window: int,
-                   delay: DelayPolicy) -> tuple[ClassTallies, ClassTallies, dict, int | None]:
+def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
+                      boundary_time: int = 10, ack_timeout: int = 30,
+                      crash_window: int = 28,
+                      delay: DelayPolicy | None = None,
+                      workers: int = 1) -> ComparisonReport:
+    """Run naive and bilateral side by side under identical crash injection.
+
+    Runs execute one after another on the calling thread. Run i draws its
+    crash schedule and seeds both simulations from derive_seed(seed, i),
+    so it does not depend on any other run. `workers` is accepted and
+    ignored: the report is the same for every value.
+    """
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    if not 0.0 <= crash_prob <= 1.0:
+        raise ValueError("crash probability must lie in [0, 1]")
+    policy = delay or UniformDelay(1, 3)
+    names = [f"c{i}" for i in range(n)]
     naive_t = ClassTallies()
     bilat_t = ClassTallies()
     coverage: dict[str, int] = {}
     sample: int | None = None
-    names = [f"c{i}" for i in range(n)]
-    for i in indices:
+    for i in range(runs):
         run_seed = derive_seed(seed, i)
         rng = random.Random(run_seed)
-        crashes = crash_schedule(names, rng, crash_prob, window)
+        crashes = crash_schedule(names, rng, crash_prob, crash_window)
 
-        sim_b = new_simulation(n, delay, run_seed)
+        sim_b = new_simulation(n, policy, run_seed)
         out_b = run_bilateral(sim_b, BilateralConfig(epoch=1, ack_timeout=ack_timeout),
                               crashes=crashes)
         bilat_t.add(out_b)
@@ -378,52 +384,12 @@ def _battery_chunk(indices: Sequence[int], n: int, seed: int, crash_prob: float,
                 if rec.acked:
                     coverage["post_ack"] = coverage.get("post_ack", 0) + 1
 
-        sim_n = new_simulation(n, delay, run_seed)
+        sim_n = new_simulation(n, policy, run_seed)
         out_n = run_naive(sim_n, NaiveCheckpointConfig(epoch=1, boundary_time=boundary_time),
                           crashes=crashes)
         naive_t.add(out_n)
         if sample is None and out_n.vector_class is AtomicityClass.MIXED:
             sample = run_seed
-    return naive_t, bilat_t, coverage, sample
-
-
-def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
-                      boundary_time: int = 10, ack_timeout: int = 30,
-                      crash_window: int = 28,
-                      delay: DelayPolicy | None = None,
-                      workers: int = 1) -> ComparisonReport:
-    """Run naive and bilateral side by side under identical crash injection.
-
-    Per-run seeds are derived from (seed, run index), so partitioning the
-    index range across workers cannot change any individual run; the merge
-    is a pure sum, making the report identical for any worker count.
-    """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    policy = delay or UniformDelay(1, 3)
-    indices = list(range(runs))
-    if workers <= 1:
-        chunks = [indices]
-    else:
-        size = (runs + workers - 1) // workers
-        chunks = [indices[i:i + size] for i in range(0, runs, size)]
-    args = (n, seed, crash_prob, boundary_time, ack_timeout, crash_window, policy)
-    if len(chunks) == 1:
-        results = [_battery_chunk(chunks[0], *args)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(lambda c: _battery_chunk(c, *args), chunks))
-    naive_t = ClassTallies()
-    bilat_t = ClassTallies()
-    coverage: dict[str, int] = {}
-    sample: int | None = None
-    for nt, bt, cov, s in results:
-        naive_t.merge(nt)
-        bilat_t.merge(bt)
-        for k, v in cov.items():
-            coverage[k] = coverage.get(k, 0) + v
-        if sample is None:
-            sample = s
     return ComparisonReport(runs=runs, n=n, seed=seed, naive=naive_t,
                             bilateral=bilat_t, crash_stage_coverage=coverage,
                             sample_mixed_seed=sample)
@@ -518,6 +484,8 @@ class RetrySummary:
 def retry_sweep(p0: float, n: int, alphas: Sequence[float], runs: int, seed: int,
                 *, max_attempts: int = 40,
                 attempt_factory: Callable[[int], AttemptFn] = bernoulli_attempt) -> list[RetrySummary]:
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
     out = []
     attempt = attempt_factory(n)
     for j, alpha in enumerate(alphas):

@@ -245,10 +245,14 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("bilateral-vs-naive", "--n", "0"),
     ("bilateral-vs-naive", "--runs", "0"),
     ("bilateral-vs-naive", "--ack-timeout", "0"),
+    ("bilateral-vs-naive", "--crash-prob", "2"),
+    ("bilateral-vs-naive", "--crash-prob", "-1"),
     ("lattice-table", "--q", "1.5", "--n", "3"),
     ("lattice-table", "--q", "0.5"),
+    ("lattice-table", "--trials", "-1"),
     ("retry", "--alphas", "0.5"),
     ("retry", "--p0", "2"),
+    ("retry", "--runs", "0"),
     ("deploy", "--n", "1"),
     ("deploy", "--budget", "0"),
     ("adamw-skew", "--horizon", "1"),
@@ -298,9 +302,11 @@ def test_adamw_skew_beta1_zero_is_skewless():
     assert obj["closed_form_error"] <= 1e-12
 
 
-def test_battery_output_identical_across_worker_counts():
-    base = ("bilateral-vs-naive", "--runs", "150", "--n", "3",
-            "--seed", "21", "--format", "json")
-    _, one = run_cli(*base, "--workers", "1")
-    _, four = run_cli(*base, "--workers", "4")
-    assert one == four
+def test_workers_flag_is_usage_error(capsys):
+    # The battery has no worker pool, so it takes no --workers flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["bilateral-vs-naive", "--runs", "10", "--workers", "4"])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --workers 4" in err
+    assert "Traceback" not in err

@@ -32,7 +32,7 @@ GOLDEN = Path(__file__).with_name("golden")
 EXAMPLES = {
     "lattice-table": ["lattice-table"],
     "straddle": ["straddle", "--grid", "4"],
-    "bilateral-vs-naive": ["bilateral-vs-naive", "--runs", "300", "--workers", "4"],
+    "bilateral-vs-naive": ["bilateral-vs-naive", "--runs", "300"],
     "adamw-skew": ["adamw-skew"],
     "adamw-skew-noisy": ["adamw-skew", "--dim", "64", "--noise", "0.1", "--horizon", "12",
                          "--skew-epoch", "3", "--seed", "5"],

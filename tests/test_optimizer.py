@@ -63,6 +63,14 @@ def test_zero_gradient_zero_moments_is_fixed_point():
     assert stepped.tags.w == 1
 
 
+def test_step_state_does_not_alias_the_callers_gradient():
+    state = initial_state(3)
+    grad = np.array([1.0, -2.0, 0.5])
+    stepped = adamw_step(state, grad, AdamWHyperparams())
+    grad[:] = 99.0
+    assert np.array_equal(stepped.g, [1.0, -2.0, 0.5])
+
+
 def test_weight_decay_pulls_toward_zero():
     hyper = AdamWHyperparams(lr=0.1, weight_decay=0.5)
     state = initial_state(1, w0=[2.0])
