@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Callable, Sequence, TextIO
 
@@ -180,6 +181,10 @@ def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
+    if args.dim < 1:
+        raise ValueError("--dim must be at least 1")
+    if not math.isfinite(args.g_skip):
+        raise ValueError("--g-skip must be finite")
     hyper = optimizer.AdamWHyperparams(lr=args.lr, beta1=args.beta1, beta2=args.beta2)
     g_skip = np.full(args.dim, args.g_skip)
     pair = optimizer.make_skew_pair(g_skip, hyper, epoch=max(args.skew_epoch, 1))

@@ -17,6 +17,7 @@ accepts such states because the weights are untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -50,10 +51,10 @@ class AdamWHyperparams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
-        if self.lr <= 0.0 or self.eps <= 0.0:
-            raise ValueError("lr and eps must be positive")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight decay must be non-negative")
+        if not (0.0 < self.lr < math.inf) or not (0.0 < self.eps < math.inf):
+            raise ValueError("lr and eps must be positive and finite")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ValueError("weight decay must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -249,10 +250,14 @@ class QuadraticTask:
     def __post_init__(self) -> None:
         if self.curvature.shape != self.target.shape:
             raise ValueError("curvature and target must have the same dimension")
+        if self.curvature.size < 1:
+            raise ValueError("dimension must be at least 1")
+        if not (np.all(np.isfinite(self.curvature)) and np.all(np.isfinite(self.target))):
+            raise ValueError("curvature and target must be finite")
         if np.any(self.curvature <= 0):
             raise ValueError("curvature must be positive definite")
-        if self.noise_scale < 0:
-            raise ValueError("noise scale must be non-negative")
+        if not (0.0 <= self.noise_scale < math.inf):
+            raise ValueError("noise scale must be non-negative and finite")
 
     @classmethod
     def of(cls, curvature, target, *, noise_scale: float = 0.0,

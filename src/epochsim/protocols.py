@@ -25,6 +25,7 @@ k fails each component with min(1, p0 * alpha^(k-1)).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +35,9 @@ from .kernel import (Component, DelayPolicy, Event, EventKind, Simulation,
                      Trace, UniformDelay, new_simulation)
 from .lattice import AtomicityClass, EpochVector
 from .persistence import OutcomeKind, PersistenceProcess, ack_digest
+
+_DELIVER = EventKind.DELIVER
+_TIMER_FIRE = EventKind.TIMER_FIRE
 
 
 class Decision(str, Enum):
@@ -210,7 +214,7 @@ class BilateralCoordinator(Component):
 
     def on_event(self, sim: Simulation, event: Event) -> None:
         payload = event.payload
-        if event.kind is EventKind.DELIVER and payload.get("type") == "ready":
+        if event.kind is _DELIVER and payload.get("type") == "ready":
             if self.record.decision is not None:
                 return
             component = payload["component"]
@@ -223,7 +227,7 @@ class BilateralCoordinator(Component):
             self.acks.add(component)
             if len(self.acks) == len(self.participant_names):
                 self._decide(sim, "commit")
-        elif event.kind is EventKind.TIMER_FIRE and payload.get("type") == "ack_timeout":
+        elif event.kind is _TIMER_FIRE and payload.get("type") == "ack_timeout":
             if self.record.decision is None:
                 self._decide(sim, "rollback")
 
@@ -409,10 +413,19 @@ class RetryModel:
     def __post_init__(self) -> None:
         if not (0.0 <= self.base_failure_prob <= 1.0):
             raise ValueError("base failure probability must lie in [0, 1]")
-        if self.amplification < 1.0:
-            raise ValueError("amplification must be >= 1")
+        if not (1.0 <= self.amplification < math.inf):
+            raise ValueError("amplification must be a finite number >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        # A run's load is a sum of max_attempts terms alpha^(k-1), so this
+        # bound keeps every load and failure probability a finite float.
+        try:
+            bound = self.max_attempts * self.amplification ** (self.max_attempts - 1)
+        except OverflowError:
+            bound = math.inf
+        if bound == math.inf:
+            raise ValueError(f"amplification {self.amplification:g} overflows a float "
+                             f"over {self.max_attempts} attempts")
 
     def failure_prob(self, attempt: int) -> float:
         """Per-component failure probability on 1-indexed attempt k."""
@@ -486,6 +499,10 @@ def retry_sweep(p0: float, n: int, alphas: Sequence[float], runs: int, seed: int
                 attempt_factory: Callable[[int], AttemptFn] = bernoulli_attempt) -> list[RetrySummary]:
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not alphas:
+        raise ValueError("at least one amplification alpha is required")
     out = []
     attempt = attempt_factory(n)
     for j, alpha in enumerate(alphas):
@@ -500,6 +517,9 @@ def retry_sweep(p0: float, n: int, alphas: Sequence[float], runs: int, seed: int
             total_attempts += stats.attempts
             total_load += stats.total_load
             successes += int(stats.succeeded)
+        if total_load == math.inf:
+            raise ValueError(f"amplification {alpha:g}: the load summed over "
+                             f"{runs} runs overflows a float")
         out.append(RetrySummary(alpha=alpha, runs=runs,
                                 mean_attempts=total_attempts / runs,
                                 success_rate=successes / runs,

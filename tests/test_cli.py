@@ -253,9 +253,20 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("retry", "--alphas", "0.5"),
     ("retry", "--p0", "2"),
     ("retry", "--runs", "0"),
+    ("retry", "--n", "0"),
+    ("retry", "--alphas", ","),
+    ("retry", "--alphas", "nan"),
+    ("retry", "--alphas", "inf"),
+    ("retry", "--alphas", "1e308"),
+    ("retry", "--p0", "1", "--alphas", "8e307", "--max-attempts", "2", "--runs", "3"),
     ("deploy", "--n", "1"),
     ("deploy", "--budget", "0"),
     ("adamw-skew", "--horizon", "1"),
+    ("adamw-skew", "--dim", "0"),
+    ("adamw-skew", "--lr", "nan"),
+    ("adamw-skew", "--noise", "nan"),
+    ("adamw-skew", "--noise", "inf"),
+    ("adamw-skew", "--g-skip", "nan"),
     ("straddle", "--grid", "0"),
 ], ids="_".join)
 def test_invalid_value_is_usage_error(argv, capsys):
@@ -266,6 +277,12 @@ def test_invalid_value_is_usage_error(argv, capsys):
     assert err.startswith("epochsim: error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_adamw_dim_zero_names_the_flag(capsys):
+    code, _ = run_cli("adamw-skew", "--dim", "0")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "epochsim: error: --dim must be at least 1\n"
 
 
 def test_straddle_rejects_single_component():

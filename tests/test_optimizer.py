@@ -83,6 +83,31 @@ def test_weight_decay_pulls_toward_zero():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0},
+    {"eps": float("nan")}, {"eps": float("inf")},
+    {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+    {"beta1": float("nan")}, {"beta2": float("nan")},
+])
+def test_hyperparams_reject_nonfinite_and_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        AdamWHyperparams(**kwargs)
+
+
+@pytest.mark.parametrize("curvature,target,noise", [
+    ([], [], 0.0),
+    ([1.0], [0.0], float("nan")),
+    ([1.0], [0.0], float("inf")),
+    ([1.0], [0.0], -0.1),
+    ([float("nan")], [0.0], 0.0),
+    ([float("inf")], [0.0], 0.0),
+    ([1.0], [float("nan")], 0.0),
+])
+def test_task_rejects_empty_nonfinite_and_negative_inputs(curvature, target, noise):
+    with pytest.raises(ValueError):
+        QuadraticTask.of(curvature, target, noise_scale=noise)
+
+
 def test_strict_step_advances_all_tags_uniformly():
     state = initial_state(2)
     stepped = adamw_step(state, np.ones(2), AdamWHyperparams())

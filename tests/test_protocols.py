@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -335,6 +336,30 @@ def test_model_validation():
         RetryModel(base_failure_prob=0.5, amplification=0.9)
     with pytest.raises(ValueError):
         RetryModel(base_failure_prob=0.5, max_attempts=0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 1e308, 1e10])
+def test_model_rejects_nonfinite_or_overflowing_amplification(alpha):
+    # 1e10 ** 39 overflows a float; so would the load of a 40-attempt run.
+    with pytest.raises(ValueError):
+        RetryModel(base_failure_prob=0.1, amplification=alpha, max_attempts=40)
+
+
+def test_model_accepts_the_largest_finite_load():
+    model = RetryModel(base_failure_prob=1.0, amplification=8e307, max_attempts=2)
+    stats = run_retry_loop(model, bernoulli_attempt(1), random.Random(0))
+    assert stats.total_load == 8e307 + 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n": 0, "alphas": [1.0]},
+    {"n": 3, "alphas": []},
+    {"n": 1, "alphas": [8e307], "p0": 1.0, "max_attempts": 2},  # sum over runs overflows
+])
+def test_retry_sweep_rejects_degenerate_sweeps(kwargs):
+    kwargs = {"p0": 0.1, "runs": 3, "seed": 0, **kwargs}
+    with pytest.raises(ValueError):
+        retry_sweep(**kwargs)
 
 
 def test_derive_seed_spreads():
