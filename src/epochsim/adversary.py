@@ -217,13 +217,21 @@ def witness_mixed(n: int, t_c: int, *, j: int | None = None,
 
 
 def boundary_grid(count: int, *, t_max: int = 1_000_000, seed: int = 0) -> list[int]:
-    """Seeded sample of boundary times, all above the full-straddle threshold."""
+    """Seeded sample of count distinct boundary times in [8, t_max).
+
+    Every boundary lies above the full-straddle threshold and below t_max;
+    a count larger than the number of such boundaries is rejected before
+    anything is sampled.
+    """
     if count < 1:
         raise ValueError("grid size must be at least 1")
     lo = FULL_STRADDLE_THRESHOLD + 1
-    hi = max(t_max, lo + count)
+    available = max(0, t_max - lo)
+    if count > available:
+        raise ValueError(f"grid size {count} exceeds the {available} boundary times "
+                         f"from {lo} up to t_max={t_max}")
     rng = random.Random(seed)
-    return sorted(rng.sample(range(lo, hi), count))
+    return sorted(rng.sample(range(lo, t_max), count))
 
 
 @dataclass

@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .kernel import (Component, DelayPolicy, Event, EventKind, SimConfig,
@@ -32,16 +34,26 @@ class FirmwareEpoch(IntEnum):
     F1 = 1
 
 
-# Bound once for the per-delivery hook: a global name is about ten times
-# cheaper to read than EventKind.DELIVER, and a dict lookup than the call
-# FirmwareEpoch(value).
-_DELIVER = EventKind.DELIVER
-_FIRMWARE_BY_VALUE = {int(e): e for e in FirmwareEpoch}
-
-
 class FencePolicy(str, Enum):
     PROCEED = "proceed"  # run with the unfenced participants, if any remain
     ABORT = "abort"      # abort the collective if anyone had to be fenced
+
+
+# Bound once for the per-delivery, per-node and per-collective paths: a
+# global name is about ten times cheaper to read than EventKind.DELIVER,
+# and a dict lookup than the call FirmwareEpoch(value).
+_DELIVER = EventKind.DELIVER
+_TIMER_FIRE = EventKind.TIMER_FIRE
+_F0 = FirmwareEpoch.F0
+_F1_VALUE = int(FirmwareEpoch.F1)
+_FIRMWARE_BY_VALUE = {int(e): e for e in FirmwareEpoch}
+_PROCEED = FencePolicy.PROCEED
+_ABORT = FencePolicy.ABORT
+# The message each node's broadcast delay is drawn for; read-only, so one
+# instance serves every draw.
+_FIRMWARE_MSG = MappingProxyType({"type": "firmware"})
+# Delay policy of every random case; frozen, so one instance serves them all.
+_CASE_DELAY = UniformDelay(1, 40)
 
 
 @dataclass(frozen=True)
@@ -115,21 +127,18 @@ class DecisionRegister:
 class FirmwareNode(Component):
     def __init__(self, name: str):
         self.name = name
-        self.version = FirmwareEpoch.F0
+        self.version = _F0
         self.observed_decision = False
 
     def on_event(self, sim: Simulation, event: Event) -> None:
         if event.kind is _DELIVER and event.payload.get("type") == "firmware":
             self.version = _FIRMWARE_BY_VALUE[event.payload["version"]]
 
-    def observe(self, register: DecisionRegister, now: int) -> bool:
-        ok, value = register.read(now)
-        if not ok:
-            return False
-        if value is not None and self.version < value:
-            self.version = value
+    def observe(self, decision: FirmwareEpoch | None) -> None:
+        """Adopt a decision read from the register (None: nothing committed)."""
+        if decision is not None and self.version < decision:
+            self.version = decision
         self.observed_decision = True
-        return True
 
 
 class _CollectiveRunner(Component):
@@ -144,41 +153,43 @@ class _CollectiveRunner(Component):
         self.instances: list[CollectiveInstance] = []
 
     def on_event(self, sim: Simulation, event: Event) -> None:
-        if event.payload.get("type") != "collective":
+        payload = event.payload
+        if payload.get("type") != "collective":
             return
-        cid = event.payload["cid"]
-        participants = tuple(event.payload["participants"])
+        participants = tuple(payload["participants"])
+        consensus = self.mode == "consensus"
+        # Nothing writes the register while a collective runs, so one read
+        # serves every participant.
+        readable, decision = self.register.read(sim.now) if consensus else (True, None)
+        is_crashed, handler = sim.is_crashed, sim.handler
         versions: dict[str, int] = {}
         correct: dict[str, bool] = {}
         fenced: list[str] = []
-        aborted = False
         reason = None
         for node_name in participants:
-            if sim.is_crashed(node_name):
+            if is_crashed(node_name):
                 correct[node_name] = False
                 fenced.append(node_name)
                 continue
-            node = sim.handler(node_name)
-            if self.mode == "consensus":
-                # Observation before participation is mandatory.
-                if not node.observe(self.register, sim.now):
-                    aborted = True
+            node = handler(node_name)
+            if consensus:
+                # Observation before participation is mandatory: the first
+                # live participant that cannot read the register aborts.
+                if not readable:
                     reason = "register unavailable"
                     break
+                node.observe(decision)
             versions[node_name] = int(node.version)
             correct[node_name] = True
-        if not aborted:
-            if self.mode == "consensus" and fenced:
-                if self.fence_policy is FencePolicy.ABORT or not versions:
-                    aborted = True
+        if reason is None:
+            if consensus and fenced:
+                if self.fence_policy is _ABORT or not versions:
                     reason = "fenced participants" if versions else "no participants left"
             elif not versions:
-                aborted = True
                 reason = "no live participants"
         self.instances.append(CollectiveInstance(
-            cid=cid, time=event.time, participants=participants,
-            versions=versions, correct=correct, fenced=tuple(fenced),
-            aborted=aborted, abort_reason=reason))
+            payload["cid"], event.time, participants, versions, correct,
+            tuple(fenced), reason is not None, reason))
 
 
 @dataclass
@@ -209,9 +220,15 @@ def detect_mixed(report: DeployReport) -> list[CollectiveInstance]:
     return [c for c in report.collectives if c.is_mixed]
 
 
+@lru_cache(maxsize=64)
+def _node_names(n: int) -> tuple[str, ...]:
+    """Names n0..n{n-1} of an n-node fleet."""
+    return tuple(f"n{i}" for i in range(n))
+
+
 def _build_sim(n: int, delay: DelayPolicy, seed: int) -> tuple[Simulation, list[FirmwareNode]]:
     sim = Simulation(SimConfig(n_components=n, delay_policy=delay, seed=seed))
-    nodes = [FirmwareNode(f"n{i}") for i in range(n)]
+    nodes = [FirmwareNode(name) for name in _node_names(n)]
     for node in nodes:
         sim.register(node)
     return sim, nodes
@@ -221,7 +238,7 @@ def _schedule_collectives(sim: Simulation, runner: _CollectiveRunner,
                           collectives: Iterable[CollectiveSpec]) -> None:
     sim.register(runner)
     for spec in collectives:
-        sim.schedule(spec.time, runner.name, EventKind.TIMER_FIRE,
+        sim.schedule(spec.time, runner.name, _TIMER_FIRE,
                      {"type": "collective", "cid": spec.cid,
                       "participants": list(spec.participants)})
 
@@ -234,18 +251,18 @@ def run_naive_deploy(n: int, deploy_time: int, collectives: Sequence[CollectiveS
         raise ValueError("deploy time must be non-negative")
     policy = delay or UniformDelay(1, 20)
     sim, nodes = _build_sim(n, policy, seed)
-    runner = _CollectiveRunner("naive", None, FencePolicy.PROCEED)
+    runner = _CollectiveRunner("naive", None, _PROCEED)
     _schedule_collectives(sim, runner, collectives)
     for component, time in crashes:
         sim.inject_crash(component, time)
+    schedule, message_delay, rng = sim.schedule, policy.message_delay, sim.rng
     for node in nodes:
         # The broadcast leaves the deployer at deploy_time; per-node delivery
         # delay comes from the policy.
-        delay_ticks = policy.message_delay(sim.rng, "deployer", node.name,
-                                           {"type": "firmware"})
-        sim.schedule(deploy_time + delay_ticks, node.name, EventKind.DELIVER,
-                     {"type": "firmware", "version": int(FirmwareEpoch.F1),
-                      "src": "deployer"})
+        name = node.name
+        delay_ticks = message_delay(rng, "deployer", name, _FIRMWARE_MSG)
+        schedule(deploy_time + delay_ticks, name, _DELIVER,
+                 {"type": "firmware", "version": _F1_VALUE, "src": "deployer"})
     trace = sim.run_until_quiescent()
     return DeployReport(mode="naive", n=n, seed=seed,
                         collectives=tuple(runner.instances), register=None,
@@ -273,8 +290,8 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
         # The register linearizes the write at the propose time; model it as
         # a timer on propose_hook so it lands in trace order.
         sim.register(_ProposeHook(register))
-        sim.schedule(max(propose_time, 1), "propose_hook", EventKind.TIMER_FIRE,
-                     {"type": "propose", "version": int(FirmwareEpoch.F1)})
+        sim.schedule(max(propose_time, 1), "propose_hook", _TIMER_FIRE,
+                     {"type": "propose", "version": _F1_VALUE})
     trace = sim.run_until_quiescent()
     return DeployReport(mode="consensus", n=n, seed=seed,
                         collectives=tuple(runner.instances), register=register,
@@ -289,7 +306,7 @@ class _ProposeHook(Component):
     def on_event(self, sim: Simulation, event: Event) -> None:
         if event.payload.get("type") == "propose":
             if self.register.committed is None:
-                self.register.commit(FirmwareEpoch(event.payload["version"]), sim.now)
+                self.register.commit(_FIRMWARE_BY_VALUE[event.payload["version"]], sim.now)
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +346,20 @@ def directed_straddle_case(n: int, *, seed: int = 0) -> DeployCase:
 def random_deploy_case(n: int, case_seed: int, *, crash_prob: float = 0.1,
                        horizon: int = 80, n_collectives: int = 3) -> DeployCase:
     rng = random.Random(case_seed)
+    names = _node_names(n)
     deploy_time = rng.randint(1, horizon // 2)
     collectives = []
     for cid in range(n_collectives):
         size = n if n <= 2 else rng.randint(2, n)
-        members = tuple(f"n{i}" for i in sorted(rng.sample(range(n), size)))
+        members = tuple(names[i] for i in sorted(rng.sample(range(n), size)))
         collectives.append(CollectiveSpec(cid=cid, time=rng.randint(1, horizon),
                                           participants=members))
     crashes = []
-    for i in range(n):
+    for name in names:
         if rng.random() < crash_prob:
-            crashes.append((f"n{i}", rng.randint(1, horizon)))
+            crashes.append((name, rng.randint(1, horizon)))
     return DeployCase(n=n, deploy_time=deploy_time, collectives=tuple(collectives),
-                      crashes=tuple(crashes), delay=UniformDelay(1, 40),
-                      seed=case_seed)
+                      crashes=tuple(crashes), delay=_CASE_DELAY, seed=case_seed)
 
 
 def deploy_candidates(n: int, seed: int):

@@ -295,8 +295,7 @@ class Simulation:
         self.now: VirtualTime = 0
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
-        self._handlers: dict[str, Component] = {}
-        self._order: list[str] = []
+        self._handlers: dict[str, Component] = {}  # in registration order
         self._crashed: set[str] = set()
         self._records: list[TraceRecord] = []
 
@@ -306,13 +305,12 @@ class Simulation:
         if handler.name in self._handlers:
             raise ConfigError(f"component {handler.name!r} already registered")
         self._handlers[handler.name] = handler
-        self._order.append(handler.name)
 
     def handler(self, name: str) -> Component:
         return self._handlers[name]
 
     def component_names(self) -> list[str]:
-        return list(self._order)
+        return list(self._handlers)
 
     def is_crashed(self, name: str) -> bool:
         return name in self._crashed
@@ -392,8 +390,11 @@ class Simulation:
                 handler.on_event(self, ev)
             record(TraceRecord(ev.time, ev.seq, target, _KIND_VALUE[kind], ev.payload,
                                dropped, note))
-        states = ((name, handlers[name].epoch_state()) for name in self._order)
-        final = {name: state for name, state in states if state is not None}
+        final = {}
+        for name, handler in handlers.items():
+            state = handler.epoch_state()
+            if state is not None:
+                final[name] = state
         return Trace(seed=self.config.seed, records=tuple(self._records), final_states=final)
 
 

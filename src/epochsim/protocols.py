@@ -104,8 +104,9 @@ class DecisionRecord:
 
 
 def _participants(sim: Simulation) -> list[PersistenceProcess]:
-    return [sim.handler(name) for name in sim.component_names()
-            if isinstance(sim.handler(name), PersistenceProcess)]
+    handler = sim.handler
+    return [p for name in sim.component_names()
+            if isinstance(p := handler(name), PersistenceProcess)]
 
 
 def _vector(parts: Sequence[PersistenceProcess]) -> EpochVector:

@@ -153,6 +153,13 @@ def test_boundary_grid_deterministic():
     assert boundary_grid(50, seed=4) != boundary_grid(50, seed=5)
 
 
+def test_boundary_grid_stays_below_t_max():
+    assert boundary_grid(12, t_max=20, seed=9) == list(range(8, 20))
+    for count, t_max in ((1, 8), (3, 1), (100, 0), (13, 20)):
+        with pytest.raises(ValueError, match="exceeds"):
+            boundary_grid(count, t_max=t_max)
+
+
 def test_grid_witnesses_all_mixed():
     for t_c in boundary_grid(10, t_max=10_000, seed=1):
         w = witness_mixed(2, t_c)

@@ -268,6 +268,12 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("adamw-skew", "--noise", "inf"),
     ("adamw-skew", "--g-skip", "nan"),
     ("straddle", "--grid", "0"),
+    ("straddle", "--t-max", "0"),
+    ("straddle", "--t-max", "1", "--grid", "3"),
+    ("straddle", "--t-max", "20", "--grid", "13"),
+    # One above the default cap: 999,992 boundaries lie in [8, 10^6). It must
+    # be refused before anything that size is built.
+    ("straddle", "--grid", "999993"),
 ], ids="_".join)
 def test_invalid_value_is_usage_error(argv, capsys):
     code, out = run_cli(*argv)
@@ -283,6 +289,13 @@ def test_adamw_dim_zero_names_the_flag(capsys):
     code, _ = run_cli("adamw-skew", "--dim", "0")
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "epochsim: error: --dim must be at least 1\n"
+
+
+def test_straddle_grid_may_fill_every_boundary_below_t_max():
+    # [8, 20) holds exactly 12 boundaries, so --grid 12 is the largest grid
+    code, out = run_cli("straddle", "--t-max", "20", "--grid", "12", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["grid"] == 12 and json.loads(out)["mixed"] == 12
 
 
 def test_straddle_rejects_single_component():

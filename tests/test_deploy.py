@@ -9,6 +9,9 @@ from epochsim.deploy import (
     DecisionRegister,
     FencePolicy,
     FirmwareEpoch,
+    FirmwareNode,
+    _CollectiveRunner,
+    _schedule_collectives,
     deploy_candidates,
     detect_mixed,
     directed_straddle_case,
@@ -18,7 +21,7 @@ from epochsim.deploy import (
     run_consensus_deploy,
     run_naive_deploy,
 )
-from epochsim.kernel import AdversarialSchedule, FixedDelay, UniformDelay
+from epochsim.kernel import AdversarialSchedule, FixedDelay, SimConfig, Simulation, UniformDelay
 from epochsim.protocols import derive_seed
 
 
@@ -219,3 +222,26 @@ def test_single_node_fleet_never_mixes():
         inst = rep.collectives[0]
         assert not inst.is_mixed
         assert len(inst.correct_versions()) == 1
+
+
+def test_register_outage_fences_crashed_nodes_then_aborts_at_first_live_one():
+    # n0 is down and the register is unavailable when the collective runs:
+    # n0 is fenced, n1 cannot observe and aborts the collective, and n2 is
+    # never asked, so it has observed nothing either.
+    sim = Simulation(SimConfig(n_components=3, delay_policy=FixedDelay(100), seed=0))
+    nodes = [FirmwareNode(f"n{i}") for i in range(3)]
+    for node in nodes:
+        sim.register(node)
+    register = DecisionRegister(outage=(15, 25))
+    register.commit(FirmwareEpoch.F1, 5)
+    runner = _CollectiveRunner("consensus", register, FencePolicy.PROCEED)
+    _schedule_collectives(sim, runner, [_spec(0, 20, ["n0", "n1", "n2"])])
+    sim.inject_crash("n0", 10)
+    sim.run_until_quiescent()
+    inst, = runner.instances
+    assert inst.fenced == ("n0",)
+    assert inst.correct == {"n0": False}
+    assert inst.versions == {}
+    assert inst.aborted and inst.abort_reason == "register unavailable"
+    assert [n.observed_decision for n in nodes] == [False, False, False]
+    assert [n.version for n in nodes] == [FirmwareEpoch.F0] * 3

@@ -4,7 +4,10 @@ Fixed-seed batteries only sample the schedules a seed happens to draw;
 these properties let Hypothesis search for a counterexample instead. The
 bilateral protocol must never end Mixed, a decided run must converge to
 the decision, and a component that has applied its directive does no
-further work: it sends nothing and its durable state stays put.
+further work: it sends nothing and its durable state stays put. The
+consensus deploy never runs a collective whose correct participants hold
+two firmware versions, whatever the crashes, register outage and fence
+policy.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epochsim.deploy import CollectiveSpec, FencePolicy, run_consensus_deploy
 from epochsim.kernel import SimConfig, Simulation, UniformDelay
 from epochsim.lattice import AtomicityClass
 from epochsim.persistence import ComponentEpochState, PersistenceProcess
@@ -106,3 +110,32 @@ def test_decided_run_converges_to_its_decision(case):
 def test_resolved_component_does_no_further_work(case):
     _, violations = _run(case)
     assert violations == []
+
+
+@st.composite
+def deploy_runs(draw):
+    n = draw(st.integers(2, 6))
+    nodes = [f"n{i}" for i in range(n)]
+    lo = draw(st.integers(1, 5))
+    specs = tuple(
+        CollectiveSpec(cid=cid, time=draw(st.integers(1, 60)),
+                       participants=tuple(draw(st.lists(st.sampled_from(nodes),
+                                                        min_size=1, unique=True))))
+        for cid in range(draw(st.integers(1, 4))))
+    crashes = draw(st.lists(st.tuples(st.sampled_from(nodes), st.integers(1, 60)),
+                            max_size=4))
+    outage = draw(st.none() | st.tuples(st.integers(1, 60), st.integers(0, 30)).map(
+        lambda w: (w[0], w[0] + w[1])))
+    return dict(n=n, collectives=specs, propose_time=draw(st.none() | st.integers(1, 40)),
+                delay=UniformDelay(lo, draw(st.integers(lo, 30))),
+                seed=draw(st.integers(0, 2**32)), crashes=crashes,
+                fence_policy=draw(st.sampled_from(FencePolicy)), register_outage=outage)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deploy_runs())
+def test_consensus_deploy_never_runs_a_mixed_collective(case):
+    report = run_consensus_deploy(**case)
+    assert len(report.collectives) == len(case["collectives"])
+    for inst in report.collectives:
+        assert inst.aborted or len(inst.correct_versions()) <= 1

@@ -4,16 +4,25 @@ Golden stdout shows tallies and witnesses, not event order; these pins make
 "the kernel fires the same events, draws the same random numbers and
 writes the same trace bytes" a test. Each run is chosen to reach a part of
 the trace format: dropped events behind a halted coordinator, an
-"already crashed" note, and a 16-node deploy case run both ways. A change
+"already crashed" note, and a 16-node deploy case run both ways. The deploy
+digest pins whole reports, trace hashes included, over 200 cases. A change
 that alters the event alphabet or the draw order on purpose updates these
 literals and says why in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
-from epochsim.deploy import deploy_candidates, run_case_consensus, run_case_naive
+from epochsim.deploy import (
+    FencePolicy,
+    deploy_candidates,
+    run_case_consensus,
+    run_case_naive,
+    run_consensus_deploy,
+)
 from epochsim.kernel import UniformDelay, new_simulation
 from epochsim.protocols import (
     BilateralConfig,
@@ -48,3 +57,23 @@ def test_deploy_case_naive_and_consensus():
     assert sum(r.dropped for r in naive.records) == 1
     assert naive.hash64() == "7200795531270b28"
     assert run_case_consensus(case).trace.hash64() == "202ed1f42dedb515"
+
+
+def test_deploy_reports_digest():
+    # Per case: naive, consensus under both fence policies and, for the first
+    # 50 cases, consensus with the register down for 20 ticks from the
+    # proposal, so "register unavailable" aborts are pinned too.
+    h = hashlib.blake2b(digest_size=8)
+    for i, case in enumerate(itertools.islice(deploy_candidates(16, 3), 200)):
+        reports = [run_case_naive(case),
+                   run_case_consensus(case, FencePolicy.PROCEED),
+                   run_case_consensus(case, FencePolicy.ABORT)]
+        if i < 50:
+            reports.append(run_consensus_deploy(
+                case.n, case.collectives, propose_time=case.deploy_time,
+                delay=case.delay, seed=case.seed, crashes=case.crashes,
+                register_outage=(case.deploy_time, case.deploy_time + 20)))
+        for report in reports:
+            h.update(json.dumps(report.to_json_obj(), sort_keys=True,
+                                separators=(",", ":")).encode())
+    assert h.hexdigest() == "cef0c2dd8a29f85e"
