@@ -180,22 +180,41 @@ def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Size bounds, checked before anything is allocated. A run holds a few
+# dozen float64 arrays of --dim entries (its peak RSS is about 260 MB at the
+# largest --dim) and one row per step up to --horizon.
+ADAMW_MAX_DIM = 1_000_000
+ADAMW_MAX_HORIZON = 10_000
+
+
 def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
     if args.dim < 1:
         raise ValueError("--dim must be at least 1")
+    if args.dim > ADAMW_MAX_DIM:
+        raise ValueError(f"--dim must be at most {ADAMW_MAX_DIM}")
+    if args.horizon > ADAMW_MAX_HORIZON:
+        raise ValueError(f"--horizon must be at most {ADAMW_MAX_HORIZON}")
     if not math.isfinite(args.g_skip):
         raise ValueError("--g-skip must be finite")
     hyper = optimizer.AdamWHyperparams(lr=args.lr, beta1=args.beta1, beta2=args.beta2)
     g_skip = np.full(args.dim, args.g_skip)
-    pair = optimizer.make_skew_pair(g_skip, hyper, epoch=max(args.skew_epoch, 1))
-    observed = optimizer.skew_consistency_check(pair, g_skip, hyper)
-    expected = optimizer.moment_skew(g_skip, args.beta1)
-    err = float(np.max(np.abs(observed - expected)))
-    task = optimizer.QuadraticTask.of(
-        [2.0] * args.dim, [0.0] * args.dim, noise_scale=args.noise, seed=args.seed)
-    series = optimizer.trajectory_divergence(
-        task, hyper, skew_epoch=args.skew_epoch, horizon=args.horizon,
-        w0=[1.0] * args.dim)
+    # Values too large for float64 (say --lr 1e308 or --g-skip 1e200) are a
+    # usage error, caught where the arithmetic first overflows.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pair = optimizer.make_skew_pair(g_skip, hyper, epoch=max(args.skew_epoch, 1))
+            observed = optimizer.skew_consistency_check(pair, g_skip, hyper)
+            expected = optimizer.moment_skew(g_skip, args.beta1)
+            err = float(np.max(np.abs(observed - expected)))
+            task = optimizer.QuadraticTask.of(
+                [2.0] * args.dim, [0.0] * args.dim, noise_scale=args.noise,
+                seed=args.seed)
+            series = optimizer.trajectory_divergence(
+                task, hyper, skew_epoch=args.skew_epoch, horizon=args.horizon,
+                w0=[1.0] * args.dim)
+    except FloatingPointError as exc:
+        raise ValueError(f"float64 arithmetic failed ({exc}); "
+                         f"--lr, --g-skip or --noise is too large") from None
     summary = {
         "seed": args.seed, "beta1": args.beta1, "dim": args.dim,
         "skew_per_unit_gradient": float(observed[0] / args.g_skip) if args.g_skip else 0.0,
@@ -355,10 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta1", type=float, default=0.9)
     p.add_argument("--beta2", type=float, default=0.999)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int, default=1,
+                   help=f"task dimension, 1 to {ADAMW_MAX_DIM}")
     p.add_argument("--g-skip", type=float, default=1.0)
     p.add_argument("--skew-epoch", type=int, default=3)
-    p.add_argument("--horizon", type=int, default=50)
+    p.add_argument("--horizon", type=int, default=50,
+                   help=f"steps in the divergence series, 2 to {ADAMW_MAX_HORIZON}")
     p.add_argument("--noise", type=float, default=0.0)
     _add_common(p)
     p.set_defaults(func=cmd_adamw_skew)

@@ -131,11 +131,10 @@ class EpochTypedOptimizerState:
 
 
 def initial_state(dim: int, *, w0=None, rng_seed: int = 0) -> EpochTypedOptimizerState:
-    w = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=np.float64)
-    zero = np.zeros(dim)
-    return EpochTypedOptimizerState.make(
-        w=w, m=zero, v=zero, g=zero, rng=rng_seed, data_pos=0,
-        tags=EpochTags.uniform(0))
+    w = np.zeros(dim) if w0 is None else np.array(w0, dtype=np.float64)
+    return EpochTypedOptimizerState(
+        w=w, m=np.zeros(dim), v=np.zeros(dim), g=np.zeros(dim), rng=rng_seed,
+        data_pos=0, tags=EpochTags.uniform(0))
 
 
 def adamw_step(state: EpochTypedOptimizerState, gradient,
@@ -145,6 +144,10 @@ def adamw_step(state: EpochTypedOptimizerState, gradient,
 
     The bias-correction step count is the W tag plus one, so a state
     persisted at epoch e steps with denominators 1 - beta^(e+1).
+
+    Neither the state nor the gradient is written. The returned state owns
+    fresh arrays: its g is a copy of the gradient, and its w, m and v share
+    no memory with any input.
     """
     if mode is StepMode.STRICT and not state.tags.consistent:
         expected = state.tags.w
@@ -156,16 +159,30 @@ def adamw_step(state: EpochTypedOptimizerState, gradient,
         raise ValueError("gradient shape does not match the state")
     b1, b2 = hyper.beta1, hyper.beta2
     t = state.tags.w + 1
-    m_new = b1 * state.m + (1.0 - b1) * grad
-    v_new = b2 * state.v + (1.0 - b2) * grad * grad
-    m_hat = m_new / (1.0 - b1 ** t)
-    v_hat = v_new / (1.0 - b2 ** t)
-    w_new = state.w - hyper.lr * (m_hat / (np.sqrt(v_hat) + hyper.eps)
-                                  + hyper.weight_decay * state.w)
+    # The operations and their order are those of
+    #   m_new = b1 * m + (1 - b1) * g
+    #   v_new = b2 * v + ((1 - b2) * g) * g
+    #   w_new = w - lr * (m_hat / (sqrt(v_hat) + eps) + wd * w)
+    # written with out= and in-place operators (each rounds the same way),
+    # so the step builds four arrays besides the gradient copy.
+    scratch = np.multiply(grad, 1.0 - b1)
+    m_new = np.multiply(state.m, b1)
+    m_new += scratch
+    np.multiply(grad, 1.0 - b2, out=scratch)
+    scratch *= grad
+    v_new = np.multiply(state.v, b2)
+    v_new += scratch
+    update = np.divide(m_new, 1.0 - b1 ** t)            # m_hat
+    np.divide(v_new, 1.0 - b2 ** t, out=scratch)        # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += hyper.eps
+    update /= scratch
+    np.multiply(state.w, hyper.weight_decay, out=scratch)
+    update += scratch
+    update *= hyper.lr
+    w_new = np.subtract(state.w, update, out=update)
     tags = (EpochTags.uniform(t) if mode is StepMode.STRICT
             else state.tags.advanced_per_field())
-    # w_new, m_new and v_new are fresh arrays and grad is a copy, so the
-    # new state owns all four without copying them again.
     return EpochTypedOptimizerState(
         w=w_new, m=m_new, v=v_new, g=grad,
         rng=_mix64(state.rng), data_pos=state.data_pos + 1, tags=tags)
@@ -285,8 +302,10 @@ class QuadraticTask:
         return rng.standard_normal(self.dim)
 
     def loss(self, w) -> float:
-        w = np.asarray(w, dtype=np.float64)
-        return float(0.5 * np.sum(self.curvature * (w - self.target) ** 2))
+        sq = np.subtract(np.asarray(w, dtype=np.float64), self.target)
+        np.square(sq, out=sq)
+        sq *= self.curvature
+        return float(0.5 * np.sum(sq))
 
     def batch_loss(self, w, xi) -> float:
         w = np.asarray(w, dtype=np.float64)
@@ -294,9 +313,18 @@ class QuadraticTask:
         return float(0.5 * np.sum(self.curvature * (w - shifted) ** 2))
 
     def gradient(self, w, step: int) -> np.ndarray:
-        w = np.asarray(w, dtype=np.float64)
-        shifted = self.target + self.noise_scale * self.noise(step)
-        return self.curvature * (w - shifted)
+        return self._gradient(w, self.noise(step))
+
+    def _gradient(self, w, xi: np.ndarray) -> np.ndarray:
+        """curvature * (w - (target + noise_scale * xi)) in one fresh array.
+
+        xi is only read, so one draw can serve several trajectories.
+        """
+        out = np.multiply(xi, self.noise_scale)
+        np.add(self.target, out, out=out)
+        np.subtract(np.asarray(w, dtype=np.float64), out, out=out)
+        out *= self.curvature
+        return out
 
 
 def run_trajectory(task: QuadraticTask, hyper: AdamWHyperparams, steps: int, *,
@@ -343,8 +371,9 @@ def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
 
     At skew_epoch the mixed run reloads the reference state but with the
     first moment from one epoch earlier (the partially persisted
-    checkpoint); both runs then continue on the same noise stream. Rows
-    report the per-step weight-space distance and both losses.
+    checkpoint); both runs then continue on the same noise stream, drawn
+    once per step. Rows report the per-step weight-space distance and both
+    losses.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -356,17 +385,23 @@ def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
     for k in range(horizon + 1):
         if k > 0:
             prev_m = ref.m
-            ref = adamw_step(ref, task.gradient(ref.w, k - 1), hyper)
+            xi = task.noise(k - 1)
+            ref = adamw_step(ref, task._gradient(ref.w, xi), hyper)
             mixed = ref if k <= skew_epoch else adamw_step(
-                mixed, task.gradient(mixed.w, k - 1), hyper, StepMode.COERCE)
+                mixed, task._gradient(mixed.w, xi), hyper, StepMode.COERCE)
         if k == skew_epoch:
             mixed = EpochTypedOptimizerState.make(
                 w=ref.w, m=prev_m, v=ref.v, g=ref.g,
                 rng=ref.rng, data_pos=ref.data_pos,
                 tags=replace(ref.tags, m=ref.tags.m - 1))
-        rows.append(DivergenceRow(
-            step=k, distance=float(np.linalg.norm(ref.w - mixed.w)),
-            ref_loss=task.loss(ref.w), mixed_loss=task.loss(mixed.w)))
+        ref_loss = task.loss(ref.w)
+        if mixed is ref:
+            rows.append(DivergenceRow(step=k, distance=0.0, ref_loss=ref_loss,
+                                      mixed_loss=ref_loss))
+        else:
+            rows.append(DivergenceRow(
+                step=k, distance=float(np.linalg.norm(ref.w - mixed.w)),
+                ref_loss=ref_loss, mixed_loss=task.loss(mixed.w)))
     return DivergenceSeries(skew_epoch=skew_epoch, horizon=horizon, rows=tuple(rows))
 
 

@@ -267,6 +267,12 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("adamw-skew", "--noise", "nan"),
     ("adamw-skew", "--noise", "inf"),
     ("adamw-skew", "--g-skip", "nan"),
+    ("adamw-skew", "--lr", "1e308", "--format", "json"),
+    ("adamw-skew", "--dim", "3", "--noise", "1e308"),
+    ("adamw-skew", "--g-skip", "1e200"),
+    # One above each size bound; refused before anything that size is built.
+    ("adamw-skew", "--dim", "1000001"),
+    ("adamw-skew", "--horizon", "10001"),
     ("straddle", "--grid", "0"),
     ("straddle", "--t-max", "0"),
     ("straddle", "--t-max", "1", "--grid", "3"),
@@ -275,6 +281,7 @@ def test_config_booleans_toggle_switches(tmp_path):
     # be refused before anything that size is built.
     ("straddle", "--grid", "999993"),
 ], ids="_".join)
+@pytest.mark.filterwarnings("error")
 def test_invalid_value_is_usage_error(argv, capsys):
     code, out = run_cli(*argv)
     err = capsys.readouterr().err

@@ -71,6 +71,44 @@ def test_step_state_does_not_alias_the_callers_gradient():
     assert np.array_equal(stepped.g, [1.0, -2.0, 0.5])
 
 
+@pytest.fixture
+def noise_draws(monkeypatch):
+    """Every QuadraticTask.noise call while the test runs, as (step, array)."""
+    draws = []
+    draw = QuadraticTask.noise
+
+    def recording(self, step):
+        xi = draw(self, step)
+        draws.append((step, xi))
+        return xi
+
+    monkeypatch.setattr(QuadraticTask, "noise", recording)
+    return draws
+
+
+@pytest.mark.parametrize("mode", list(StepMode))
+def test_step_and_gradient_neither_write_nor_share_their_inputs(noise_draws, mode):
+    rng = np.random.default_rng(2)
+    task = QuadraticTask.of(rng.uniform(0.5, 4.0, 64), rng.standard_normal(64),
+                            noise_scale=0.1, seed=4)
+    hyper = AdamWHyperparams(lr=0.03, weight_decay=0.01)
+    state = run_trajectory(task, hyper, 3, w0=rng.standard_normal(64))[-1]
+    inputs = [state.w, state.m, state.v, state.g, task.curvature, task.target]
+    before = [a.copy() for a in inputs]
+    noise_draws.clear()
+    grad = task.gradient(state.w, 3)
+    [(_, xi)] = noise_draws
+    grad_before = grad.copy()
+    stepped = adamw_step(state, grad, hyper, mode)
+    for a, b in zip(inputs + [xi, grad], before + [task.noise(3), grad_before]):
+        assert np.array_equal(a, b)
+    outputs = [stepped.w, stepped.m, stepped.v, stepped.g]
+    for out in [grad] + outputs:
+        assert not any(np.shares_memory(out, a) for a in inputs + [xi])
+    for i, out in enumerate(outputs):
+        assert not any(np.shares_memory(out, a) for a in [grad] + outputs[i + 1:])
+
+
 def test_weight_decay_pulls_toward_zero():
     hyper = AdamWHyperparams(lr=0.1, weight_decay=0.5)
     state = initial_state(1, w0=[2.0])
@@ -303,6 +341,15 @@ def test_divergence_matches_two_run_reference(skew_epoch):
     series = trajectory_divergence(task, hyper, skew_epoch=skew_epoch,
                                    horizon=12, w0=w0)
     assert list(series.rows) == _two_run_divergence(task, hyper, skew_epoch, 12, w0)
+
+
+@pytest.mark.parametrize("horizon,skew_epoch", [(10, 3), (12, 1), (12, 11)])
+def test_divergence_draws_each_steps_noise_once(noise_draws, horizon, skew_epoch):
+    # both trajectories read one draw per step
+    task = QuadraticTask.of([2.0, 0.7], [0.5, -1.0], noise_scale=0.1, seed=13)
+    trajectory_divergence(task, AdamWHyperparams(), skew_epoch=skew_epoch,
+                          horizon=horizon, w0=[1.0, -0.5])
+    assert [step for step, _ in noise_draws] == list(range(horizon))
 
 
 def test_divergence_requires_interior_skew():
