@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .kernel import (Component, DelayPolicy, Event, EventKind, SimConfig,
                      Simulation, Trace, UniformDelay)
-from .protocols import derive_seed
+from .protocols import crash_schedule, derive_seed
 
 
 class FirmwareEpoch(IntEnum):
@@ -354,10 +354,7 @@ def random_deploy_case(n: int, case_seed: int, *, crash_prob: float = 0.1,
         members = tuple(names[i] for i in sorted(rng.sample(range(n), size)))
         collectives.append(CollectiveSpec(cid=cid, time=rng.randint(1, horizon),
                                           participants=members))
-    crashes = []
-    for name in names:
-        if rng.random() < crash_prob:
-            crashes.append((name, rng.randint(1, horizon)))
+    crashes = crash_schedule(names, rng, crash_prob, horizon)
     return DeployCase(n=n, deploy_time=deploy_time, collectives=tuple(collectives),
                       crashes=tuple(crashes), delay=_CASE_DELAY, seed=case_seed)
 

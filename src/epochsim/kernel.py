@@ -9,9 +9,10 @@ DelayPolicy; all delays are strictly positive ticks.
 
 Crash semantics: a CRASH event marks the target down and schedules a
 RECOVER after a policy-drawn delay. While a component is down, DELIVER,
-LOCAL_STEP, and TIMER_FIRE events addressed to it are dropped (recorded
-in the trace with a dropped flag). Crashing an already-crashed component
-is a no-op.
+LOCAL_STEP, and TIMER_FIRE events addressed to it are dropped. Crashing
+an already-crashed component is a no-op. The loop sets an event's dropped
+flag or note ("already crashed", "not crashed") once, when it processes
+the event; the processed Event is then its own trace record.
 
 Payload ownership: schedule and set_timer take ownership of the payload
 dict they are given and store it as is, without a copy; the caller must
@@ -59,8 +60,6 @@ class EventKind(str, Enum):
     TIMER_FIRE = "timer_fire"
 
 
-# Lowercase trace name of each kind, looked up once per processed event.
-_KIND_VALUE: dict[EventKind, str] = {k: k.value for k in EventKind}
 # Members bound once: reading a global name is about ten times cheaper than
 # EventKind.X, a lookup through the enum class, on the per-event path.
 _DELIVER = EventKind.DELIVER
@@ -69,61 +68,28 @@ _RECOVER = EventKind.RECOVER
 _TIMER_FIRE = EventKind.TIMER_FIRE
 
 
-class _Record:
-    """Slotted value record: positional fields, equality and repr by field."""
+@dataclass(slots=True)
+class Event:
+    """One scheduled event; once processed, also its trace record.
 
-    __slots__ = ()
-    __hash__ = None  # payloads are dicts, so records are not hashable
+    The loop sets dropped or note once, when it processes the event, and
+    never changes it again. Not hashable: payloads are dicts.
+    """
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({body})"
-
-
-class Event(_Record):
-    """One scheduled event; read-only once scheduled."""
-
-    __slots__ = ("time", "seq", "target", "kind", "payload")
-
-    def __init__(self, time: VirtualTime, seq: int, target: str, kind: EventKind,
-                 payload: Mapping[str, Any]) -> None:
-        self.time = time
-        self.seq = seq
-        self.target = target
-        self.kind = kind
-        self.payload = payload
-
-
-class TraceRecord(_Record):
-    """One processed event, plus whether it was dropped (target down)."""
-
-    __slots__ = ("time", "seq", "target", "kind", "payload", "dropped", "note")
-
-    def __init__(self, time: VirtualTime, seq: int, target: str, kind: str,
-                 payload: Mapping[str, Any], dropped: bool = False,
-                 note: str | None = None) -> None:
-        self.time = time
-        self.seq = seq
-        self.target = target
-        self.kind = kind
-        self.payload = payload
-        self.dropped = dropped
-        self.note = note
+    time: VirtualTime
+    seq: int
+    target: str
+    kind: EventKind
+    payload: Mapping[str, Any]
+    dropped: bool = False
+    note: str | None = None
 
     def to_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {
             "time": self.time,
             "seq": self.seq,
             "target": self.target,
-            "kind": self.kind,
+            "kind": self.kind.value,
             "payload": dict(self.payload),
         }
         if self.dropped:
@@ -143,7 +109,7 @@ class Trace:
     """Replayable record of one run: every processed event plus final states."""
 
     seed: int
-    records: tuple[TraceRecord, ...]
+    records: tuple[Event, ...]
     final_states: Mapping[str, Any]
 
     def to_jsonl(self) -> str:
@@ -297,7 +263,7 @@ class Simulation:
         self._seq = 0
         self._handlers: dict[str, Component] = {}  # in registration order
         self._crashed: set[str] = set()
-        self._records: list[TraceRecord] = []
+        self._records: list[Event] = []
 
     # -- registry ----------------------------------------------------------
 
@@ -367,11 +333,9 @@ class Simulation:
             self.now = ev.time
             target, kind = ev.target, ev.kind
             handler = handlers[target]
-            dropped = False
-            note = None
             if kind is crash:
                 if target in crashed:
-                    note = "already crashed"
+                    ev.note = "already crashed"
                 else:
                     crashed.add(target)
                     handler.on_crash(self, ev)
@@ -383,13 +347,12 @@ class Simulation:
                     crashed.discard(target)
                     handler.on_recover(self, ev)
                 else:
-                    note = "not crashed"
+                    ev.note = "not crashed"
             elif target in crashed:
-                dropped = True
+                ev.dropped = True
             else:
                 handler.on_event(self, ev)
-            record(TraceRecord(ev.time, ev.seq, target, _KIND_VALUE[kind], ev.payload,
-                               dropped, note))
+            record(ev)
         final = {}
         for name, handler in handlers.items():
             state = handler.epoch_state()

@@ -122,7 +122,6 @@ class ComponentEpochState:
 
 _SYMBOL_OF_KIND = {_COMMITTED: EpochSymbol.E, _PRIOR: EpochSymbol.E_MINUS_1,
                    _AMBIGUOUS: EpochSymbol.BOTTOM}
-_KIND_RANK = {OutcomeKind.PRIOR: 0, OutcomeKind.AMBIGUOUS: 1, OutcomeKind.COMMITTED: 2}
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ class DurabilityMap:
             raise ValueError(f"durability map missing stages: {missing}")
         # Durability only accumulates: outcomes must be monotone along the
         # stage order, start at prior, and end committed.
-        ranks = [_KIND_RANK[self.outcomes[s]] for s in PersistenceStage]
+        ranks = [_SYMBOL_OF_KIND[self.outcomes[s]].rank for s in PersistenceStage]
         if any(b < a for a, b in zip(ranks, ranks[1:])):
             raise ValueError("durability map must be monotone along the stage order")
         if self.outcomes[PersistenceStage.IDLE] is not OutcomeKind.PRIOR:

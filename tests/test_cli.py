@@ -7,9 +7,11 @@ import json
 
 import pytest
 
+from epochsim import optimizer
 from epochsim.cli import (
     EXIT_NO_WITNESS,
     EXIT_OK,
+    EXIT_SKEW_MISMATCH,
     EXIT_USAGE,
     build_parser,
     main,
@@ -337,6 +339,27 @@ def test_adamw_skew_beta1_zero_is_skewless():
     obj = json.loads(out)
     assert obj["skew_per_unit_gradient"] == 0.0
     assert obj["closed_form_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("g_skip", ["1e6", "1e100"])
+def test_adamw_skew_large_gradient_holds_to_rounding(g_skip):
+    # The closed form holds to rounding, and rounding grows with |g_skip|:
+    # an absolute 1e-12 tolerance reported a mismatch here.
+    code, out = run_cli("adamw-skew", "--g-skip", g_skip, "--dim", "4",
+                        "--horizon", "5", "--format", "json")
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["skew_per_unit_gradient"] == pytest.approx(0.09, rel=1e-12)
+
+
+@pytest.mark.parametrize("g_skip", ["1", "1e6"])
+def test_adamw_skew_relative_mismatch_exits_6(monkeypatch, g_skip):
+    true_skew = optimizer.moment_skew
+    monkeypatch.setattr(optimizer, "moment_skew",
+                        lambda g, beta1: true_skew(g, beta1) * (1 + 1e-9))
+    code, _ = run_cli("adamw-skew", "--g-skip", g_skip, "--dim", "4",
+                      "--horizon", "5")
+    assert code == EXIT_SKEW_MISMATCH
 
 
 def test_workers_flag_is_usage_error(capsys):

@@ -236,3 +236,27 @@ def test_schedule_without_payload_gets_a_fresh_dict():
     b = sim.schedule(1, "r0", EventKind.LOCAL_STEP, None)
     assert a.payload == {} and b.payload == {}
     assert a.payload is not b.payload
+
+
+def test_processed_events_are_the_trace_records():
+    # The loop records each event object it processes, setting dropped or
+    # note on it, instead of copying it into a second record type.
+    sim, _ = _sim()
+    step = sim.schedule(1, "r0", EventKind.LOCAL_STEP, {"tag": "a"})
+    crash = sim.inject_crash("r0", 2)
+    msg = sim.send("driver", "r0", {"tag": "b"})
+    lost = sim.schedule(2, "r0", EventKind.DELIVER, {"tag": "lost"})
+    again = sim.inject_crash("r0", 2)
+    trace = sim.run_until_quiescent()
+    assert len(trace.records) == 6
+    for record, event in zip(trace.records, [step, msg, crash, lost, again]):
+        assert record is event
+    assert lost.dropped and lost.note is None
+    assert again.note == "already crashed" and not again.dropped
+    assert not any(e.dropped or e.note for e in (step, msg, crash))
+    assert trace.records[-1].kind is EventKind.RECOVER
+    for record in trace.records:
+        kind = record.to_obj()["kind"]
+        assert type(kind) is str and kind == record.kind.value
+        with pytest.raises(TypeError):
+            hash(record)
