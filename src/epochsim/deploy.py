@@ -54,6 +54,8 @@ _ABORT = FencePolicy.ABORT
 _FIRMWARE_MSG = MappingProxyType({"type": "firmware"})
 # Delay policy of every random case; frozen, so one instance serves them all.
 _CASE_DELAY = UniformDelay(1, 40)
+# Delay policy of a deploy run given none; frozen and shared the same way.
+_DEFAULT_DELAY = UniformDelay(1, 20)
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,15 @@ class FirmwareNode(Component):
 
 
 class _CollectiveRunner(Component):
-    """Executes scheduled collectives and records what each one observed."""
+    """Executes scheduled collectives and records what each one observed.
 
-    def __init__(self, mode: str, register: DecisionRegister | None,
-                 fence_policy: FencePolicy):
+    With a register the runner is on the consensus path: every live
+    participant observes the register's decision before it participates.
+    Without one it runs the naive path.
+    """
+
+    def __init__(self, register: DecisionRegister | None, fence_policy: FencePolicy):
         self.name = "collective_runner"
-        self.mode = mode
         self.register = register
         self.fence_policy = fence_policy
         self.instances: list[CollectiveInstance] = []
@@ -157,7 +162,7 @@ class _CollectiveRunner(Component):
         if payload.get("type") != "collective":
             return
         participants = tuple(payload["participants"])
-        consensus = self.mode == "consensus"
+        consensus = self.register is not None
         # Nothing writes the register while a collective runs, so one read
         # serves every participant.
         readable, decision = self.register.read(sim.now) if consensus else (True, None)
@@ -249,9 +254,9 @@ def run_naive_deploy(n: int, deploy_time: int, collectives: Sequence[CollectiveS
     """Broadcast the new firmware; nodes switch whenever delivery lands."""
     if deploy_time < 0:
         raise ValueError("deploy time must be non-negative")
-    policy = delay or UniformDelay(1, 20)
+    policy = delay or _DEFAULT_DELAY
     sim, nodes = _build_sim(n, policy, seed)
-    runner = _CollectiveRunner("naive", None, _PROCEED)
+    runner = _CollectiveRunner(None, _PROCEED)
     _schedule_collectives(sim, runner, collectives)
     for component, time in crashes:
         sim.inject_crash(component, time)
@@ -279,10 +284,10 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
     With propose_time None no transition is ever proposed and every
     collective runs F0 uniformly.
     """
-    policy = delay or UniformDelay(1, 20)
+    policy = delay or _DEFAULT_DELAY
     sim, nodes = _build_sim(n, policy, seed)
     register = DecisionRegister(outage=register_outage)
-    runner = _CollectiveRunner("consensus", register, fence_policy)
+    runner = _CollectiveRunner(register, fence_policy)
     _schedule_collectives(sim, runner, collectives)
     for component, time in crashes:
         sim.inject_crash(component, time)

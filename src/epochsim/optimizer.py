@@ -275,6 +275,8 @@ class QuadraticTask:
             raise ValueError("curvature must be positive definite")
         if not (0.0 <= self.noise_scale < math.inf):
             raise ValueError("noise scale must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @classmethod
     def of(cls, curvature, target, *, noise_scale: float = 0.0,

@@ -9,18 +9,20 @@ All stage durations are drawn when the attempt begins. The kernel sees a
 single completion event per attempt; a crash reads the stage in progress
 off the precomputed timeline of stage end ticks.
 
-Crashing mid-attempt leaves the component in one of three durable states,
-looked up by the stage in progress: early stages leave the prior epoch
-intact, a crash inside the write/fsync window leaves the bytes ambiguous,
-and once the metadata update has begun the new epoch is already durable.
+A component's durable state is its lattice symbol relative to e: E_MINUS_1
+(the prior epoch), BOTTOM (ambiguous bytes) or E. Crashing mid-attempt
+leaves the symbol that the crash table `DURABILITY` gives for the stage in
+progress: early stages leave the prior epoch intact, a crash inside the
+write/fsync window leaves the bytes ambiguous, and once the metadata update
+has begun the new epoch is already durable.
 
 Two write modes:
 
 * direct: the attempt overwrites the stable copy in place. Crash outcomes
   apply literally; completing the attempt commits epoch e unilaterally.
 * tentative: the attempt targets a staging area and the stable copy is not
-  touched until an explicit commit directive. A crash that would have been
-  "committed" means the staged data is durable (the attempt survives); any
+  touched until an explicit commit directive. A crash that would have left
+  E durable means the staged data is durable (the attempt survives); any
   earlier crash just discards the staging, leaving the stable prior epoch.
   Ambiguity therefore never escapes into the stable state in this mode,
   which is what makes an acknowledged two-phase transition all-or-nothing.
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum, IntEnum
-from functools import lru_cache
+from enum import IntEnum
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from .kernel import Component, Event, EventKind, digest64
@@ -67,12 +69,6 @@ ACTIVE_STAGES: tuple[PersistenceStage, ...] = (
 ACTIVE_STAGE_NAMES: tuple[str, ...] = tuple(s.name for s in ACTIVE_STAGES)
 
 
-class OutcomeKind(str, Enum):
-    COMMITTED = "committed"
-    PRIOR = "prior"
-    AMBIGUOUS = "ambiguous"
-
-
 # Members the per-event methods use, bound once: a global name is about ten
 # times cheaper to read than a lookup through the enum class.
 _IDLE = PersistenceStage.IDLE
@@ -80,94 +76,21 @@ _BUFFER_FLUSH = PersistenceStage.BUFFER_FLUSH
 _DONE = PersistenceStage.DONE
 _DELIVER = EventKind.DELIVER
 _LOCAL_STEP = EventKind.LOCAL_STEP
-_COMMITTED = OutcomeKind.COMMITTED
-_PRIOR = OutcomeKind.PRIOR
-_AMBIGUOUS = OutcomeKind.AMBIGUOUS
+_E = EpochSymbol.E
+_E_MINUS_1 = EpochSymbol.E_MINUS_1
 
-
-@dataclass(frozen=True)
-class ComponentEpochState:
-    """Durable epoch content of one component.
-
-    committed(e) carries epoch e; prior(e) carries e - 1, the epoch the
-    component still reflects; ambiguous carries no epoch claim. The three
-    constructors return one shared instance per (kind, epoch); states are
-    frozen, so sharing one is safe.
-    """
-
-    kind: OutcomeKind
-    epoch: int | None = None
-
-    @classmethod
-    @lru_cache(maxsize=None, typed=True)
-    def committed(cls, epoch: int) -> ComponentEpochState:
-        return cls(_COMMITTED, epoch)
-
-    @classmethod
-    @lru_cache(maxsize=None, typed=True)
-    def prior(cls, epoch: int) -> ComponentEpochState:
-        return cls(_PRIOR, epoch - 1)
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def ambiguous(cls) -> ComponentEpochState:
-        return cls(_AMBIGUOUS, None)
-
-    def to_symbol(self) -> EpochSymbol:
-        return _SYMBOL_OF_KIND[self.kind]
-
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind.value, "epoch": self.epoch}
-
-
-_SYMBOL_OF_KIND = {_COMMITTED: EpochSymbol.E, _PRIOR: EpochSymbol.E_MINUS_1,
-                   _AMBIGUOUS: EpochSymbol.BOTTOM}
-
-
-@dataclass(frozen=True)
-class DurabilityMap:
-    """Stage in progress at crash time -> recovery outcome kind."""
-
-    outcomes: Mapping[PersistenceStage, OutcomeKind]
-
-    def __post_init__(self) -> None:
-        missing = [s for s in PersistenceStage if s not in self.outcomes]
-        if missing:
-            raise ValueError(f"durability map missing stages: {missing}")
-        # Durability only accumulates: outcomes must be monotone along the
-        # stage order, start at prior, and end committed.
-        ranks = [_SYMBOL_OF_KIND[self.outcomes[s]].rank for s in PersistenceStage]
-        if any(b < a for a, b in zip(ranks, ranks[1:])):
-            raise ValueError("durability map must be monotone along the stage order")
-        if self.outcomes[PersistenceStage.IDLE] is not OutcomeKind.PRIOR:
-            raise ValueError("a crash while idle must leave the prior epoch")
-        if self.outcomes[PersistenceStage.DONE] is not OutcomeKind.COMMITTED:
-            raise ValueError("a completed persist must be durable")
-
-    def outcome_at(self, stage: PersistenceStage) -> OutcomeKind:
-        return self.outcomes[stage]
-
-
-DEFAULT_DURABILITY = DurabilityMap({
-    PersistenceStage.IDLE: OutcomeKind.PRIOR,
-    PersistenceStage.BUFFER_FLUSH: OutcomeKind.PRIOR,
-    PersistenceStage.DMA_TRANSFER: OutcomeKind.PRIOR,
-    PersistenceStage.WRITE_SYSCALL: OutcomeKind.AMBIGUOUS,
-    PersistenceStage.FSYNC: OutcomeKind.AMBIGUOUS,
-    PersistenceStage.METADATA_UPDATE: OutcomeKind.COMMITTED,
-    PersistenceStage.DONE: OutcomeKind.COMMITTED,
+# The crash table: stage in progress at crash time -> the symbol a direct
+# write leaves durable. Durability only accumulates, so the symbols' ranks
+# never fall along the stage order.
+DURABILITY: Mapping[PersistenceStage, EpochSymbol] = MappingProxyType({
+    PersistenceStage.IDLE: EpochSymbol.E_MINUS_1,
+    PersistenceStage.BUFFER_FLUSH: EpochSymbol.E_MINUS_1,
+    PersistenceStage.DMA_TRANSFER: EpochSymbol.E_MINUS_1,
+    PersistenceStage.WRITE_SYSCALL: EpochSymbol.BOTTOM,
+    PersistenceStage.FSYNC: EpochSymbol.BOTTOM,
+    PersistenceStage.METADATA_UPDATE: EpochSymbol.E,
+    PersistenceStage.DONE: EpochSymbol.E,
 })
-
-
-def crash_outcome(stage: PersistenceStage, epoch: int,
-                  durability: DurabilityMap = DEFAULT_DURABILITY) -> ComponentEpochState:
-    """Durable state recovered after a crash with `stage` in progress."""
-    kind = durability.outcome_at(stage)
-    if kind is _COMMITTED:
-        return ComponentEpochState.committed(epoch)
-    if kind is _PRIOR:
-        return ComponentEpochState.prior(epoch)
-    return ComponentEpochState.ambiguous()
 
 
 def ack_digest(component: str, epoch: int) -> str:
@@ -190,12 +113,10 @@ class PersistenceProcess(Component):
     directive log the component re-reads on recovery.
     """
 
-    def __init__(self, name: str, epoch: int,
-                 durability: DurabilityMap = DEFAULT_DURABILITY):
+    def __init__(self, name: str, epoch: int):
         self.name = name
-        self.epoch = epoch
-        self.durability = durability
-        self.state = ComponentEpochState.prior(epoch)
+        self.epoch = epoch                 # the epoch this component moves to
+        self.state = _E_MINUS_1            # durable symbol relative to `epoch`
         self.stage = _IDLE
         self.tentative = False
         self.staged_ready = False   # staged copy of epoch e is durable
@@ -263,7 +184,7 @@ class PersistenceProcess(Component):
                           "component": self.name, "digest": digest})
                 self.acked = True
         else:
-            self.state = ComponentEpochState.committed(self.epoch)
+            self.state = _E
 
     # -- directives (tentative mode) ------------------------------------------
 
@@ -277,10 +198,10 @@ class PersistenceProcess(Component):
             if not self.staged_ready:
                 raise ProtocolViolation(
                     f"{self.name}: commit directive without durable staged data")
-            self.state = ComponentEpochState.committed(self.epoch)
+            self.state = _E
             self.stage = _DONE
         else:
-            self.state = ComponentEpochState.prior(self.epoch)
+            self.state = _E_MINUS_1
             self.staged_ready = False
             self.stage = _IDLE
             self.attempt += 1  # a rollback ends the attempt in flight
@@ -294,19 +215,19 @@ class PersistenceProcess(Component):
             self.stage = ACTIVE_STAGES[bisect_left(self._stage_ends, sim.now)]
         self.crash_log.append(CrashRecord(self.stage.name, self.acked, self.tentative))
         if self.stage in ACTIVE_STAGES:
-            kind = self.durability.outcome_at(self.stage)
+            symbol = DURABILITY[self.stage]
             if self.tentative:
                 # Staging writes never touch the stable copy: either the
                 # staged data is already durable, or the attempt is discarded.
-                if kind is _COMMITTED:
+                if symbol is _E:
                     self.staged_ready = True
                     self.stage = _DONE
                 else:
                     self.staged_ready = False
                     self.stage = _IDLE
             else:
-                self.state = crash_outcome(self.stage, self.epoch, self.durability)
-                self.stage = _DONE if kind is _COMMITTED else _IDLE
+                self.state = symbol
+                self.stage = _DONE if symbol is _E else _IDLE
             self.attempt += 1  # invalidate the queued completion
         # A crash at Idle or Done changes nothing durable: a completed direct
         # persist is stable, and durable staged data survives.
@@ -321,8 +242,9 @@ class PersistenceProcess(Component):
 
     # -- observation ------------------------------------------------------------
 
-    def epoch_state(self) -> ComponentEpochState:
-        return self.state
+    def epoch_state(self) -> tuple[int, EpochSymbol]:
+        """The transition's target epoch and the symbol held relative to it."""
+        return (self.epoch, self.state)
 
     def symbol(self) -> EpochSymbol:
-        return self.state.to_symbol()
+        return self.state

@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Sequence
 
 from .kernel import (Component, DelayPolicy, Event, EventKind, Simulation,
                      Trace, UniformDelay, new_simulation)
-from .lattice import AtomicityClass, EpochVector
-from .persistence import OutcomeKind, PersistenceProcess, ack_digest
+from .lattice import AtomicityClass, EpochSymbol, EpochVector
+from .persistence import PersistenceProcess, ack_digest
 
 _DELIVER = EventKind.DELIVER
 _TIMER_FIRE = EventKind.TIMER_FIRE
@@ -126,7 +126,7 @@ def conv_holds(trace: Trace, epoch: int) -> bool:
     """Convergence as a property of the completed run.
 
     Folds over the whole history: every component that persists state must
-    have ended durably Committed(epoch). Deciding this from the finished
+    have ended durably holding E for `epoch`. Deciding this from the finished
     trace, rather than from a vector sampled at one boundary instant, is
     what separates an all-or-nothing guarantee from a boundary declaration;
     a write straddling the boundary can look fine at t_c and still land
@@ -135,8 +135,7 @@ def conv_holds(trace: Trace, epoch: int) -> bool:
     states = trace.final_states
     if not states:
         return False
-    return all(s.kind is OutcomeKind.COMMITTED and s.epoch == epoch
-               for s in states.values())
+    return all(e == epoch and s is EpochSymbol.E for e, s in states.values())
 
 
 # ---------------------------------------------------------------------------

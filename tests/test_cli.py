@@ -272,6 +272,10 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("adamw-skew", "--lr", "1e308", "--format", "json"),
     ("adamw-skew", "--dim", "3", "--noise", "1e308"),
     ("adamw-skew", "--g-skip", "1e200"),
+    # numpy seeds the noise and refuses a negative seed; the task refuses it
+    # first, with or without noise.
+    ("adamw-skew", "--seed", "-1", "--noise", "0.1"),
+    ("adamw-skew", "--seed", "-1", "--noise", "0"),
     # One above each size bound; refused before anything that size is built.
     ("adamw-skew", "--dim", "1000001"),
     ("adamw-skew", "--horizon", "10001"),

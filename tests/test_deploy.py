@@ -234,7 +234,7 @@ def test_register_outage_fences_crashed_nodes_then_aborts_at_first_live_one():
         sim.register(node)
     register = DecisionRegister(outage=(15, 25))
     register.commit(FirmwareEpoch.F1, 5)
-    runner = _CollectiveRunner("consensus", register, FencePolicy.PROCEED)
+    runner = _CollectiveRunner(register, FencePolicy.PROCEED)
     _schedule_collectives(sim, runner, [_spec(0, 20, ["n0", "n1", "n2"])])
     sim.inject_crash("n0", 10)
     sim.run_until_quiescent()

@@ -12,7 +12,7 @@ from epochsim import deploy, kernel, lattice, persistence, protocols
 from epochsim.deploy import FencePolicy, FirmwareEpoch
 from epochsim.kernel import EventKind, UniformDelay
 from epochsim.lattice import EpochSymbol
-from epochsim.persistence import ComponentEpochState, OutcomeKind, PersistenceStage
+from epochsim.persistence import PersistenceStage
 
 # Functions run once per event, per delivery or per component. Each reads the
 # enum members it needs from module-level names bound at import.
@@ -27,9 +27,9 @@ HOT_FUNCTIONS = [
     persistence.PersistenceProcess._complete,
     persistence.PersistenceProcess.apply_directive,
     persistence.PersistenceProcess.on_crash,
-    persistence.ComponentEpochState.to_symbol,
-    persistence.ComponentEpochState.committed,
-    persistence.ComponentEpochState.prior,
+    persistence.PersistenceProcess.on_recover,
+    persistence.PersistenceProcess.epoch_state,
+    persistence.PersistenceProcess.symbol,
     protocols.BilateralCoordinator.on_event,
     deploy.FirmwareNode.__init__,
     deploy.FirmwareNode.on_event,
@@ -40,8 +40,7 @@ HOT_FUNCTIONS = [
     lattice.classify,
 ]
 
-ENUMS = (EventKind, PersistenceStage, OutcomeKind, EpochSymbol, FirmwareEpoch,
-         FencePolicy)
+ENUMS = (EventKind, PersistenceStage, EpochSymbol, FirmwareEpoch, FencePolicy)
 MEMBER_NAMES = frozenset(name for enum_cls in ENUMS for name in enum_cls.__members__)
 # Calling the class, as in FirmwareEpoch(value), looks a member up by value.
 ENUM_NAMES = frozenset(enum_cls.__name__ for enum_cls in ENUMS)
@@ -78,15 +77,9 @@ def test_uniform_draws_equal_randint(lo, hi):
 
 
 def test_epoch_states_are_shared_and_compare_as_before():
-    assert ComponentEpochState.prior(1) is ComponentEpochState.prior(1)
-    assert ComponentEpochState.committed(3) is ComponentEpochState.committed(3)
-    assert ComponentEpochState.ambiguous() is ComponentEpochState.ambiguous()
-    a, b = (persistence.PersistenceProcess(f"c{i}", epoch=1) for i in range(2))
-    assert a.state is b.state
-    assert ComponentEpochState.prior(1) == ComponentEpochState(OutcomeKind.PRIOR, 0)
-    assert ComponentEpochState.committed(1) == ComponentEpochState(OutcomeKind.COMMITTED, 1)
-    assert ComponentEpochState.prior(1) != ComponentEpochState.committed(0)
-    assert ComponentEpochState.prior(1).to_json_obj() == {"kind": "prior", "epoch": 0}
-    assert ComponentEpochState.committed(2).to_json_obj() == {"kind": "committed", "epoch": 2}
-    assert ComponentEpochState.ambiguous().to_json_obj() == {"kind": "ambiguous",
-                                                             "epoch": None}
+    # A durable state is an EpochSymbol member, shared by every component
+    # whatever its epoch; the epoch travels beside it in epoch_state().
+    a, b = (persistence.PersistenceProcess(f"c{i}", epoch=e) for i, e in enumerate((1, 3)))
+    assert a.state is b.state is EpochSymbol.E_MINUS_1
+    assert a.epoch_state() == (1, EpochSymbol.E_MINUS_1)
+    assert a.epoch_state() != b.epoch_state()

@@ -21,6 +21,7 @@ from epochsim.kernel import (
     digest64,
     new_simulation,
 )
+from epochsim.lattice import EpochSymbol
 
 
 class Recorder(Component):
@@ -214,7 +215,7 @@ def test_empty_queue_yields_empty_trace_and_initial_states():
     assert trace.records == ()
     states = trace.final_states
     assert set(states) == {"c0", "c1"}
-    assert all(s.epoch == 0 for s in states.values())  # untouched prior epoch
+    assert all(s == (1, EpochSymbol.E_MINUS_1) for s in states.values())  # untouched prior
 
 
 def test_send_copies_the_message_once():

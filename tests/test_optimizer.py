@@ -146,6 +146,13 @@ def test_task_rejects_empty_nonfinite_and_negative_inputs(curvature, target, noi
         QuadraticTask.of(curvature, target, noise_scale=noise)
 
 
+def test_task_rejects_negative_seed():
+    # Refused with or without noise, before numpy ever sees the seed.
+    for noise in (0.0, 0.1):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            QuadraticTask.of([1.0], [0.0], noise_scale=noise, seed=-1)
+
+
 def test_strict_step_advances_all_tags_uniformly():
     state = initial_state(2)
     stepped = adamw_step(state, np.ones(2), AdamWHyperparams())

@@ -7,16 +7,13 @@ import pytest
 from epochsim.kernel import FixedDelay, new_simulation
 from epochsim.lattice import EpochSymbol
 from epochsim.persistence import (
-    DEFAULT_DURABILITY,
-    ComponentEpochState,
-    DurabilityMap,
-    OutcomeKind,
-    PersistenceProcess,
+    DURABILITY,
     PersistenceStage,
     ProtocolViolation,
     ack_digest,
-    crash_outcome,
 )
+
+E_MINUS_1, BOTTOM, E = EpochSymbol.E_MINUS_1, EpochSymbol.BOTTOM, EpochSymbol.E
 
 
 def _start(n=1, ticks=2, seed=0, epoch=1):
@@ -27,63 +24,51 @@ def _start(n=1, ticks=2, seed=0, epoch=1):
 
 
 # ---------------------------------------------------------------------------
-# durability map
+# crash table
 # ---------------------------------------------------------------------------
 
 
 def test_default_map_outcomes():
     want = {
-        PersistenceStage.IDLE: OutcomeKind.PRIOR,
-        PersistenceStage.BUFFER_FLUSH: OutcomeKind.PRIOR,
-        PersistenceStage.DMA_TRANSFER: OutcomeKind.PRIOR,
-        PersistenceStage.WRITE_SYSCALL: OutcomeKind.AMBIGUOUS,
-        PersistenceStage.FSYNC: OutcomeKind.AMBIGUOUS,
-        PersistenceStage.METADATA_UPDATE: OutcomeKind.COMMITTED,
-        PersistenceStage.DONE: OutcomeKind.COMMITTED,
+        PersistenceStage.IDLE: E_MINUS_1,
+        PersistenceStage.BUFFER_FLUSH: E_MINUS_1,
+        PersistenceStage.DMA_TRANSFER: E_MINUS_1,
+        PersistenceStage.WRITE_SYSCALL: BOTTOM,
+        PersistenceStage.FSYNC: BOTTOM,
+        PersistenceStage.METADATA_UPDATE: E,
+        PersistenceStage.DONE: E,
     }
-    for stage, kind in want.items():
-        assert DEFAULT_DURABILITY.outcome_at(stage) is kind
+    assert dict(DURABILITY) == want
+    with pytest.raises(TypeError):
+        DURABILITY[PersistenceStage.FSYNC] = E  # read-only
 
 
 def test_map_must_cover_every_stage():
-    partial = {s: OutcomeKind.PRIOR for s in PersistenceStage
-               if s is not PersistenceStage.FSYNC}
-    with pytest.raises(ValueError):
-        DurabilityMap(outcomes=partial)
+    assert set(DURABILITY) == set(PersistenceStage)
 
 
 def test_map_must_be_monotone():
-    # committed before ambiguous would mean durability can regress
-    bad = dict(DEFAULT_DURABILITY.outcomes)
-    bad[PersistenceStage.DMA_TRANSFER] = OutcomeKind.COMMITTED
-    bad[PersistenceStage.WRITE_SYSCALL] = OutcomeKind.AMBIGUOUS
-    with pytest.raises(ValueError):
-        DurabilityMap(outcomes=bad)
+    # Durability only accumulates: the symbol's rank never falls along the
+    # stage order.
+    ranks = [DURABILITY[s].rank for s in PersistenceStage]
+    assert ranks == sorted(ranks)
 
 
 def test_map_endpoints_fixed():
-    bad = dict(DEFAULT_DURABILITY.outcomes)
-    bad[PersistenceStage.IDLE] = OutcomeKind.AMBIGUOUS
-    with pytest.raises(ValueError):
-        DurabilityMap(outcomes=bad)
-    bad = {s: OutcomeKind.PRIOR for s in PersistenceStage}
-    with pytest.raises(ValueError):
-        DurabilityMap(outcomes=bad)
+    # A crash while idle leaves the prior epoch; a completed persist is durable.
+    assert DURABILITY[PersistenceStage.IDLE] is E_MINUS_1
+    assert DURABILITY[PersistenceStage.DONE] is E
 
 
 def test_crash_outcome_epochs():
-    committed = crash_outcome(PersistenceStage.DONE, 5, DEFAULT_DURABILITY)
-    assert committed == ComponentEpochState.committed(5)
-    assert committed.to_symbol() is EpochSymbol.E
-
-    prior = crash_outcome(PersistenceStage.BUFFER_FLUSH, 5, DEFAULT_DURABILITY)
-    assert prior == ComponentEpochState.prior(5)
-    assert prior.epoch == 4
-    assert prior.to_symbol() is EpochSymbol.E_MINUS_1
-
-    lost = crash_outcome(PersistenceStage.FSYNC, 5, DEFAULT_DURABILITY)
-    assert lost == ComponentEpochState.ambiguous()
-    assert lost.to_symbol() is EpochSymbol.BOTTOM
+    # The state a crash leaves is the table's symbol, held relative to the
+    # component's own epoch.
+    for crash_time, symbol in [(3, E_MINUS_1), (9, BOTTOM), (13, E)]:
+        sim = _start(ticks=2, epoch=5)
+        sim.inject_crash("c0", crash_time)
+        trace = sim.run_until_quiescent()
+        assert trace.final_states["c0"] == (5, symbol)
+        assert sim.handler("c0").symbol() is symbol
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +80,7 @@ def test_uninterrupted_persist_commits():
     sim = _start(ticks=2)
     trace = sim.run_until_quiescent()
     state = trace.final_states["c0"]
-    assert state == ComponentEpochState.committed(1)
+    assert state == (1, E)
     # deliver at 2, five stages of 2 ticks each: the attempt completes at 12
     assert trace.records[-1].time == 12
 
@@ -127,7 +112,7 @@ def test_crash_before_delivery_stays_prior():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 1)  # IDLE; the checkpoint at t=2 lands mid-crash
     trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == ComponentEpochState.prior(1)
+    assert trace.final_states["c0"] == (1, E_MINUS_1)
     assert any(r.dropped for r in trace.records)
 
 
@@ -135,7 +120,7 @@ def test_crash_mid_buffer_flush_keeps_prior_epoch():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 3)
     trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == ComponentEpochState.prior(1)
+    assert trace.final_states["c0"] == (1, E_MINUS_1)
     proc = sim.handler("c0")
     assert proc.crash_log[0].stage == "BUFFER_FLUSH"
 
@@ -144,22 +129,21 @@ def test_crash_mid_fsync_is_ambiguous():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 9)  # FSYNC spans (8, 10]
     trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == ComponentEpochState.ambiguous()
-    assert trace.final_states["c0"].to_symbol() is EpochSymbol.BOTTOM
+    assert trace.final_states["c0"] == (1, BOTTOM)
 
 
 def test_crash_mid_metadata_update_is_committed():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 11)
     trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == ComponentEpochState.committed(1)
+    assert trace.final_states["c0"] == (1, E)
 
 
 def test_crash_after_done_is_committed():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 13)
     trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == ComponentEpochState.committed(1)
+    assert trace.final_states["c0"] == (1, E)
     proc = sim.handler("c0")
     assert proc.crash_log[0].stage == "DONE"
 
@@ -195,7 +179,7 @@ def test_crash_symbol_by_stage(crash_time, stage, symbol, tentative):
     assert sim.handler("c0").crash_log[0].stage == stage
     # a tentative attempt never touches the stable copy
     want = EpochSymbol.E_MINUS_1 if tentative else symbol
-    assert trace.final_states["c0"].to_symbol() is want
+    assert trace.final_states["c0"] == (1, want)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +198,16 @@ def test_staged_persist_leaves_stable_copy_until_commit():
     sim, proc = _staged()
     sim.run_until_quiescent()
     assert proc.staged_ready
-    assert proc.epoch_state() == ComponentEpochState.prior(1)
+    assert proc.epoch_state() == (1, E_MINUS_1)
     proc.apply_directive(sim, "commit", 1)
-    assert proc.epoch_state() == ComponentEpochState.committed(1)
+    assert proc.epoch_state() == (1, E)
 
 
 def test_staged_rollback_discards():
     sim, proc = _staged()
     sim.run_until_quiescent()
     proc.apply_directive(sim, "rollback", 1)
-    assert proc.epoch_state() == ComponentEpochState.prior(1)
+    assert proc.epoch_state() == (1, E_MINUS_1)
     assert not proc.staged_ready
     assert proc.stage is PersistenceStage.IDLE
 
@@ -234,7 +218,7 @@ def test_directives_idempotent():
     proc.apply_directive(sim, "commit", 1)
     proc.apply_directive(sim, "commit", 1)
     proc.apply_directive(sim, "rollback", 1)  # resolved: ignored
-    assert proc.epoch_state() == ComponentEpochState.committed(1)
+    assert proc.epoch_state() == (1, E)
 
 
 def test_commit_without_staged_data_rejected():
@@ -257,7 +241,7 @@ def test_staged_crash_early_discards_staging():
     sim.run_until_quiescent()
     assert not proc.staged_ready
     assert proc.stage is PersistenceStage.IDLE
-    assert proc.epoch_state() == ComponentEpochState.prior(1)
+    assert proc.epoch_state() == (1, E_MINUS_1)
 
 
 def test_staged_crash_late_keeps_staging_durable():
@@ -267,9 +251,9 @@ def test_staged_crash_late_keeps_staging_durable():
     sim.inject_crash("c0", 11)  # METADATA_UPDATE
     sim.run_until_quiescent()
     assert proc.staged_ready
-    assert proc.epoch_state() == ComponentEpochState.prior(1)
+    assert proc.epoch_state() == (1, E_MINUS_1)
     proc.apply_directive(sim, "commit", 1)
-    assert proc.epoch_state() == ComponentEpochState.committed(1)
+    assert proc.epoch_state() == (1, E)
 
 
 def test_ack_digest_stable():

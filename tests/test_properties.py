@@ -4,10 +4,11 @@ Fixed-seed batteries only sample the schedules a seed happens to draw;
 these properties let Hypothesis search for a counterexample instead. The
 bilateral protocol must never end Mixed, a decided run must converge to
 the decision, and a component that has applied its directive does no
-further work: it sends nothing and its durable state stays put. The
-consensus deploy never runs a collective whose correct participants hold
-two firmware versions, whatever the crashes, register outage and fence
-policy.
+further work: it sends nothing and its durable state stays put. For
+bilateral and naive runs alike, Conv holds over the trace exactly when the
+stable vector is Top. The consensus deploy never runs a collective whose
+correct participants hold two firmware versions, whatever the crashes,
+register outage and fence policy.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 
 from epochsim.deploy import CollectiveSpec, FencePolicy, run_consensus_deploy
 from epochsim.kernel import SimConfig, Simulation, UniformDelay
-from epochsim.lattice import AtomicityClass
-from epochsim.persistence import ComponentEpochState, PersistenceProcess
-from epochsim.protocols import BilateralConfig, Decision, conv_holds, run_bilateral
+from epochsim.lattice import AtomicityClass, EpochSymbol
+from epochsim.persistence import PersistenceProcess
+from epochsim.protocols import (BilateralConfig, Decision, NaiveCheckpointConfig, conv_holds,
+                                run_bilateral, run_naive)
 
 EPOCH = 1
 
@@ -101,8 +103,25 @@ def test_decided_run_converges_to_its_decision(case):
     if out.decision is Decision.COMMITTED:
         assert conv_holds(out.trace, EPOCH)
     elif out.decision is Decision.ROLLED_BACK:
-        prior = ComponentEpochState.prior(EPOCH)
+        prior = (EPOCH, EpochSymbol.E_MINUS_1)
         assert all(s == prior for s in out.trace.final_states.values())
+
+
+def _run_naive(case):
+    sim = Simulation(SimConfig(n_components=case["n"], delay_policy=case["delay"],
+                               seed=case["seed"]))
+    for i in range(case["n"]):
+        sim.register(PersistenceProcess(f"c{i}", epoch=EPOCH))
+    return run_naive(sim, NaiveCheckpointConfig(epoch=EPOCH), crashes=case["crashes"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(bilateral_runs())
+def test_trace_final_states_agree_with_the_final_vector(case):
+    # The trace's final states and the outcome's vector are two views of the
+    # same durable state: Conv holds exactly when the vector is Top.
+    for out in (_run(case)[0], _run_naive(case)):
+        assert conv_holds(out.trace, out.epoch) == (out.vector_class is AtomicityClass.TOP)
 
 
 @settings(max_examples=100, deadline=None)
