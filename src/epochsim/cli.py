@@ -108,6 +108,8 @@ def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
+    if args.n < 2:
+        raise ValueError("--n must be at least 2")
     grid = adversary.boundary_grid(args.grid, t_max=args.t_max, seed=args.seed)
     witnesses = 0
     first: adversary.MixedWitness | None = None
@@ -282,6 +284,8 @@ def cmd_retry(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_deploy(args: argparse.Namespace, out: TextIO) -> int:
+    if args.n < 2:
+        raise ValueError("--n must be at least 2")
     fence = deploy.FencePolicy.ABORT if args.fence_abort else deploy.FencePolicy.PROCEED
     search = adversary.search_schedules(
         deploy.run_case_naive,
@@ -391,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--alphas", type=str, default="1.0,1.25,1.5")
     p.add_argument("--runs", type=int, default=10_000)
-    p.add_argument("--max-attempts", type=int, default=40)
+    p.add_argument("--max-attempts", type=int, default=40,
+                   help=f"attempts per run, 1 to {protocols.RETRY_MAX_ATTEMPTS}")
     _add_common(p)
     p.set_defaults(func=cmd_retry)
 
@@ -419,8 +424,6 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
             parser.error(f"--config {args.config}: {exc}")
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + flags + argv[at:])
-    if args.command == "straddle" and args.n < 2:
-        parser.error("straddle requires --n >= 2")
     func: Callable[[argparse.Namespace, TextIO], int] = args.func
     try:
         return func(args, out)

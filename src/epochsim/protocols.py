@@ -29,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .kernel import (Component, DelayPolicy, Event, EventKind, Simulation,
@@ -169,9 +170,10 @@ def run_naive(sim: Simulation, config: NaiveCheckpointConfig,
     parts = _participants(sim)
     if not parts:
         raise ValueError("simulation has no persistence components")
+    # send copies its message, so one dict serves every participant.
+    msg = {"type": "checkpoint", "epoch": config.epoch, "tentative": False}
     for p in parts:
-        sim.send("origin", p.name, {"type": "checkpoint", "epoch": config.epoch,
-                                    "tentative": False})
+        sim.send("origin", p.name, msg)
     for component, time in crashes:
         sim.inject_crash(component, time)
     probe = BoundaryProbe([p.name for p in parts])
@@ -206,9 +208,9 @@ class BilateralCoordinator(Component):
         self.mismatched: list[str] = []
 
     def start(self, sim: Simulation) -> None:
+        msg = {"type": "checkpoint", "epoch": self.config.epoch, "tentative": True}
         for name in self.participant_names:
-            sim.send(self.name, name, {"type": "checkpoint", "epoch": self.config.epoch,
-                                       "tentative": True})
+            sim.send(self.name, name, msg)
         sim.set_timer(self.name, self.config.ack_timeout,
                       {"type": "ack_timeout", "epoch": self.config.epoch})
 
@@ -233,8 +235,9 @@ class BilateralCoordinator(Component):
 
     def _decide(self, sim: Simulation, kind: str) -> None:
         self.record.write(kind, self.config.epoch, sim.now)
+        msg = {"type": kind, "epoch": self.config.epoch}
         for name in self.participant_names:
-            sim.send(self.name, name, {"type": kind, "epoch": self.config.epoch})
+            sim.send(self.name, name, msg)
 
 
 def run_bilateral(sim: Simulation, config: BilateralConfig,
@@ -369,6 +372,8 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
         raise ValueError("crash probability must lie in [0, 1]")
     policy = delay or UniformDelay(1, 3)
     names = [f"c{i}" for i in range(n)]
+    bilateral_config = BilateralConfig(epoch=1, ack_timeout=ack_timeout)
+    naive_config = NaiveCheckpointConfig(epoch=1, boundary_time=boundary_time)
     naive_t = ClassTallies()
     bilat_t = ClassTallies()
     coverage: dict[str, int] = {}
@@ -379,18 +384,18 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
         crashes = crash_schedule(names, rng, crash_prob, crash_window)
 
         sim_b = new_simulation(n, policy, run_seed)
-        out_b = run_bilateral(sim_b, BilateralConfig(epoch=1, ack_timeout=ack_timeout),
-                              crashes=crashes)
+        out_b = run_bilateral(sim_b, bilateral_config, crashes=crashes)
         bilat_t.add(out_b)
-        for p in _participants(sim_b):
-            for rec in p.crash_log:
+        # Only a component in the crash schedule, which names each at most
+        # once, has a crash log.
+        for name, _ in crashes:
+            for rec in sim_b.handler(name).crash_log:
                 coverage[rec.stage] = coverage.get(rec.stage, 0) + 1
                 if rec.acked:
                     coverage["post_ack"] = coverage.get("post_ack", 0) + 1
 
         sim_n = new_simulation(n, policy, run_seed)
-        out_n = run_naive(sim_n, NaiveCheckpointConfig(epoch=1, boundary_time=boundary_time),
-                          crashes=crashes)
+        out_n = run_naive(sim_n, naive_config, crashes=crashes)
         naive_t.add(out_n)
         if sample is None and out_n.vector_class is AtomicityClass.MIXED:
             sample = run_seed
@@ -402,6 +407,11 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
 # ---------------------------------------------------------------------------
 # Retry loop with load amplification
 # ---------------------------------------------------------------------------
+
+
+# A model holds its schedule for the whole attempt budget, so the budget is
+# bounded: 10,000 entries take about 1.5 MB.
+RETRY_MAX_ATTEMPTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -417,6 +427,8 @@ class RetryModel:
             raise ValueError("amplification must be a finite number >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.max_attempts > RETRY_MAX_ATTEMPTS:
+            raise ValueError(f"max_attempts must be at most {RETRY_MAX_ATTEMPTS}")
         # A run's load is a sum of max_attempts terms alpha^(k-1), so this
         # bound keeps every load and failure probability a finite float.
         try:
@@ -430,6 +442,20 @@ class RetryModel:
     def failure_prob(self, attempt: int) -> float:
         """Per-component failure probability on 1-indexed attempt k."""
         return min(1.0, self.base_failure_prob * self.amplification ** (attempt - 1))
+
+    @cached_property
+    def schedule(self) -> tuple[tuple[int, float, float], ...]:
+        """(k, failure_prob(k), load after k attempts) for every attempt k.
+
+        Built once per model. The load adds alpha^(k-1) attempt by attempt,
+        so each entry is the float a loop recomputing it would reach.
+        """
+        out = []
+        load = 0.0
+        for k in range(1, self.max_attempts + 1):
+            load += self.amplification ** (k - 1)
+            out.append((k, self.failure_prob(k), load))
+        return tuple(out)
 
 
 @dataclass
@@ -445,18 +471,22 @@ AttemptFn = Callable[[int, float, random.Random], bool]
 def run_retry_loop(model: RetryModel, attempt: AttemptFn,
                    rng: random.Random) -> RetryStats:
     """Repeat attempts until one succeeds or max_attempts is exhausted."""
-    load = 0.0
-    for k in range(1, model.max_attempts + 1):
-        load += model.amplification ** (k - 1)
-        if attempt(k, model.failure_prob(k), rng):
+    schedule = model.schedule
+    for k, p, load in schedule:
+        if attempt(k, p, rng):
             return RetryStats(attempts=k, succeeded=True, total_load=load)
-    return RetryStats(attempts=model.max_attempts, succeeded=False, total_load=load)
+    return RetryStats(attempts=model.max_attempts, succeeded=False,
+                      total_load=schedule[-1][2])
 
 
 def bernoulli_attempt(n: int) -> AttemptFn:
     """Attempt succeeds iff none of the n components fails independently."""
     def attempt(k: int, p: float, rng: random.Random) -> bool:
-        return all(rng.random() >= p for _ in range(n))
+        draw = rng.random
+        for _ in range(n):
+            if draw() < p:
+                return False  # later components draw nothing
+        return True
     return attempt
 
 
@@ -465,14 +495,14 @@ def simulated_bilateral_attempt(n: int, *, ack_timeout: int = 30,
                                 delay: DelayPolicy | None = None) -> AttemptFn:
     """Attempt = one full bilateral run with per-component crash injection."""
     policy = delay or UniformDelay(1, 3)
+    names = [f"c{i}" for i in range(n)]
+    config = BilateralConfig(epoch=1, ack_timeout=ack_timeout)
 
     def attempt(k: int, p: float, rng: random.Random) -> bool:
         run_seed = rng.getrandbits(48)
-        names = [f"c{i}" for i in range(n)]
         crashes = crash_schedule(names, rng, p, crash_window)
         sim = new_simulation(n, policy, run_seed)
-        out = run_bilateral(sim, BilateralConfig(epoch=1, ack_timeout=ack_timeout),
-                            crashes=crashes)
+        out = run_bilateral(sim, config, crashes=crashes)
         return out.decision is Decision.COMMITTED
     return attempt
 

@@ -110,6 +110,23 @@ def success_prob_truncated(p0: float, alpha: float, max_attempts: int) -> float:
     return 1.0 - alive
 
 
+def retry_loop(p0: float, alpha: float, max_attempts: int, n: int,
+               rng) -> tuple[int, bool, float]:
+    """(attempts, succeeded, total load) of one retry run, attempt by attempt.
+
+    Recomputes the load term and the failure probability on every attempt;
+    an attempt draws one uniform per component and fails at the first
+    component that fails.
+    """
+    load = 0.0
+    for k in range(1, max_attempts + 1):
+        load += alpha ** (k - 1)
+        p = retry_failure_prob(p0, alpha, k)
+        if all(rng.random() >= p for _ in range(n)):
+            return k, True, load
+    return max_attempts, False, load
+
+
 def geometric_mean_attempts(p0: float, n: int) -> float:
     """Mean of a geometric with per-attempt success (1-p0)^n, untruncated."""
     return 1.0 / (1.0 - p0) ** n

@@ -261,6 +261,9 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("retry", "--alphas", "inf"),
     ("retry", "--alphas", "1e308"),
     ("retry", "--p0", "1", "--alphas", "8e307", "--max-attempts", "2", "--runs", "3"),
+    # One above the attempt bound; refused before the schedule is built.
+    ("retry", "--max-attempts", "10001", "--alphas", "1", "--runs", "1"),
+    ("deploy", "--n", "0"),
     ("deploy", "--n", "1"),
     ("deploy", "--budget", "0"),
     ("adamw-skew", "--horizon", "1"),
@@ -279,6 +282,8 @@ def test_config_booleans_toggle_switches(tmp_path):
     # One above each size bound; refused before anything that size is built.
     ("adamw-skew", "--dim", "1000001"),
     ("adamw-skew", "--horizon", "10001"),
+    ("straddle", "--n", "0"),
+    ("straddle", "--n", "1"),
     ("straddle", "--grid", "0"),
     ("straddle", "--t-max", "0"),
     ("straddle", "--t-max", "1", "--grid", "3"),
@@ -311,10 +316,17 @@ def test_straddle_grid_may_fill_every_boundary_below_t_max():
     assert json.loads(out)["grid"] == 12 and json.loads(out)["mixed"] == 12
 
 
-def test_straddle_rejects_single_component():
-    with pytest.raises(SystemExit) as exc:
-        main(["straddle", "--n", "1"])
-    assert exc.value.code == 2
+def test_straddle_rejects_single_component(capsys):
+    code, out = run_cli("straddle", "--n", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "epochsim: error: --n must be at least 2\n"
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_deploy_small_n_names_the_flag(n, capsys):
+    code, _ = run_cli("deploy", "--n", n, "--budget", "3")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "epochsim: error: --n must be at least 2\n"
 
 
 def test_no_crash_straddle_uses_witness_exit_code():

@@ -4,8 +4,9 @@ One case outside the README, adamw-skew-noisy, runs the divergence series
 at dim 64 with batch noise, so that every element of the task arrays and
 the noise stream reaches the output. The FLAGS cases cover options the
 README examples leave at their defaults: the straddle negative control,
-a single lattice cell, the aborting fence policy, and a wider cluster at
-a non-default seed.
+a single lattice cell, the aborting fence policy, a wider cluster at a
+non-default seed, and a retry sweep that reaches the failure-probability
+cap (at alpha 4) and exhausts its attempt budget.
 
 Each case runs one CLI invocation in process and compares its stdout byte
 for byte with a file under tests/golden/. A mismatch fails with a unified
@@ -46,6 +47,8 @@ FLAGS = {
     "deploy-fence-abort": ["deploy", "--budget", "300", "--fence-abort"],
     "bilateral-vs-naive-n8": ["bilateral-vs-naive", "--n", "8", "--runs", "200",
                               "--seed", "7"],
+    "retry-cap": ["retry", "--runs", "300", "--p0", "0.3", "--alphas", "1,2,4",
+                  "--max-attempts", "6"],
 }
 
 CASES = [(f"{name}.{fmt}", argv + ["--format", fmt])

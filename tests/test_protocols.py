@@ -34,6 +34,7 @@ from epochsim.protocols import (
 from oracles import (
     expected_attempts_truncated,
     geometric_mean_attempts,
+    retry_loop,
     success_prob_truncated,
 )
 
@@ -285,6 +286,36 @@ def test_retry_divergent_schedule_exhausts_budget():
     assert stats.attempts == 7
     # load sums alpha^(k-1): 1+2+4+...+64
     assert stats.total_load == pytest.approx(127.0)
+
+
+@pytest.mark.parametrize("p0,alpha,max_attempts,n", [
+    (0.1, 1.0, 40, 10),    # alpha = 1: a flat schedule
+    (0.1, 1.25, 40, 10),   # the CLI default's middle sweep
+    (0.05, 1.1, 40, 5),    # alpha not a short binary fraction: loads round
+    (0.3, 4.0, 6, 10),     # the cap is reached at attempt 2
+    (1.0, 2.0, 7, 1),      # every run exhausts the budget
+    (0.0, 3.0, 5, 4),      # never fails
+    (0.5, 1.5, 1, 3),      # a budget of one attempt
+])
+def test_retry_loop_matches_the_per_attempt_oracle(p0, alpha, max_attempts, n):
+    model = RetryModel(base_failure_prob=p0, amplification=alpha,
+                       max_attempts=max_attempts)
+    ours, reference = random.Random(7), random.Random(7)
+    attempt = bernoulli_attempt(n)
+    for _ in range(300):
+        stats = run_retry_loop(model, attempt, ours)
+        want = retry_loop(p0, alpha, max_attempts, n, reference)
+        assert (stats.attempts, stats.succeeded, stats.total_load) == want
+        assert ours.getstate() == reference.getstate()
+
+
+def test_retry_schedule_matches_failure_prob_and_load():
+    model = RetryModel(base_failure_prob=0.3, amplification=4.0, max_attempts=6)
+    load = 0.0
+    for k, (k_s, p, load_s) in enumerate(model.schedule, start=1):
+        load += 4.0 ** (k - 1)
+        assert (k_s, p, load_s) == (k, model.failure_prob(k), load)
+    assert len(model.schedule) == 6
 
 
 def test_retry_load_grows_with_alpha():
