@@ -23,6 +23,7 @@ collective.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -46,8 +47,35 @@ _EPILOG = (
 )
 
 
-def _json_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+def _cell(value: Any, spec: str) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return format(value, spec)
+
+
+def _emit(out: TextIO, fmt: str, summary: dict[str, Any],
+          columns: Sequence[tuple[str, str]],
+          rows: Sequence[dict[str, Any]] | None = None, key: str | None = None) -> None:
+    """Write a subcommand's result as CSV or JSON.
+
+    JSON is `summary`, plus `rows` under `key` when a key is given. CSV is
+    a header of the column names, then one line per row, a row's fields
+    read over the summary's; without rows the summary is the one line.
+    Each cell is format(value, spec), except that None gives an empty cell
+    and a bool gives true/false.
+    """
+    if fmt == "json":
+        obj = {**summary, key: rows} if key else summary
+        print(json.dumps(obj, sort_keys=True, separators=(", ", ": "),
+                         allow_nan=False), file=out)
+        return
+    lines = [",".join(name for name, _ in columns)]
+    for row in rows if rows is not None else [{}]:
+        fields = {**summary, **row}
+        lines.append(",".join(_cell(fields[name], spec) for name, spec in columns))
+    print("\n".join(lines), file=out)
 
 
 def _config_flags(path: str) -> list[str]:
@@ -72,9 +100,21 @@ def _config_flags(path: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+# Size bounds, checked before any sampling. A Monte Carlo row holds --trials
+# int64 counts (a run at the largest --trials peaks near 120 MB RSS), and
+# numpy's binomial sampler takes --n as a C long, which is 32 bits on some
+# platforms.
+LATTICE_MAX_TRIALS = 10_000_000
+LATTICE_MAX_N = 1_000_000_000
+
+
 def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
     if args.trials < 0:
         raise ValueError("--trials must not be negative")
+    if args.trials > LATTICE_MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {LATTICE_MAX_TRIALS}")
+    if args.n is not None and args.n > LATTICE_MAX_N:
+        raise ValueError(f"--n must be at most {LATTICE_MAX_N}")
     if args.q is not None or args.n is not None:
         if args.q is None or args.n is None:
             raise ValueError("--q and --n must be given together")
@@ -90,10 +130,15 @@ def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
                   trials=args.trials,
                   seed=protocols.derive_seed(args.seed, i))
               for i, row in enumerate(rows)]
-    if args.format == "json":
-        print(_json_dumps(lattice.render_table_json(rows, mc, seed=args.seed)), file=out)
-    elif args.format == "csv":
-        print(lattice.render_table_csv(rows, mc), file=out)
+    if args.format != "text":
+        table = [{**dataclasses.asdict(row), "matches": row.matches_reference} for row in rows]
+        columns = [("q", "g"), ("n", "d"), ("pr_atomic", ".12g"),
+                   ("reference_3dp", ".3f"), ("matches", "")]
+        if mc:
+            for entry, res in zip(table, mc):
+                entry.update(mc_pr_atomic=res.pr_atomic, mc_stderr_atomic=res.stderr_atomic)
+            columns += [("mc_pr_atomic", ".12g"), ("mc_stderr_atomic", ".6g")]
+        _emit(out, args.format, {"seed": args.seed}, columns, table, key="rows")
     else:
         print(f"seed: {args.seed}", file=out)
         print(lattice.render_table_text(rows, mc), file=out)
@@ -133,11 +178,8 @@ def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
         "seed": args.seed, "n": args.n, "grid": len(grid),
         "mixed": witnesses, "label": label,
     }
-    if args.format == "json":
-        print(_json_dumps(payload), file=out)
-    elif args.format == "csv":
-        print("seed,n,grid,mixed,label", file=out)
-        print(f"{args.seed},{args.n},{len(grid)},{witnesses},{label}", file=out)
+    if args.format != "text":
+        _emit(out, args.format, payload, [(name, "") for name in payload])
     else:
         print(f"seed: {args.seed}", file=out)
         print(f"{label}: {witnesses}/{len(grid)} mixed (n={args.n})", file=out)
@@ -158,14 +200,9 @@ def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
         n=args.n, runs=args.runs, seed=args.seed, crash_prob=args.crash_prob,
         boundary_time=args.t_c, ack_timeout=args.ack_timeout)
     obj = report.to_json_obj()
-    if args.format == "json":
-        print(_json_dumps(obj), file=out)
-    elif args.format == "csv":
-        print("protocol,top,bottom_all,mixed,no_decision,disagreements", file=out)
-        for proto in ("naive", "bilateral"):
-            t = obj[proto]
-            print(f"{proto},{t['top']},{t['bottom_all']},{t['mixed']},"
-                  f"{t['no_decision']},{t['disagreements']}", file=out)
+    if args.format != "text":
+        tallies = [{"protocol": proto, **obj[proto]} for proto in ("naive", "bilateral")]
+        _emit(out, args.format, obj, [(name, "") for name in tallies[0]], tallies)
     else:
         print(f"seed: {args.seed}  runs: {args.runs}  n: {args.n}", file=out)
         for proto in ("naive", "bilateral"):
@@ -224,14 +261,11 @@ def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
         "skew_epoch": args.skew_epoch, "horizon": args.horizon,
         "final_distance": series.rows[-1].distance,
     }
-    if args.format == "json":
-        obj = dict(summary)
-        obj["series"] = [{"step": r.step, "distance": r.distance,
-                          "ref_loss": r.ref_loss, "mixed_loss": r.mixed_loss}
-                         for r in series.rows]
-        print(_json_dumps(obj), file=out)
-    elif args.format == "csv":
-        print(series.to_csv(), file=out)
+    if args.format != "text":
+        _emit(out, args.format, summary,
+              [("step", "d"), ("distance", ".17g"), ("ref_loss", ".17g"),
+               ("mixed_loss", ".17g")],
+              [dataclasses.asdict(r) for r in series.rows], key="series")
     else:
         print(f"seed: {args.seed}", file=out)
         print(f"one-step moment shift per unit gradient at beta1={args.beta1}: "
@@ -254,20 +288,17 @@ def cmd_retry(args: argparse.Namespace, out: TextIO) -> int:
         p0=args.p0, n=args.n, alphas=alphas, runs=args.runs, seed=args.seed,
         max_attempts=args.max_attempts)
     baseline = protocols.geometric_baseline(args.p0, args.n)
-    if args.format == "json":
-        obj = {
-            "seed": args.seed, "p0": args.p0, "n": args.n,
-            "geometric_baseline": baseline,
-            "sweep": [{"alpha": s.alpha, "mean_attempts": s.mean_attempts,
-                       "success_rate": s.success_rate, "mean_load": s.mean_load}
-                      for s in summaries],
-        }
-        print(_json_dumps(obj), file=out)
-    elif args.format == "csv":
-        print("alpha,mean_attempts,success_rate,mean_load,geometric_baseline", file=out)
-        for s in summaries:
-            print(f"{s.alpha:g},{s.mean_attempts:.6f},{s.success_rate:.6f},"
-                  f"{s.mean_load:.6f},{baseline:.6f}", file=out)
+    if args.format != "text":
+        # An infinite baseline (say --p0 1) has no JSON number: null, empty in CSV.
+        summary = {"seed": args.seed, "p0": args.p0, "n": args.n,
+                   "geometric_baseline": baseline if math.isfinite(baseline) else None}
+        sweep = [{"alpha": s.alpha, "mean_attempts": s.mean_attempts,
+                  "success_rate": s.success_rate, "mean_load": s.mean_load}
+                 for s in summaries]
+        _emit(out, args.format, summary,
+              [("alpha", "g"), ("mean_attempts", ".6f"), ("success_rate", ".6f"),
+               ("mean_load", ".6f"), ("geometric_baseline", ".6f")],
+              sweep, key="sweep")
     else:
         print(f"seed: {args.seed}  p0: {args.p0}  n: {args.n}  "
               f"geometric baseline: {baseline:.4f}", file=out)
@@ -303,12 +334,8 @@ def cmd_deploy(args: argparse.Namespace, out: TextIO) -> int:
         "naive_tries": search.tried,
         "consensus_mixed": consensus_mixed,
     }
-    if args.format == "json":
-        print(_json_dumps(payload), file=out)
-    elif args.format == "csv":
-        print("seed,n,budget,naive_witness_found,naive_tries,consensus_mixed", file=out)
-        print(f"{args.seed},{args.n},{args.budget},"
-              f"{str(search.found).lower()},{search.tried},{consensus_mixed}", file=out)
+    if args.format != "text":
+        _emit(out, args.format, payload, [(name, "") for name in payload])
     else:
         print(f"seed: {args.seed}  n: {args.n}  budget: {args.budget}", file=out)
         print(f"naive deploy: mixed collective witness "

@@ -334,33 +334,3 @@ def render_table_text(rows: Sequence[ReliabilityRow],
             line += f" {mc[i].pr_atomic:>10.6f} {mc[i].stderr_atomic:>10.6f}"
         lines.append(line)
     return "\n".join(lines)
-
-
-def render_table_csv(rows: Sequence[ReliabilityRow],
-                     mc: Sequence[MonteCarloResult] | None = None) -> str:
-    lines = ["q,n,pr_atomic,reference_3dp,matches" + (",mc_pr_atomic,mc_stderr_atomic" if mc else "")]
-    for i, row in enumerate(rows):
-        ref = f"{row.reference_3dp:.3f}" if row.reference_3dp is not None else ""
-        line = f"{row.q:g},{row.n},{row.pr_atomic:.12g},{ref},{str(row.matches_reference).lower()}"
-        if mc:
-            line += f",{mc[i].pr_atomic:.12g},{mc[i].stderr_atomic:.6g}"
-        lines.append(line)
-    return "\n".join(lines)
-
-
-def render_table_json(rows: Sequence[ReliabilityRow],
-                      mc: Sequence[MonteCarloResult] | None = None,
-                      seed: int | None = None) -> dict:
-    obj: dict = {"rows": []}
-    if seed is not None:
-        obj["seed"] = seed
-    for i, row in enumerate(rows):
-        entry = {
-            "q": row.q, "n": row.n, "pr_atomic": row.pr_atomic,
-            "reference_3dp": row.reference_3dp, "matches": row.matches_reference,
-        }
-        if mc:
-            entry["mc_pr_atomic"] = mc[i].pr_atomic
-            entry["mc_stderr_atomic"] = mc[i].stderr_atomic
-        obj["rows"].append(entry)
-    return obj

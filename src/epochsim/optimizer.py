@@ -359,12 +359,6 @@ class DivergenceSeries:
     def distances(self) -> list[float]:
         return [r.distance for r in self.rows]
 
-    def to_csv(self) -> str:
-        lines = ["step,distance,ref_loss,mixed_loss"]
-        for r in self.rows:
-            lines.append(f"{r.step},{r.distance:.17g},{r.ref_loss:.17g},{r.mixed_loss:.17g}")
-        return "\n".join(lines)
-
 
 def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
                           skew_epoch: int, horizon: int, *,

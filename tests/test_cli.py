@@ -252,6 +252,11 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("lattice-table", "--q", "1.5", "--n", "3"),
     ("lattice-table", "--q", "0.5"),
     ("lattice-table", "--trials", "-1"),
+    # numpy's binomial sampler cannot take this --n as a C long.
+    ("lattice-table", "--q", "0.5", "--n", "1000000000000000000000000000000", "--trials", "1"),
+    # One above each size bound; refused before any sampling.
+    ("lattice-table", "--q", "0.5", "--n", "1000000001", "--trials", "1"),
+    ("lattice-table", "--q", "0.5", "--n", "2", "--trials", "10000001"),
     ("retry", "--alphas", "0.5"),
     ("retry", "--p0", "2"),
     ("retry", "--runs", "0"),
@@ -301,6 +306,20 @@ def test_invalid_value_is_usage_error(argv, capsys):
     assert err.startswith("epochsim: error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_retry_infinite_baseline_is_null_in_json():
+    # At --p0 1 every attempt fails, so the geometric baseline is infinite.
+    argv = ("retry", "--p0", "1", "--runs", "2", "--alphas", "1", "--max-attempts", "3")
+    code, out = run_cli(*argv, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out, parse_constant=_reject_constant)["geometric_baseline"] is None
+    assert run_cli(*argv, "--format", "csv")[1].splitlines()[1].endswith(",")
+    assert "geometric baseline: inf" in run_cli(*argv)[1]
 
 
 def test_adamw_dim_zero_names_the_flag(capsys):

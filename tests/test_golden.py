@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import difflib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,15 @@ def test_stdout_matches_golden(filename, argv):
                                     got.splitlines(keepends=True),
                                     fromfile=f"golden/{filename}", tofile="stdout")
         pytest.fail("".join(diff), pytrace=False)
+
+
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not JSON")
+
+
+JSON_CASES = [(f, argv) for f, argv in CASES if f.endswith(".json")]
+
+
+@pytest.mark.parametrize("filename,argv", JSON_CASES, ids=[f for f, _ in JSON_CASES])
+def test_json_output_is_strict_json(filename, argv):
+    json.loads(render(argv), parse_constant=_reject_constant)
