@@ -9,8 +9,8 @@ Subcommands:
   retry               retry loop sweep vs the geometric baseline
   deploy              naive vs consensus fleet deployment battery
 
-Every subcommand takes --seed and emits it in the output, and rerunning
-with an identical configuration produces byte-identical output. --config
+Every subcommand takes --seed; text and JSON carry it, CSV only for straddle
+and deploy. An identical configuration reruns to byte-identical output. --config
 names a JSON object whose keys are flag names; each entry is parsed as if
 given on the command line before the user's own flags, so flags win.
 
@@ -152,9 +152,16 @@ def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
+# --n bound of straddle, bilateral-vs-naive and deploy, checked first: each
+# builds one component per --n, and one run at the bound takes seconds.
+FLEET_MAX_N = 100_000
+
+
 def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
     if args.n < 2:
         raise ValueError("--n must be at least 2")
+    if args.n > FLEET_MAX_N:
+        raise ValueError(f"--n must be at most {FLEET_MAX_N}")
     grid = adversary.boundary_grid(args.grid, t_max=args.t_max, seed=args.seed)
     witnesses = 0
     first: adversary.MixedWitness | None = None
@@ -196,6 +203,8 @@ def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
+    if args.n > FLEET_MAX_N:
+        raise ValueError(f"--n must be at most {FLEET_MAX_N}")
     report = protocols.compare_protocols(
         n=args.n, runs=args.runs, seed=args.seed, crash_prob=args.crash_prob,
         boundary_time=args.t_c, ack_timeout=args.ack_timeout)
@@ -317,6 +326,8 @@ def cmd_retry(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_deploy(args: argparse.Namespace, out: TextIO) -> int:
     if args.n < 2:
         raise ValueError("--n must be at least 2")
+    if args.n > FLEET_MAX_N:
+        raise ValueError(f"--n must be at most {FLEET_MAX_N}")
     fence = deploy.FencePolicy.ABORT if args.fence_abort else deploy.FencePolicy.PROCEED
     search = adversary.search_schedules(
         deploy.run_case_naive,

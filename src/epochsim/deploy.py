@@ -24,8 +24,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .kernel import (Component, DelayPolicy, Event, EventKind, SimConfig,
-                     Simulation, Trace, UniformDelay)
+from .kernel import (AdversarialSchedule, Component, ConfigError, DelayPolicy, Event,
+                     EventKind, Simulation, Trace, UniformDelay)
 from .protocols import crash_schedule, derive_seed
 
 
@@ -54,6 +54,10 @@ _ABORT = FencePolicy.ABORT
 _FIRMWARE_MSG = MappingProxyType({"type": "firmware"})
 # Delay policy of every random case; frozen, so one instance serves them all.
 _CASE_DELAY = UniformDelay(1, 40)
+# The rest of a random case's fixed design.
+_CASE_CRASH_PROB = 0.1
+_CASE_HORIZON = 80
+_CASE_COLLECTIVES = 3
 # Delay policy of a deploy run given none; frozen and shared the same way.
 _DEFAULT_DELAY = UniformDelay(1, 20)
 
@@ -77,13 +81,19 @@ class CollectiveInstance:
     time: int
     participants: tuple[str, ...]
     versions: dict[str, int]      # node -> firmware at execution (live nodes)
-    correct: dict[str, bool]      # node -> was alive and unfenced
     fenced: tuple[str, ...]
-    aborted: bool
     abort_reason: str | None = None
 
+    @property
+    def correct(self) -> dict[str, bool]:  # node -> took part, not fenced
+        return {**dict.fromkeys(self.fenced, False), **dict.fromkeys(self.versions, True)}
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
+
     def correct_versions(self) -> set[int]:
-        return {v for node, v in self.versions.items() if self.correct.get(node)}
+        return set(self.versions.values())
 
     @property
     def is_mixed(self) -> bool:
@@ -168,12 +178,10 @@ class _CollectiveRunner(Component):
         readable, decision = self.register.read(sim.now) if consensus else (True, None)
         is_crashed, handler = sim.is_crashed, sim.handler
         versions: dict[str, int] = {}
-        correct: dict[str, bool] = {}
         fenced: list[str] = []
         reason = None
         for node_name in participants:
             if is_crashed(node_name):
-                correct[node_name] = False
                 fenced.append(node_name)
                 continue
             node = handler(node_name)
@@ -185,7 +193,6 @@ class _CollectiveRunner(Component):
                     break
                 node.observe(decision)
             versions[node_name] = int(node.version)
-            correct[node_name] = True
         if reason is None:
             if consensus and fenced:
                 if self.fence_policy is _ABORT or not versions:
@@ -193,8 +200,7 @@ class _CollectiveRunner(Component):
             elif not versions:
                 reason = "no live participants"
         self.instances.append(CollectiveInstance(
-            payload["cid"], event.time, participants, versions, correct,
-            tuple(fenced), reason is not None, reason))
+            payload["cid"], event.time, participants, versions, tuple(fenced), reason))
 
 
 @dataclass
@@ -232,7 +238,9 @@ def _node_names(n: int) -> tuple[str, ...]:
 
 
 def _build_sim(n: int, delay: DelayPolicy, seed: int) -> tuple[Simulation, list[FirmwareNode]]:
-    sim = Simulation(SimConfig(n_components=n, delay_policy=delay, seed=seed))
+    if n < 1:
+        raise ConfigError("cluster size must be at least one component")
+    sim = Simulation(delay, seed)
     nodes = [FirmwareNode(name) for name in _node_names(n)]
     for node in nodes:
         sim.register(node)
@@ -333,8 +341,6 @@ class DeployCase:
 
 def directed_straddle_case(n: int, *, seed: int = 0) -> DeployCase:
     """Collective timed exactly inside the firmware delivery window."""
-    from .kernel import AdversarialSchedule
-
     if n < 2:
         raise ValueError("a straddle needs at least two nodes")
     # Node n0 switches at t=11, node n1 at t=31; the collective at t=21 sees
@@ -348,18 +354,17 @@ def directed_straddle_case(n: int, *, seed: int = 0) -> DeployCase:
         crashes=(), delay=policy, seed=seed)
 
 
-def random_deploy_case(n: int, case_seed: int, *, crash_prob: float = 0.1,
-                       horizon: int = 80, n_collectives: int = 3) -> DeployCase:
+def random_deploy_case(n: int, case_seed: int) -> DeployCase:
     rng = random.Random(case_seed)
     names = _node_names(n)
-    deploy_time = rng.randint(1, horizon // 2)
+    deploy_time = rng.randint(1, _CASE_HORIZON // 2)
     collectives = []
-    for cid in range(n_collectives):
+    for cid in range(_CASE_COLLECTIVES):
         size = n if n <= 2 else rng.randint(2, n)
         members = tuple(names[i] for i in sorted(rng.sample(range(n), size)))
-        collectives.append(CollectiveSpec(cid=cid, time=rng.randint(1, horizon),
+        collectives.append(CollectiveSpec(cid=cid, time=rng.randint(1, _CASE_HORIZON),
                                           participants=members))
-    crashes = crash_schedule(names, rng, crash_prob, horizon)
+    crashes = crash_schedule(names, rng, _CASE_CRASH_PROB, _CASE_HORIZON)
     return DeployCase(n=n, deploy_time=deploy_time, collectives=tuple(collectives),
                       crashes=tuple(crashes), delay=_CASE_DELAY, seed=case_seed)
 

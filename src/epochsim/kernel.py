@@ -237,27 +237,17 @@ class Component:
         return None
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    n_components: int
-    delay_policy: DelayPolicy
-    seed: int
-    step_limit: int = DEFAULT_STEP_LIMIT
-
-    def __post_init__(self) -> None:
-        if self.n_components < 1:
-            raise ConfigError("cluster size must be at least one component")
-        if self.step_limit < 1:
-            raise ConfigError("step limit must be positive")
-
-
 class Simulation:
     """Single-threaded deterministic event loop over registered components."""
 
-    def __init__(self, config: SimConfig):
-        self.config = config
-        self.policy = config.delay_policy
-        self.rng = random.Random(config.seed)
+    def __init__(self, delay_policy: DelayPolicy, seed: int, *,
+                 step_limit: int = DEFAULT_STEP_LIMIT):
+        if step_limit < 1:
+            raise ConfigError("step limit must be positive")
+        self.policy = delay_policy
+        self.seed = seed
+        self.step_limit = step_limit
+        self.rng = random.Random(seed)
         self.now: VirtualTime = 0
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
@@ -321,7 +311,7 @@ class Simulation:
     def run_until_quiescent(self) -> Trace:
         queue, handlers, crashed = self._queue, self._handlers, self._crashed
         record = self._records.append
-        limit = self.config.step_limit
+        limit = self.step_limit
         pop = heapq.heappop
         crash, recover = _CRASH, _RECOVER
         steps = 0
@@ -358,11 +348,11 @@ class Simulation:
             state = handler.epoch_state()
             if state is not None:
                 final[name] = state
-        return Trace(seed=self.config.seed, records=tuple(self._records), final_states=final)
+        return Trace(seed=self.seed, records=tuple(self._records), final_states=final)
 
 
 def new_simulation(n: int, delay_policy: DelayPolicy, seed: int, *,
-                   epoch: int = 1, step_limit: int = DEFAULT_STEP_LIMIT) -> Simulation:
+                   epoch: int = 1) -> Simulation:
     """Fresh simulation with n persistence components c0..c{n-1}, all idle.
 
     Components start holding epoch - 1 durably; epoch is the transition
@@ -370,8 +360,9 @@ def new_simulation(n: int, delay_policy: DelayPolicy, seed: int, *,
     """
     from .persistence import PersistenceProcess
 
-    sim = Simulation(SimConfig(n_components=n, delay_policy=delay_policy,
-                               seed=seed, step_limit=step_limit))
+    if n < 1:
+        raise ConfigError("cluster size must be at least one component")
+    sim = Simulation(delay_policy, seed)
     for i in range(n):
         sim.register(PersistenceProcess(f"c{i}", epoch=epoch))
     return sim

@@ -314,13 +314,11 @@ class QuadraticTask:
         shifted = self.target + self.noise_scale * np.asarray(xi)
         return float(0.5 * np.sum(self.curvature * (w - shifted) ** 2))
 
-    def gradient(self, w, step: int) -> np.ndarray:
-        return self._gradient(w, self.noise(step))
-
-    def _gradient(self, w, xi: np.ndarray) -> np.ndarray:
+    def gradient(self, w, xi: np.ndarray) -> np.ndarray:
         """curvature * (w - (target + noise_scale * xi)) in one fresh array.
 
-        xi is only read, so one draw can serve several trajectories.
+        xi, a draw such as noise(step), is only read: one draw can serve
+        several trajectories.
         """
         out = np.multiply(xi, self.noise_scale)
         np.add(self.target, out, out=out)
@@ -330,13 +328,12 @@ class QuadraticTask:
 
 
 def run_trajectory(task: QuadraticTask, hyper: AdamWHyperparams, steps: int, *,
-                   w0=None, mode: StepMode = StepMode.STRICT) -> list[EpochTypedOptimizerState]:
+                   w0=None) -> list[EpochTypedOptimizerState]:
     """States s_0..s_steps of a consistent trajectory on the task."""
     state = initial_state(task.dim, w0=w0, rng_seed=task.seed)
     states = [state]
     for k in range(steps):
-        grad = task.gradient(state.w, k)
-        state = adamw_step(state, grad, hyper, mode)
+        state = adamw_step(state, task.gradient(state.w, task.noise(k)), hyper)
         states.append(state)
     return states
 
@@ -382,9 +379,9 @@ def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
         if k > 0:
             prev_m = ref.m
             xi = task.noise(k - 1)
-            ref = adamw_step(ref, task._gradient(ref.w, xi), hyper)
+            ref = adamw_step(ref, task.gradient(ref.w, xi), hyper)
             mixed = ref if k <= skew_epoch else adamw_step(
-                mixed, task._gradient(mixed.w, xi), hyper, StepMode.COERCE)
+                mixed, task.gradient(mixed.w, xi), hyper, StepMode.COERCE)
         if k == skew_epoch:
             mixed = EpochTypedOptimizerState.make(
                 w=ref.w, m=prev_m, v=ref.v, g=ref.g,
@@ -430,13 +427,11 @@ def validation_checkpoint(loaded_state: EpochTypedOptimizerState,
         observed_loss=observed, reference_loss=reference_loss, threshold=delta)
 
 
-def default_validation_threshold(task: QuadraticTask, w_ref, *,
-                                 batches: int = 64, seed: int = 1234) -> float:
-    """Three empirical standard deviations of batch-noise loss at w_ref."""
-    if batches < 2:
-        raise ValueError("need at least two batches to estimate noise")
-    rng = np.random.default_rng(seed)
+def default_validation_threshold(task: QuadraticTask, w_ref) -> float:
+    """Three empirical standard deviations of batch-noise loss at w_ref,
+    over 64 batches drawn from seed 1234."""
+    rng = np.random.default_rng(1234)
     losses = [task.batch_loss(w_ref, rng.standard_normal(task.dim))
-              for _ in range(batches)]
+              for _ in range(64)]
     spread = float(np.std(losses))
     return max(3.0 * spread, 1e-12)

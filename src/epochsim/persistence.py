@@ -112,8 +112,8 @@ class PersistenceProcess(Component):
     """One component's durable state plus the staged-write machinery.
 
     Protocol wiring is optional: ack_to names a coordinator to notify when
-    a tentative persist completes, and decision_record is a durable
-    directive log the component re-reads on recovery.
+    a tentative persist completes, and decision_record is that
+    coordinator's durable directive log, re-read on recovery.
     """
 
     def __init__(self, name: str, epoch: int):
@@ -238,11 +238,11 @@ class PersistenceProcess(Component):
 
     def on_recover(self, sim: Simulation, event: Event) -> None:
         # Re-read the durable directive log; a decision made while this
-        # component was down is re-delivered as a message.
+        # component was down is re-delivered by the coordinator.
         record = self.decision_record
         if record is not None and record.decision is not None and not self.resolved:
             kind, epoch = record.decision
-            sim.send(record.writer, self.name, {"type": kind, "epoch": epoch})
+            sim.send(self.ack_to, self.name, {"type": kind, "epoch": epoch})
 
     # -- observation ------------------------------------------------------------
 

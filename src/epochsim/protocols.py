@@ -32,8 +32,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .kernel import (Component, DelayPolicy, Event, EventKind, Simulation,
-                     Trace, UniformDelay, new_simulation)
+from .kernel import (Component, Event, EventKind, Simulation, Trace,
+                     UniformDelay, new_simulation)
 from .lattice import AtomicityClass, EpochSymbol, EpochVector
 from .persistence import PersistenceProcess, ack_digest
 
@@ -91,7 +91,6 @@ class ProtocolOutcome:
 class DecisionRecord:
     """Write-once durable decision log, readable after any crash."""
 
-    writer: str = "coord"
     decision: tuple[str, int] | None = None
     time: int | None = None
 
@@ -247,7 +246,7 @@ def run_bilateral(sim: Simulation, config: BilateralConfig,
     parts = _participants(sim)
     if not parts:
         raise ValueError("simulation has no persistence components")
-    record = DecisionRecord(writer="coord")
+    record = DecisionRecord()
     for p in parts:
         p.ack_to = "coord"
         p.decision_record = record
@@ -292,6 +291,12 @@ def derive_seed(master: int, index: int) -> int:
     x &= (1 << 64) - 1
     x ^= x >> 31
     return x
+
+
+# The battery's fixed design: each component crashes at most once, at a tick
+# in 1..CRASH_WINDOW, and every delay is drawn from one frozen U(1, 3) policy.
+CRASH_WINDOW = 28
+BATTERY_DELAY = UniformDelay(1, 3)
 
 
 def crash_schedule(names: Sequence[str], rng: random.Random,
@@ -356,8 +361,6 @@ class ComparisonReport:
 
 def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
                       boundary_time: int = 10, ack_timeout: int = 30,
-                      crash_window: int = 28,
-                      delay: DelayPolicy | None = None,
                       workers: int = 1) -> ComparisonReport:
     """Run naive and bilateral side by side under identical crash injection.
 
@@ -370,7 +373,6 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
         raise ValueError("runs must be at least 1")
     if not 0.0 <= crash_prob <= 1.0:
         raise ValueError("crash probability must lie in [0, 1]")
-    policy = delay or UniformDelay(1, 3)
     names = [f"c{i}" for i in range(n)]
     bilateral_config = BilateralConfig(epoch=1, ack_timeout=ack_timeout)
     naive_config = NaiveCheckpointConfig(epoch=1, boundary_time=boundary_time)
@@ -381,9 +383,9 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
     for i in range(runs):
         run_seed = derive_seed(seed, i)
         rng = random.Random(run_seed)
-        crashes = crash_schedule(names, rng, crash_prob, crash_window)
+        crashes = crash_schedule(names, rng, crash_prob, CRASH_WINDOW)
 
-        sim_b = new_simulation(n, policy, run_seed)
+        sim_b = new_simulation(n, BATTERY_DELAY, run_seed)
         out_b = run_bilateral(sim_b, bilateral_config, crashes=crashes)
         bilat_t.add(out_b)
         # Only a component in the crash schedule, which names each at most
@@ -394,7 +396,7 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
                 if rec.acked:
                     coverage["post_ack"] = coverage.get("post_ack", 0) + 1
 
-        sim_n = new_simulation(n, policy, run_seed)
+        sim_n = new_simulation(n, BATTERY_DELAY, run_seed)
         out_n = run_naive(sim_n, naive_config, crashes=crashes)
         naive_t.add(out_n)
         if sample is None and out_n.vector_class is AtomicityClass.MIXED:
@@ -490,18 +492,15 @@ def bernoulli_attempt(n: int) -> AttemptFn:
     return attempt
 
 
-def simulated_bilateral_attempt(n: int, *, ack_timeout: int = 30,
-                                crash_window: int = 28,
-                                delay: DelayPolicy | None = None) -> AttemptFn:
+def simulated_bilateral_attempt(n: int) -> AttemptFn:
     """Attempt = one full bilateral run with per-component crash injection."""
-    policy = delay or UniformDelay(1, 3)
     names = [f"c{i}" for i in range(n)]
-    config = BilateralConfig(epoch=1, ack_timeout=ack_timeout)
+    config = BilateralConfig(epoch=1)
 
     def attempt(k: int, p: float, rng: random.Random) -> bool:
         run_seed = rng.getrandbits(48)
-        crashes = crash_schedule(names, rng, p, crash_window)
-        sim = new_simulation(n, policy, run_seed)
+        crashes = crash_schedule(names, rng, p, CRASH_WINDOW)
+        sim = new_simulation(n, BATTERY_DELAY, run_seed)
         out = run_bilateral(sim, config, crashes=crashes)
         return out.decision is Decision.COMMITTED
     return attempt

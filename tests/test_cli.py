@@ -270,6 +270,10 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("retry", "--max-attempts", "10001", "--alphas", "1", "--runs", "1"),
     ("deploy", "--n", "0"),
     ("deploy", "--n", "1"),
+    # One above the fleet bound; refused before any node is built.
+    ("deploy", "--n", "100001", "--budget", "1"),
+    ("bilateral-vs-naive", "--n", "100001", "--runs", "1"),
+    ("straddle", "--n", "100001", "--grid", "1"),
     ("deploy", "--budget", "0"),
     ("adamw-skew", "--horizon", "1"),
     ("adamw-skew", "--dim", "0"),

@@ -21,7 +21,8 @@ from epochsim.deploy import (
     run_consensus_deploy,
     run_naive_deploy,
 )
-from epochsim.kernel import AdversarialSchedule, FixedDelay, SimConfig, Simulation, UniformDelay
+from epochsim.kernel import (AdversarialSchedule, ConfigError, FixedDelay, Simulation,
+                             UniformDelay)
 from epochsim.protocols import derive_seed
 
 
@@ -224,11 +225,20 @@ def test_single_node_fleet_never_mixes():
         assert len(inst.correct_versions()) == 1
 
 
+@pytest.mark.parametrize("run", [
+    lambda: run_naive_deploy(0, 5, []),
+    lambda: run_consensus_deploy(0, [], propose_time=5),
+], ids=["naive", "consensus"])
+def test_deploy_refuses_an_empty_fleet(run):
+    with pytest.raises(ConfigError, match="^cluster size must be at least one component$"):
+        run()
+
+
 def test_register_outage_fences_crashed_nodes_then_aborts_at_first_live_one():
     # n0 is down and the register is unavailable when the collective runs:
     # n0 is fenced, n1 cannot observe and aborts the collective, and n2 is
     # never asked, so it has observed nothing either.
-    sim = Simulation(SimConfig(n_components=3, delay_policy=FixedDelay(100), seed=0))
+    sim = Simulation(FixedDelay(100), seed=0)
     nodes = [FirmwareNode(f"n{i}") for i in range(3)]
     for node in nodes:
         sim.register(node)

@@ -13,7 +13,6 @@ from epochsim.kernel import (
     EventKind,
     FixedDelay,
     SchedulePastError,
-    SimConfig,
     Simulation,
     StepLimitExceeded,
     Trace,
@@ -35,9 +34,8 @@ class Recorder(Component):
         self.seen.append((event.time, event.seq, event.payload.get("tag", "")))
 
 
-def _sim(n: int = 1, seed: int = 0, **kw) -> tuple[Simulation, list[Recorder]]:
-    sim = Simulation(SimConfig(n_components=n, delay_policy=FixedDelay(1),
-                               seed=seed, **kw))
+def _sim(n: int = 1, seed: int = 0) -> tuple[Simulation, list[Recorder]]:
+    sim = Simulation(FixedDelay(1), seed)
     recs = [Recorder(f"r{i}") for i in range(n)]
     for r in recs:
         sim.register(r)
@@ -122,12 +120,21 @@ def test_step_limit_enforced():
         def on_event(self, sim: Simulation, event) -> None:
             sim.schedule(event.time + 1, self.name, EventKind.LOCAL_STEP, {})
 
-    sim = Simulation(SimConfig(n_components=1, delay_policy=FixedDelay(1),
-                               seed=0, step_limit=50))
+    sim = Simulation(FixedDelay(1), 0, step_limit=50)
     sim.register(Pinger("p"))
     sim.schedule(1, "p", EventKind.LOCAL_STEP, {})
     with pytest.raises(StepLimitExceeded):
         sim.run_until_quiescent()
+
+
+def test_step_limit_must_be_positive():
+    with pytest.raises(ConfigError, match="^step limit must be positive$"):
+        Simulation(FixedDelay(1), 0, step_limit=0)
+
+
+def test_new_simulation_refuses_an_empty_cluster():
+    with pytest.raises(ConfigError, match="^cluster size must be at least one component$"):
+        new_simulation(0, FixedDelay(1), seed=0)
 
 
 def test_events_to_crashed_target_dropped_and_recorded():
@@ -168,7 +175,7 @@ def test_adversarial_schedule_overrides_specific_edges():
     policy = AdversarialSchedule(
         message_delays={("r1", "checkpoint"): 17},
         default_message_delay=2)
-    sim = Simulation(SimConfig(n_components=2, delay_policy=policy, seed=0))
+    sim = Simulation(policy, seed=0)
     recs = [Recorder("r0"), Recorder("r1")]
     for r in recs:
         sim.register(r)

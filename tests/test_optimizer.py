@@ -98,7 +98,7 @@ def test_step_and_gradient_neither_write_nor_share_their_inputs(noise_draws, mod
     inputs = [state.w, state.m, state.v, state.g, task.curvature, task.target]
     before = [a.copy() for a in inputs]
     noise_draws.clear()
-    grad = task.gradient(state.w, 3)
+    grad = task.gradient(state.w, task.noise(3))
     [(_, xi)] = noise_draws
     grad_before = grad.copy()
     stepped = adamw_step(state, grad, hyper, mode)
@@ -244,7 +244,7 @@ def test_skew_check_rejects_nonskew_pairs():
 def test_task_gradient_matches_finite_difference():
     task = QuadraticTask.of([2.0, 0.5], [1.0, -1.0], noise_scale=0.0)
     w = np.array([0.3, 0.7])
-    g = task.gradient(w, step=0)
+    g = task.gradient(w, task.noise(0))
     h = 1e-6
     for i in range(2):
         bump = w.copy()
@@ -312,7 +312,7 @@ def test_divergence_first_step_closed_form():
                                    w0=[1.0, 1.0])
     ref = run_trajectory(task, hyper, k, w0=[1.0, 1.0])
     s_k, s_prev = ref[k], ref[k - 1]
-    g = task.gradient(s_k.w, k)
+    g = task.gradient(s_k.w, task.noise(k))
     t = s_k.tags.w + 1
     m_ref = hyper.beta1 * s_k.m + (1 - hyper.beta1) * g
     m_lag = hyper.beta1 * s_prev.m + (1 - hyper.beta1) * g
@@ -334,7 +334,7 @@ def _two_run_divergence(task, hyper, skew_epoch, horizon, w0):
         tags=replace(base.tags, m=base.tags.m - 1))
     mixed = ref[:skew_epoch] + [state]
     for k in range(skew_epoch, horizon):
-        state = adamw_step(state, task.gradient(state.w, k), hyper, StepMode.COERCE)
+        state = adamw_step(state, task.gradient(state.w, task.noise(k)), hyper, StepMode.COERCE)
         mixed.append(state)
     return [DivergenceRow(step=k, distance=float(np.linalg.norm(r.w - x.w)),
                           ref_loss=task.loss(r.w), mixed_loss=task.loss(x.w))

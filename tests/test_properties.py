@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epochsim.deploy import CollectiveSpec, FencePolicy, run_consensus_deploy
-from epochsim.kernel import SimConfig, Simulation, UniformDelay
+from epochsim.kernel import DelayPolicy, Simulation, UniformDelay
 from epochsim.lattice import AtomicityClass, EpochSymbol
 from epochsim.persistence import PersistenceProcess
 from epochsim.protocols import (BilateralConfig, Decision, NaiveCheckpointConfig, conv_holds,
@@ -52,8 +52,8 @@ class WatchedProcess(PersistenceProcess):
 class WatchedSimulation(Simulation):
     """Records any message a resolved component sends."""
 
-    def __init__(self, config: SimConfig, violations: list[str]) -> None:
-        super().__init__(config)
+    def __init__(self, delay_policy: DelayPolicy, seed: int, violations: list[str]) -> None:
+        super().__init__(delay_policy, seed)
         self.violations = violations
 
     def send(self, src, dst, msg):
@@ -79,8 +79,7 @@ def bilateral_runs(draw):
 
 def _run(case):
     violations: list[str] = []
-    sim = WatchedSimulation(SimConfig(n_components=case["n"], delay_policy=case["delay"],
-                                      seed=case["seed"]), violations)
+    sim = WatchedSimulation(case["delay"], case["seed"], violations)
     for i in range(case["n"]):
         sim.register(WatchedProcess(f"c{i}", violations))
     out = run_bilateral(sim, BilateralConfig(epoch=EPOCH, ack_timeout=case["ack_timeout"]),
@@ -108,8 +107,7 @@ def test_decided_run_converges_to_its_decision(case):
 
 
 def _run_naive(case):
-    sim = Simulation(SimConfig(n_components=case["n"], delay_policy=case["delay"],
-                               seed=case["seed"]))
+    sim = Simulation(case["delay"], case["seed"])
     for i in range(case["n"]):
         sim.register(PersistenceProcess(f"c{i}", epoch=EPOCH))
     return run_naive(sim, NaiveCheckpointConfig(epoch=EPOCH), crashes=case["crashes"])
