@@ -202,9 +202,17 @@ def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
+# --runs bound of bilateral-vs-naive and retry, checked before any run.
+# Memory does not grow with --runs; at the default sizes a run at the bound
+# takes between ten minutes (retry) and half an hour (bilateral-vs-naive).
+BATTERY_MAX_RUNS = 10_000_000
+
+
 def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
     if args.n > FLEET_MAX_N:
         raise ValueError(f"--n must be at most {FLEET_MAX_N}")
+    if args.runs > BATTERY_MAX_RUNS:
+        raise ValueError(f"--runs must be at most {BATTERY_MAX_RUNS}")
     report = protocols.compare_protocols(
         n=args.n, runs=args.runs, seed=args.seed, crash_prob=args.crash_prob,
         boundary_time=args.t_c, ack_timeout=args.ack_timeout)
@@ -292,6 +300,8 @@ def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_retry(args: argparse.Namespace, out: TextIO) -> int:
+    if args.runs > BATTERY_MAX_RUNS:
+        raise ValueError(f"--runs must be at most {BATTERY_MAX_RUNS}")
     alphas = [float(a) for a in args.alphas.split(",") if a]
     summaries = protocols.retry_sweep(
         p0=args.p0, n=args.n, alphas=alphas, runs=args.runs, seed=args.seed,
@@ -323,11 +333,19 @@ def cmd_retry(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
+# --budget bound of deploy, checked before any schedule is built. Memory
+# does not grow with --budget; at the default --n a run at the bound takes
+# about twenty minutes.
+DEPLOY_MAX_BUDGET = 10_000_000
+
+
 def cmd_deploy(args: argparse.Namespace, out: TextIO) -> int:
     if args.n < 2:
         raise ValueError("--n must be at least 2")
     if args.n > FLEET_MAX_N:
         raise ValueError(f"--n must be at most {FLEET_MAX_N}")
+    if args.budget > DEPLOY_MAX_BUDGET:
+        raise ValueError(f"--budget must be at most {DEPLOY_MAX_BUDGET}")
     fence = deploy.FencePolicy.ABORT if args.fence_abort else deploy.FencePolicy.PROCEED
     search = adversary.search_schedules(
         deploy.run_case_naive,

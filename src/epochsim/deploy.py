@@ -58,8 +58,6 @@ _CASE_DELAY = UniformDelay(1, 40)
 _CASE_CRASH_PROB = 0.1
 _CASE_HORIZON = 80
 _CASE_COLLECTIVES = 3
-# Delay policy of a deploy run given none; frozen and shared the same way.
-_DEFAULT_DELAY = UniformDelay(1, 20)
 
 
 @dataclass(frozen=True)
@@ -240,11 +238,8 @@ def _node_names(n: int) -> tuple[str, ...]:
 def _build_sim(n: int, delay: DelayPolicy, seed: int) -> tuple[Simulation, list[FirmwareNode]]:
     if n < 1:
         raise ConfigError("cluster size must be at least one component")
-    sim = Simulation(delay, seed)
     nodes = [FirmwareNode(name) for name in _node_names(n)]
-    for node in nodes:
-        sim.register(node)
-    return sim, nodes
+    return Simulation(delay, seed, components=nodes), nodes
 
 
 def _schedule_collectives(sim: Simulation, runner: _CollectiveRunner,
@@ -257,23 +252,22 @@ def _schedule_collectives(sim: Simulation, runner: _CollectiveRunner,
 
 
 def run_naive_deploy(n: int, deploy_time: int, collectives: Sequence[CollectiveSpec],
-                     *, delay: DelayPolicy | None = None, seed: int = 0,
+                     *, delay: DelayPolicy, seed: int = 0,
                      crashes: Iterable[tuple[str, int]] = ()) -> DeployReport:
     """Broadcast the new firmware; nodes switch whenever delivery lands."""
     if deploy_time < 0:
         raise ValueError("deploy time must be non-negative")
-    policy = delay or _DEFAULT_DELAY
-    sim, nodes = _build_sim(n, policy, seed)
+    sim, nodes = _build_sim(n, delay, seed)
     runner = _CollectiveRunner(None, _PROCEED)
     _schedule_collectives(sim, runner, collectives)
     for component, time in crashes:
         sim.inject_crash(component, time)
-    schedule, message_delay, rng = sim.schedule, policy.message_delay, sim.rng
+    schedule, message_delay = sim.schedule, sim.message_delay
     for node in nodes:
         # The broadcast leaves the deployer at deploy_time; per-node delivery
         # delay comes from the policy.
         name = node.name
-        delay_ticks = message_delay(rng, "deployer", name, _FIRMWARE_MSG)
+        delay_ticks = message_delay("deployer", name, _FIRMWARE_MSG)
         schedule(deploy_time + delay_ticks, name, _DELIVER,
                  {"type": "firmware", "version": _F1_VALUE, "src": "deployer"})
     trace = sim.run_until_quiescent()
@@ -283,7 +277,7 @@ def run_naive_deploy(n: int, deploy_time: int, collectives: Sequence[CollectiveS
 
 
 def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
-                         propose_time: int | None, delay: DelayPolicy | None = None,
+                         propose_time: int | None, delay: DelayPolicy,
                          seed: int = 0, crashes: Iterable[tuple[str, int]] = (),
                          fence_policy: FencePolicy = FencePolicy.PROCEED,
                          register_outage: tuple[int, int] | None = None) -> DeployReport:
@@ -292,8 +286,7 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
     With propose_time None no transition is ever proposed and every
     collective runs F0 uniformly.
     """
-    policy = delay or _DEFAULT_DELAY
-    sim, nodes = _build_sim(n, policy, seed)
+    sim, _ = _build_sim(n, delay, seed)
     register = DecisionRegister(outage=register_outage)
     runner = _CollectiveRunner(register, fence_policy)
     _schedule_collectives(sim, runner, collectives)

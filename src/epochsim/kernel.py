@@ -7,6 +7,16 @@ same setup code reproduces the event list bit for bit. Message delays,
 stage durations, and crash-recovery delays are drawn from a pluggable
 DelayPolicy; all delays are strictly positive ticks.
 
+Delay draws: a Simulation binds its policy's three draw callables once, at
+construction, through DelayPolicy.draws(rng), and sends, crashes and
+components call those (sim.message_delay, sim.stage_duration,
+sim.recovery_delay). A UniformDelay with hi <= 255 takes its values from
+whole blocks of Mersenne Twister words, one C-level pass per block; the
+values are exactly those successive rng.randint(lo, hi) calls would
+return, in the same order. The rng may run up to one block ahead of the
+last value used, so sim.rng's position after a run is unspecified; read
+delays only through the bound callables.
+
 Crash semantics: a CRASH event marks the target down and schedules a
 RECOVER after a policy-drawn delay. While a component is down, DELIVER,
 LOCAL_STEP, and TIMER_FIRE events addressed to it are dropped. Crashing
@@ -29,7 +39,8 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from functools import cached_property, lru_cache, partial
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 VirtualTime = int  # non-negative tick count
 
@@ -142,6 +153,17 @@ class DelayPolicy(ABC):
     @abstractmethod
     def recovery_delay(self, rng: random.Random, component: str) -> int: ...
 
+    def draws(self, rng: random.Random) -> tuple[Callable[..., int], Callable[..., int],
+                                                 Callable[..., int]]:
+        """One run's draw callables, bound to rng: message_delay(src, dst,
+        msg), stage_duration(component, stage) and recovery_delay(component).
+
+        A Simulation calls this once and then draws only through the three
+        callables, so an override may pull from rng ahead of its values.
+        """
+        return (partial(self.message_delay, rng), partial(self.stage_duration, rng),
+                partial(self.recovery_delay, rng))
+
 
 @dataclass(frozen=True)
 class FixedDelay(DelayPolicy):
@@ -159,6 +181,31 @@ class FixedDelay(DelayPolicy):
 
     def recovery_delay(self, rng, component):
         return self.ticks
+
+
+# Block draws for UniformDelay. randint(lo, hi) is lo + _randbelow(span),
+# span = hi - lo + 1, and _randbelow takes r = getrandbits(k) with
+# k = span.bit_length(), retrying while r >= span. For k <= 32, getrandbits(k)
+# is the top k bits of one 32-bit MT word, one word per try. getrandbits(32*n)
+# returns n successive words, the first least significant, so the bytes at
+# [3::4] of its little-endian form are the words' top bytes in draw order.
+# With hi <= 255, k <= 8 and every value fits a byte: one translate maps each
+# top byte to lo + (byte >> (8 - k)) and deletes the bytes whose top k bits
+# are >= span, which is the retry loop.
+_BYTE_MAX = 255
+_FIRST_BLOCK_WORDS = 16
+_MAX_BLOCK_WORDS = 2048
+
+
+def _block_values(rng: random.Random, table: bytes, delete: bytes) -> Iterator[int]:
+    """Successive randint(lo, hi) values, drawn from rng in blocks of words."""
+    getrandbits = rng.getrandbits
+    words = _FIRST_BLOCK_WORDS
+    while True:
+        yield from getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(
+            table, delete)
+        if words < _MAX_BLOCK_WORDS:
+            words *= 2
 
 
 @dataclass(frozen=True)
@@ -180,6 +227,28 @@ class UniformDelay(DelayPolicy):
 
     def recovery_delay(self, rng, component):
         return self.lo + rng._randbelow(self.hi - self.lo + 1)
+
+    @cached_property  # per policy, not per run: a run's set-up is on the deploy path
+    def _byte_tables(self) -> tuple[bytes, bytes]:
+        """translate's table and delete arguments: top byte -> randint(lo, hi)."""
+        span = self.hi - self.lo + 1
+        shift = 8 - span.bit_length()
+        table = bytes(self.lo + (b >> shift) if (b >> shift) < span else 0
+                      for b in range(256))
+        delete = bytes(b for b in range(256) if (b >> shift) >= span)
+        return table, delete
+
+    def draws(self, rng):
+        if self.hi > _BYTE_MAX:
+            return super().draws(rng)
+        table, delete = self._byte_tables
+        # The generator is lazy: a run that draws nothing pulls no words.
+        draw = _block_values(rng, table, delete).__next__
+
+        def any_draw(_a, _b=None, _c=None):  # all three signatures; arguments unused
+            return draw()
+
+        return any_draw, any_draw, any_draw
 
 
 @dataclass(frozen=True)
@@ -241,17 +310,24 @@ class Simulation:
     """Single-threaded deterministic event loop over registered components."""
 
     def __init__(self, delay_policy: DelayPolicy, seed: int, *,
-                 step_limit: int = DEFAULT_STEP_LIMIT):
+                 step_limit: int = DEFAULT_STEP_LIMIT,
+                 components: Sequence[Component] = ()):
+        """components are registered at once, in order; names must be distinct."""
         if step_limit < 1:
             raise ConfigError("step limit must be positive")
-        self.policy = delay_policy
         self.seed = seed
         self.step_limit = step_limit
         self.rng = random.Random(seed)
+        # Bound once: every delay of the run comes from these three callables.
+        self.message_delay, self.stage_duration, self.recovery_delay = (
+            delay_policy.draws(self.rng))
         self.now: VirtualTime = 0
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
-        self._handlers: dict[str, Component] = {}  # in registration order
+        # In registration order.
+        self._handlers: dict[str, Component] = {c.name: c for c in components}
+        if len(self._handlers) != len(components):
+            raise ConfigError("component names must be distinct")
         self._crashed: set[str] = set()
         self._records: list[Event] = []
 
@@ -287,12 +363,19 @@ class Simulation:
 
     def send(self, src: str, dst: str, msg: Mapping[str, Any]) -> Event:
         """Schedule a message delivery after a policy-drawn positive delay."""
-        delay = self.policy.message_delay(self.rng, src, dst, msg)
+        delay = self.message_delay(src, dst, msg)
         if delay < 1:
             raise ConfigError("message delay must be at least one tick")
+        if dst not in self._handlers:
+            raise ConfigError(f"unknown component {dst!r}")
         payload = dict(msg)
         payload["src"] = src
-        return self.schedule(self.now + delay, dst, _DELIVER, payload)
+        # schedule's steps inline: a delivery is never in the past.
+        time = self.now + delay
+        self._seq = seq = self._seq + 1
+        ev = Event(time, seq, dst, _DELIVER, payload)
+        heapq.heappush(self._queue, (time, seq, ev))
+        return ev
 
     def set_timer(self, target: str, delay: int, payload: Mapping[str, Any]) -> Event:
         if delay < 1:
@@ -312,6 +395,7 @@ class Simulation:
         queue, handlers, crashed = self._queue, self._handlers, self._crashed
         record = self._records.append
         limit = self.step_limit
+        recovery_delay = self.recovery_delay
         pop = heapq.heappop
         crash, recover = _CRASH, _RECOVER
         steps = 0
@@ -330,7 +414,7 @@ class Simulation:
                     crashed.add(target)
                     handler.on_crash(self, ev)
                     if not ev.payload.get("permanent"):
-                        delay = self.policy.recovery_delay(self.rng, target)
+                        delay = recovery_delay(target)
                         self.schedule(self.now + delay, target, recover, {})
             elif kind is recover:
                 if target in crashed:
@@ -362,7 +446,11 @@ def new_simulation(n: int, delay_policy: DelayPolicy, seed: int, *,
 
     if n < 1:
         raise ConfigError("cluster size must be at least one component")
-    sim = Simulation(delay_policy, seed)
-    for i in range(n):
-        sim.register(PersistenceProcess(f"c{i}", epoch=epoch))
-    return sim
+    return Simulation(delay_policy, seed, components=[
+        PersistenceProcess(name, epoch) for name in _component_names(n)])
+
+
+@lru_cache(maxsize=64)
+def _component_names(n: int) -> tuple[str, ...]:
+    """Names c0..c{n-1} of an n-component cluster."""
+    return tuple(f"c{i}" for i in range(n))

@@ -66,7 +66,7 @@ ACTIVE_STAGES: tuple[PersistenceStage, ...] = (
     PersistenceStage.FSYNC,
     PersistenceStage.METADATA_UPDATE,
 )
-# Their names, as passed to DelayPolicy.stage_duration.
+# Their names, as passed to the simulation's stage_duration draw.
 ACTIVE_STAGE_NAMES: tuple[str, ...] = tuple(s.name for s in ACTIVE_STAGES)
 _FLUSH, _DMA, _WRITE, _FSYNC, _METADATA = ACTIVE_STAGE_NAMES
 
@@ -162,14 +162,16 @@ class PersistenceProcess(Component):
         self.attempt += 1
         self.stage = _BUFFER_FLUSH  # in flight; on_crash finds the exact stage
         # Draw every stage duration now, in stage order, so the draw sequence
-        # is a deterministic function of the event order. Written out stage
-        # by stage: a loop here adds about 40% to the cost of the draws.
-        stage_duration, rng, name = sim.policy.stage_duration, sim.rng, self.name
-        flush = sim.now + stage_duration(rng, name, _FLUSH)
-        dma = flush + stage_duration(rng, name, _DMA)
-        write = dma + stage_duration(rng, name, _WRITE)
-        fsync = write + stage_duration(rng, name, _FSYNC)
-        end = fsync + stage_duration(rng, name, _METADATA)
+        # is a deterministic function of the event order. Each draw is one
+        # call of the simulation's bound draw (for a UniformDelay, the next
+        # block-drawn value: no Random call per draw). Written out stage by
+        # stage: with per-call draws a loop here added about 40% to their cost.
+        stage_duration, name = sim.stage_duration, self.name
+        flush = sim.now + stage_duration(name, _FLUSH)
+        dma = flush + stage_duration(name, _DMA)
+        write = dma + stage_duration(name, _WRITE)
+        fsync = write + stage_duration(name, _FSYNC)
+        end = fsync + stage_duration(name, _METADATA)
         self._stage_ends = (flush, dma, write, fsync, end)
         sim.schedule(end, self.name, _LOCAL_STEP,
                      {"action": "persist_done", "attempt": self.attempt,

@@ -274,6 +274,10 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("deploy", "--n", "100001", "--budget", "1"),
     ("bilateral-vs-naive", "--n", "100001", "--runs", "1"),
     ("straddle", "--n", "100001", "--grid", "1"),
+    # One above the --runs and --budget bounds; refused before any run.
+    ("bilateral-vs-naive", "--runs", "10000001"),
+    ("retry", "--runs", "10000001"),
+    ("deploy", "--budget", "10000001"),
     ("deploy", "--budget", "0"),
     ("adamw-skew", "--horizon", "1"),
     ("adamw-skew", "--dim", "0"),

@@ -1,4 +1,4 @@
-"""Guards on the per-event path: no enum lookups, one-call draws, shared states."""
+"""Guards on the per-event path: no enum lookups, draws equal to randint, shared states."""
 
 from __future__ import annotations
 
@@ -7,10 +7,12 @@ import random
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epochsim import deploy, kernel, lattice, persistence, protocols
 from epochsim.deploy import FencePolicy, FirmwareEpoch
-from epochsim.kernel import EventKind, UniformDelay
+from epochsim.kernel import EventKind, Simulation, UniformDelay
 from epochsim.lattice import EpochSymbol
 from epochsim.persistence import PersistenceStage
 
@@ -21,6 +23,7 @@ HOT_FUNCTIONS = [
     kernel.Simulation.set_timer,
     kernel.Simulation.inject_crash,
     kernel.Simulation.run_until_quiescent,
+    kernel._block_values,
     persistence.PersistenceProcess.__init__,
     persistence.PersistenceProcess.on_event,
     persistence.PersistenceProcess.begin_persist,
@@ -74,6 +77,38 @@ def test_uniform_draws_equal_randint(lo, hi):
         got = [draw(ours) for _ in range(35_000)]
         assert got == [reference.randint(lo, hi) for _ in range(35_000)]
         assert ours.getstate() == reference.getstate()
+
+
+def _bound_draws(lo: int, hi: int, seed: int, count: int) -> list[int]:
+    """count delays from a Simulation's bound draws, the three interleaved."""
+    sim = Simulation(UniformDelay(lo, hi), seed)
+    calls = (lambda: sim.message_delay("a", "b", {}),
+             lambda: sim.stage_duration("a", "FSYNC"),
+             lambda: sim.recovery_delay("a"))
+    return [calls[i % 3]() for i in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+@pytest.mark.parametrize("lo,hi", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 40), (200, 255),
+                                   (7, 1000)])
+def test_bound_draws_equal_randint(lo, hi, seed):
+    # Block-drawn values (hi <= 255) and the per-call fallback (7, 1000) are
+    # the values successive randint(lo, hi) calls give; 35,000 draws cross
+    # several block refills.
+    reference = random.Random(seed)
+    assert _bound_draws(lo, hi, seed, 35_000) == [reference.randint(lo, hi)
+                                                  for _ in range(35_000)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounds=st.integers(1, 255).flatmap(lambda lo: st.tuples(st.just(lo),
+                                                               st.integers(lo, 255))),
+       seed=st.integers(0, 2**64 - 1))
+def test_block_draws_equal_randint_for_every_byte_range(bounds, seed):
+    lo, hi = bounds
+    reference = random.Random(seed)
+    assert _bound_draws(lo, hi, seed, 3_000) == [reference.randint(lo, hi)
+                                                 for _ in range(3_000)]
 
 
 def test_epoch_states_are_shared_and_compare_as_before():

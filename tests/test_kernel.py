@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from epochsim import deploy
 from epochsim.kernel import (
     AdversarialSchedule,
     Component,
@@ -21,6 +22,7 @@ from epochsim.kernel import (
     new_simulation,
 )
 from epochsim.lattice import EpochSymbol
+from epochsim.persistence import PersistenceProcess
 
 
 class Recorder(Component):
@@ -73,6 +75,9 @@ def test_unknown_target_rejected():
     sim, _ = _sim()
     with pytest.raises(ConfigError):
         sim.schedule(1, "nobody", EventKind.LOCAL_STEP, {})
+    # send pushes onto the queue itself and keeps the same check.
+    with pytest.raises(ConfigError, match="^unknown component 'nobody'$"):
+        sim.send("r0", "nobody", {})
 
 
 def test_duplicate_registration_rejected():
@@ -130,6 +135,25 @@ def test_step_limit_enforced():
 def test_step_limit_must_be_positive():
     with pytest.raises(ConfigError, match="^step limit must be positive$"):
         Simulation(FixedDelay(1), 0, step_limit=0)
+
+
+def test_new_simulation_registers_its_cluster_in_order():
+    sim = new_simulation(5, FixedDelay(1), seed=0)
+    assert sim.component_names() == ["c0", "c1", "c2", "c3", "c4"]
+    assert all(sim.handler(name).name == name for name in sim.component_names())
+    with pytest.raises(ConfigError, match="^component 'c3' already registered$"):
+        sim.register(PersistenceProcess("c3", epoch=1))
+
+
+def test_deploy_fleet_is_registered_in_order():
+    sim, nodes = deploy._build_sim(3, FixedDelay(1), 0)
+    assert [node.name for node in nodes] == sim.component_names() == ["n0", "n1", "n2"]
+    assert all(sim.handler(node.name) is node for node in nodes)
+
+
+def test_components_given_at_construction_must_have_distinct_names():
+    with pytest.raises(ConfigError, match="^component names must be distinct$"):
+        Simulation(FixedDelay(1), 0, components=[Recorder("r0"), Recorder("r0")])
 
 
 def test_new_simulation_refuses_an_empty_cluster():
