@@ -7,6 +7,16 @@ same setup code reproduces the event list bit for bit. Message delays,
 stage durations, and crash-recovery delays are drawn from a pluggable
 DelayPolicy; all delays are strictly positive ticks.
 
+The queue is a list of events per pending tick, plus a heap of the
+distinct pending ticks. seq only grows, so appending keeps each list in
+seq order, and an event costs one append whatever the number pending;
+only a tick's first event pushes onto the heap. The loop pops the
+earliest tick, takes its list out and runs it in order. An event
+scheduled for the tick being run lands in a fresh list for that tick,
+which runs next, so the (time, seq) order is the same as one heap entry
+per event would give. A run that raised (StepLimitExceeded, or an error
+in a handler) may have lost the rest of its tick and cannot be resumed.
+
 Delay draws: a Simulation binds its policy's three draw callables once, at
 construction, through DelayPolicy.draws(rng), and sends, crashes and
 components call those (sim.message_delay, sim.stage_duration,
@@ -322,7 +332,10 @@ class Simulation:
         self.message_delay, self.stage_duration, self.recovery_delay = (
             delay_policy.draws(self.rng))
         self.now: VirtualTime = 0
-        self._queue: list[tuple[int, int, Event]] = []
+        # Pending events by tick, each list in seq order, and a heap of
+        # the ticks that have a list.
+        self._pending: dict[VirtualTime, list[Event]] = {}
+        self._ticks: list[VirtualTime] = []
         self._seq = 0
         # In registration order.
         self._handlers: dict[str, Component] = {c.name: c for c in components}
@@ -358,7 +371,12 @@ class Simulation:
             raise ConfigError(f"unknown component {target!r}")
         self._seq = seq = self._seq + 1
         ev = Event(time, seq, target, kind, {} if payload is None else payload)
-        heapq.heappush(self._queue, (time, seq, ev))
+        bucket = self._pending.get(time)
+        if bucket is None:
+            self._pending[time] = [ev]
+            heapq.heappush(self._ticks, time)
+        else:
+            bucket.append(ev)
         return ev
 
     def send(self, src: str, dst: str, msg: Mapping[str, Any]) -> Event:
@@ -374,7 +392,12 @@ class Simulation:
         time = self.now + delay
         self._seq = seq = self._seq + 1
         ev = Event(time, seq, dst, _DELIVER, payload)
-        heapq.heappush(self._queue, (time, seq, ev))
+        bucket = self._pending.get(time)
+        if bucket is None:
+            self._pending[time] = [ev]
+            heapq.heappush(self._ticks, time)
+        else:
+            bucket.append(ev)
         return ev
 
     def set_timer(self, target: str, delay: int, payload: Mapping[str, Any]) -> Event:
@@ -392,41 +415,43 @@ class Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run_until_quiescent(self) -> Trace:
-        queue, handlers, crashed = self._queue, self._handlers, self._crashed
+        pending, ticks = self._pending, self._ticks
+        handlers, crashed = self._handlers, self._crashed
         record = self._records.append
         limit = self.step_limit
         recovery_delay = self.recovery_delay
         pop = heapq.heappop
         crash, recover = _CRASH, _RECOVER
         steps = 0
-        while queue:
-            steps += 1
-            if steps > limit:
-                raise StepLimitExceeded(f"exceeded {limit} events; likely livelock")
-            ev = pop(queue)[2]
-            self.now = ev.time
-            target, kind = ev.target, ev.kind
-            handler = handlers[target]
-            if kind is crash:
-                if target in crashed:
-                    ev.note = "already crashed"
+        while ticks:
+            self.now = now = pop(ticks)
+            # Events scheduled for now from here on go to a fresh list.
+            for ev in pending.pop(now):
+                steps += 1
+                if steps > limit:
+                    raise StepLimitExceeded(f"exceeded {limit} events; likely livelock")
+                target, kind = ev.target, ev.kind
+                handler = handlers[target]
+                if kind is crash:
+                    if target in crashed:
+                        ev.note = "already crashed"
+                    else:
+                        crashed.add(target)
+                        handler.on_crash(self, ev)
+                        if not ev.payload.get("permanent"):
+                            delay = recovery_delay(target)
+                            self.schedule(now + delay, target, recover, {})
+                elif kind is recover:
+                    if target in crashed:
+                        crashed.discard(target)
+                        handler.on_recover(self, ev)
+                    else:
+                        ev.note = "not crashed"
+                elif target in crashed:
+                    ev.dropped = True
                 else:
-                    crashed.add(target)
-                    handler.on_crash(self, ev)
-                    if not ev.payload.get("permanent"):
-                        delay = recovery_delay(target)
-                        self.schedule(self.now + delay, target, recover, {})
-            elif kind is recover:
-                if target in crashed:
-                    crashed.discard(target)
-                    handler.on_recover(self, ev)
-                else:
-                    ev.note = "not crashed"
-            elif target in crashed:
-                ev.dropped = True
-            else:
-                handler.on_event(self, ev)
-            record(ev)
+                    handler.on_event(self, ev)
+                record(ev)
         final = {}
         for name, handler in handlers.items():
             state = handler.epoch_state()

@@ -205,6 +205,8 @@ def make_skew_pair(g_skipped, hyper: AdamWHyperparams, *, epoch: int = 1,
     if epoch < 1:
         raise ValueError("skew requires at least one completed epoch")
     g_skipped = np.asarray(g_skipped, dtype=np.float64)
+    if g_skipped.ndim != 1:
+        raise ValueError(f"skipped gradient must be 1-D, got shape {g_skipped.shape}")
     dim = g_skipped.shape[0]
     w_arr = np.zeros(dim) if w is None else np.asarray(w, dtype=np.float64)
     v = (1.0 - hyper.beta2) * g_skipped * g_skipped
@@ -265,6 +267,9 @@ class QuadraticTask:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.curvature.ndim != 1 or self.target.ndim != 1:
+            raise ValueError("curvature and target must be 1-D, got shapes "
+                             f"{self.curvature.shape} and {self.target.shape}")
         if self.curvature.shape != self.target.shape:
             raise ValueError("curvature and target must have the same dimension")
         if self.curvature.size < 1:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epochsim import deploy
 from epochsim.kernel import (
@@ -292,3 +295,100 @@ def test_processed_events_are_the_trace_records():
         assert type(kind) is str and kind == record.kind.value
         with pytest.raises(TypeError):
             hash(record)
+
+
+# -- queue order under same-tick re-entry -----------------------------------
+
+N_SPAWNERS = 3
+# LOCAL_STEP and DELIVER twice each, so most follow-ups are ordinary events.
+FOLLOW_KINDS = [EventKind.LOCAL_STEP, EventKind.LOCAL_STEP, EventKind.DELIVER,
+                EventKind.DELIVER, EventKind.TIMER_FIRE, EventKind.CRASH,
+                EventKind.RECOVER]
+# (kind, target index, delay from now, permanent crash); delay 0 re-enters
+# the tick being processed.
+follow_ups = st.tuples(st.sampled_from(FOLLOW_KINDS), st.integers(0, N_SPAWNERS - 1),
+                       st.integers(0, 4), st.booleans())
+queue_scenarios = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32),
+    # Scheduled before the run, at tick 0 + delay.
+    "initial": st.lists(follow_ups, min_size=1, max_size=8),
+    # The i-th hook call schedules plans[i]; later calls schedule nothing.
+    "plans": st.lists(st.lists(follow_ups, max_size=3), max_size=60),
+})
+
+
+class Spawner(Component):
+    """Reacts to each event it handles by scheduling the next plan's follow-ups."""
+
+    def __init__(self, name: str, run: _QueueRun) -> None:
+        super().__init__(name)
+        self.run = run
+
+    def on_event(self, sim: Simulation, event) -> None:
+        self.run.react(sim, event)
+
+    on_crash = on_recover = on_event
+
+
+class _QueueRun:
+    """One scenario's simulation, the events it scheduled and the hook calls."""
+
+    def __init__(self, scenario: dict, step_limit: int = 10_000) -> None:
+        self.plans = iter(scenario["plans"])
+        self.scheduled: list = []
+        self.handled: list[tuple[int, int]] = []
+        self.sim = Simulation(UniformDelay(1, 2), scenario["seed"], step_limit=step_limit,
+                              components=[Spawner(f"s{i}", self)
+                                          for i in range(N_SPAWNERS)])
+        for kind, target, time, permanent in scenario["initial"]:
+            self.schedule(time, kind, target, permanent)
+
+    def schedule(self, time: int, kind: EventKind, target: int, permanent: bool) -> None:
+        name = f"s{target}"
+        if kind is EventKind.CRASH:
+            ev = self.sim.inject_crash(name, time, permanent=permanent)
+        else:
+            ev = self.sim.schedule(time, name, kind, {})
+        self.scheduled.append(ev)
+
+    def react(self, sim: Simulation, event) -> None:
+        assert sim.now == event.time
+        self.handled.append((event.time, event.seq))
+        for kind, target, delay, permanent in next(self.plans, ()):
+            self.schedule(sim.now + delay, kind, target, permanent)
+
+
+def _hook_ran(record) -> bool:
+    """Whether the loop passed record to a component hook."""
+    if record.kind in (EventKind.CRASH, EventKind.RECOVER):
+        return record.note is None
+    return not record.dropped
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=queue_scenarios, cut=st.floats(0.0, 1.0))
+def test_queue_order_with_same_tick_reentry(scenario, cut):
+    run = _QueueRun(scenario)
+    records = run.sim.run_until_quiescent().records
+    keys = [(r.time, r.seq) for r in records]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    # Every scheduled event ran exactly once; the rest are the kernel's own
+    # recoveries, one per transient crash that took effect.
+    assert sorted(r.seq for r in records) == list(range(1, len(records) + 1))
+    ids = Counter(id(r) for r in records)
+    assert all(ids[id(ev)] == 1 for ev in run.scheduled)
+    recoveries = sum(1 for r in records if r.kind is EventKind.CRASH and r.note is None
+                     and not r.payload.get("permanent"))
+    assert len(records) == len(run.scheduled) + recoveries
+    assert run.handled == [(r.time, r.seq) for r in records if _hook_ran(r)]
+
+    # A limit of len(records) lets the run finish; a lower one stops it just
+    # before event limit + 1, after the same events ran in the same order.
+    assert len(_QueueRun(scenario, len(records)).sim.run_until_quiescent().records) \
+        == len(records)
+    limit = int(cut * (len(records) - 1))
+    if limit >= 1:
+        limited = _QueueRun(scenario, limit)
+        with pytest.raises(StepLimitExceeded):
+            limited.sim.run_until_quiescent()
+        assert limited.handled == [(r.time, r.seq) for r in records[:limit] if _hook_ran(r)]

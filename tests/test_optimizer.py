@@ -148,6 +148,23 @@ def test_task_rejects_empty_nonfinite_and_negative_inputs(curvature, target, noi
         QuadraticTask.of(curvature, target, noise_scale=noise)
 
 
+def test_task_rejects_scalar_inputs():
+    with pytest.raises(ValueError, match=r"^curvature and target must be 1-D, "
+                                         r"got shapes \(\) and \(\)$"):
+        QuadraticTask.of(2.0, 1.0)
+
+
+def test_task_rejects_2d_inputs():
+    with pytest.raises(ValueError, match=r"^curvature and target must be 1-D, "
+                                         r"got shapes \(2, 2\) and \(2, 2\)$"):
+        QuadraticTask.of([[1.0, 2.0], [3.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]])
+
+
+def test_skew_pair_rejects_a_scalar_gradient():
+    with pytest.raises(ValueError, match=r"^skipped gradient must be 1-D, got shape \(\)$"):
+        make_skew_pair(1.0, AdamWHyperparams())
+
+
 def test_task_rejects_negative_seed():
     # Refused with or without noise, before numpy ever sees the seed.
     for noise in (0.0, 0.1):

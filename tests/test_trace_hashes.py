@@ -4,7 +4,8 @@ Golden stdout shows tallies and witnesses, not event order; these pins make
 "the kernel fires the same events, draws the same random numbers and
 writes the same trace bytes" a test. Each run is chosen to reach a part of
 the trace format: dropped events behind a halted coordinator, an
-"already crashed" note, and a 16-node deploy case run both ways. The deploy
+"already crashed" note, a 64-component battery run whose busiest tick
+holds over twenty events, and a 16-node deploy case run both ways. The deploy
 digest pins whole reports, trace hashes included, over 200 cases, and the
 retry digest pins a sweep whose every attempt is a full bilateral run. A change
 that alters the event alphabet or the draw order on purpose updates these
@@ -17,6 +18,8 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
+from collections import Counter
 
 from epochsim.deploy import (
     FencePolicy,
@@ -27,9 +30,14 @@ from epochsim.deploy import (
 )
 from epochsim.kernel import UniformDelay, new_simulation
 from epochsim.protocols import (
+    BATTERY_DELAY,
+    CRASH_WINDOW,
     BilateralConfig,
     Decision,
     NaiveCheckpointConfig,
+    compare_protocols,
+    crash_schedule,
+    derive_seed,
     retry_sweep,
     run_bilateral,
     run_naive,
@@ -52,6 +60,39 @@ def test_naive_with_double_crash():
                     crashes=[("c0", 3), ("c0", 4), ("c2", 7)])
     assert [r.note for r in out.trace.records if r.note] == ["already crashed"]
     assert out.trace.hash64() == "c493d2f17c534c14"
+
+
+def _battery_run(n: int, seed: int, index: int):
+    """Run index of a battery: its crash schedule and both runs, as in compare_protocols."""
+    run_seed = derive_seed(seed, index)
+    names = [f"c{i}" for i in range(n)]
+    crashes = crash_schedule(names, random.Random(run_seed), 0.15, CRASH_WINDOW)
+    bilateral = run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
+                              BilateralConfig(epoch=1, ack_timeout=30), crashes=crashes)
+    naive = run_naive(new_simulation(n, BATTERY_DELAY, run_seed),
+                      NaiveCheckpointConfig(epoch=1, boundary_time=10), crashes=crashes)
+    return crashes, bilateral, naive
+
+
+def _busiest_tick(trace) -> int:
+    return max(Counter(r.time for r in trace.records).values())
+
+
+def test_battery_runs_at_n64():
+    crashes, bilateral, naive = _battery_run(64, 9091, 1)
+    assert len(crashes) == 11
+    assert bilateral.decision is Decision.ROLLED_BACK
+    assert naive.decision is Decision.COMMITTED
+    assert len(bilateral.trace.records) == 273 and len(naive.trace.records) == 151
+    assert _busiest_tick(bilateral.trace) == _busiest_tick(naive.trace) == 26
+    assert bilateral.trace.hash64() == "aeeab2033355fb82"
+    assert naive.trace.hash64() == "48d76a69ebdc422c"
+
+
+def test_battery_report_digest_at_n64():
+    obj = compare_protocols(64, 8, 9091).to_json_obj()
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert hashlib.blake2b(blob.encode(), digest_size=8).hexdigest() == "6df94bb5a212ecaf"
 
 
 def test_deploy_case_naive_and_consensus():
