@@ -17,15 +17,16 @@ which runs next, so the (time, seq) order is the same as one heap entry
 per event would give. A run that raised (StepLimitExceeded, or an error
 in a handler) may have lost the rest of its tick and cannot be resumed.
 
-Delay draws: a Simulation binds its policy's three draw callables once, at
-construction, through DelayPolicy.draws(rng), and sends, crashes and
-components call those (sim.message_delay, sim.stage_duration,
-sim.recovery_delay). A UniformDelay with hi <= 255 takes its values from
-whole blocks of Mersenne Twister words, one C-level pass per block; the
-values are exactly those successive rng.randint(lo, hi) calls would
-return, in the same order. The rng may run up to one block ahead of the
-last value used, so sim.rng's position after a run is unspecified; read
-delays only through the bound callables.
+Delay draws: a DelayPolicy has one method, draws(rng), which returns a
+run's three draw callables; a Simulation calls it once, at construction,
+and sends, crashes and components call those (sim.message_delay,
+sim.stage_duration, sim.recovery_delay). A UniformDelay with hi <= 255
+takes its values from whole blocks of Mersenne Twister words, one C-level
+pass per block, and above that makes one rng.randint(lo, hi) call per
+draw; the values are exactly those successive rng.randint(lo, hi) calls
+would return, in the same order. The rng may run up to one block ahead of
+the last value used, so sim.rng's position after a run is unspecified;
+read delays only through the bound callables.
 
 Crash semantics: a CRASH event marks the target down and schedules a
 RECOVER after a policy-drawn delay. While a component is down, DELIVER,
@@ -49,7 +50,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 VirtualTime = int  # non-negative tick count
@@ -155,24 +156,14 @@ class DelayPolicy(ABC):
     """
 
     @abstractmethod
-    def message_delay(self, rng: random.Random, src: str, dst: str, msg: Mapping[str, Any]) -> int: ...
-
-    @abstractmethod
-    def stage_duration(self, rng: random.Random, component: str, stage: str) -> int: ...
-
-    @abstractmethod
-    def recovery_delay(self, rng: random.Random, component: str) -> int: ...
-
     def draws(self, rng: random.Random) -> tuple[Callable[..., int], Callable[..., int],
                                                  Callable[..., int]]:
         """One run's draw callables, bound to rng: message_delay(src, dst,
         msg), stage_duration(component, stage) and recovery_delay(component).
 
         A Simulation calls this once and then draws only through the three
-        callables, so an override may pull from rng ahead of its values.
+        callables, so a policy may pull from rng ahead of its values.
         """
-        return (partial(self.message_delay, rng), partial(self.stage_duration, rng),
-                partial(self.recovery_delay, rng))
 
 
 @dataclass(frozen=True)
@@ -183,14 +174,13 @@ class FixedDelay(DelayPolicy):
         if self.ticks < 1:
             raise ConfigError("delay must be at least one tick")
 
-    def message_delay(self, rng, src, dst, msg):
-        return self.ticks
+    def draws(self, rng):
+        ticks = self.ticks
 
-    def stage_duration(self, rng, component, stage):
-        return self.ticks
+        def fixed(_a, _b=None, _c=None):  # all three signatures; arguments unused
+            return ticks
 
-    def recovery_delay(self, rng, component):
-        return self.ticks
+        return fixed, fixed, fixed
 
 
 # Block draws for UniformDelay. randint(lo, hi) is lo + _randbelow(span),
@@ -227,17 +217,6 @@ class UniformDelay(DelayPolicy):
         if self.lo < 1 or self.hi < self.lo:
             raise ConfigError("uniform delay bounds must satisfy 1 <= lo <= hi")
 
-    # Each draw is rng.randint(lo, hi) without its argument checks:
-    # randint(lo, hi) returns exactly lo + rng._randbelow(hi - lo + 1).
-    def message_delay(self, rng, src, dst, msg):
-        return self.lo + rng._randbelow(self.hi - self.lo + 1)
-
-    def stage_duration(self, rng, component, stage):
-        return self.lo + rng._randbelow(self.hi - self.lo + 1)
-
-    def recovery_delay(self, rng, component):
-        return self.lo + rng._randbelow(self.hi - self.lo + 1)
-
     @cached_property  # per policy, not per run: a run's set-up is on the deploy path
     def _byte_tables(self) -> tuple[bytes, bytes]:
         """translate's table and delete arguments: top byte -> randint(lo, hi)."""
@@ -250,10 +229,14 @@ class UniformDelay(DelayPolicy):
 
     def draws(self, rng):
         if self.hi > _BYTE_MAX:
-            return super().draws(rng)
-        table, delete = self._byte_tables
-        # The generator is lazy: a run that draws nothing pulls no words.
-        draw = _block_values(rng, table, delete).__next__
+            lo, hi, randint = self.lo, self.hi, rng.randint
+
+            def draw():
+                return randint(lo, hi)
+        else:
+            table, delete = self._byte_tables
+            # The generator is lazy: a run that draws nothing pulls no words.
+            draw = _block_values(rng, table, delete).__next__
 
         def any_draw(_a, _b=None, _c=None):  # all three signatures; arguments unused
             return draw()
@@ -281,14 +264,17 @@ class AdversarialSchedule(DelayPolicy):
         if any(v < 1 for v in values):
             raise ConfigError("all scheduled delays must be at least one tick")
 
-    def message_delay(self, rng, src, dst, msg):
-        return self.message_delays.get((dst, str(msg.get("type"))), self.default_message_delay)
+    def draws(self, rng):
+        def message_delay(src, dst, msg):
+            return self.message_delays.get((dst, str(msg.get("type"))), self.default_message_delay)
 
-    def stage_duration(self, rng, component, stage):
-        return self.stage_durations.get((component, stage), self.default_stage_duration)
+        def stage_duration(component, stage):
+            return self.stage_durations.get((component, stage), self.default_stage_duration)
 
-    def recovery_delay(self, rng, component):
-        return self.default_recovery_delay
+        def recovery_delay(component):
+            return self.default_recovery_delay
+
+        return message_delay, stage_duration, recovery_delay
 
 
 # ---------------------------------------------------------------------------

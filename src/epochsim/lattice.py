@@ -165,28 +165,14 @@ class TernaryModelParams:
         return 1.0 - self.q - self.p
 
 
-def pr_atomic_binary(params: BinaryModelParams, *, common_shock: float = 0.0) -> float:
-    """Probability the vector is Top or BottomAll in the binary model.
-
-    common_shock is an optional correlation knob: with that probability a
-    cluster-wide shock reverts every component in the same trial (an atomic
-    BottomAll outcome); otherwise components are independent. Default off.
-    """
-    _check_shock(common_shock)
-    iid = params.q ** params.n + (1.0 - params.q) ** params.n
-    return common_shock + (1.0 - common_shock) * iid
+def pr_atomic_binary(params: BinaryModelParams) -> float:
+    """Probability the vector is Top or BottomAll in the binary model."""
+    return params.q ** params.n + (1.0 - params.q) ** params.n
 
 
-def pr_mixed_analytic(params: BinaryModelParams, *, common_shock: float = 0.0) -> float:
-    """Probability of a mixed vector: 1 - q^n - (1-q)^n, shock-adjusted."""
-    _check_shock(common_shock)
-    iid = 1.0 - params.q ** params.n - (1.0 - params.q) ** params.n
-    return (1.0 - common_shock) * iid
-
-
-def _check_shock(shock: float) -> None:
-    if not (0.0 <= shock < 1.0):
-        raise LatticeError("common_shock must lie in [0, 1)")
+def pr_mixed_analytic(params: BinaryModelParams) -> float:
+    """Probability of a mixed vector: 1 - q^n - (1-q)^n."""
+    return 1.0 - params.q ** params.n - (1.0 - params.q) ** params.n
 
 
 @dataclass(frozen=True)
@@ -235,8 +221,7 @@ def _stderr(p_hat: float, trials: int) -> float:
 
 
 def monte_carlo_atomicity(params: BinaryModelParams | TernaryModelParams,
-                          trials: int, seed: int, *,
-                          common_shock: float = 0.0) -> MonteCarloResult:
+                          trials: int, seed: int) -> MonteCarloResult:
     """Seeded sampling of i.i.d. epoch vectors, classified and tallied.
 
     Classification depends only on the per-symbol counts of a vector, so
@@ -246,19 +231,13 @@ def monte_carlo_atomicity(params: BinaryModelParams | TernaryModelParams,
     """
     if trials < 1:
         raise LatticeError("trials must be at least 1")
-    _check_shock(common_shock)
     rng = np.random.default_rng(seed)
     n = params.n
     if isinstance(params, BinaryModelParams):
         committed = rng.binomial(n, params.q, size=trials)
-        if common_shock > 0.0:
-            shocked = rng.random(trials) < common_shock
-            committed = np.where(shocked, 0, committed)
         top = int(np.count_nonzero(committed == n))
         bottom = int(np.count_nonzero(committed == 0))
     else:
-        if common_shock > 0.0:
-            raise LatticeError("common_shock applies to the binary model only")
         counts = rng.multinomial(n, [params.q, params.p, params.r], size=trials)
         top = int(np.count_nonzero(counts[:, 0] == n))
         bottom = int(np.count_nonzero(counts[:, 1] == n))

@@ -111,6 +111,9 @@ class EpochTypedOptimizerState:
         shapes = {a.shape for a in (self.w, self.m, self.v, self.g)}
         if len(shapes) != 1:
             raise ValueError("state arrays must share one shape")
+        (shape,) = shapes
+        if len(shape) != 1:
+            raise ValueError(f"state arrays must be 1-D, got shape {shape}")
         if np.any(self.v < 0.0):
             raise ValueError("second moment must be non-negative")
 

@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .kernel import (Component, Event, EventKind, Simulation, Trace,
-                     UniformDelay, new_simulation)
+                     UniformDelay, _component_names, new_simulation)
 from .lattice import AtomicityClass, EpochSymbol, EpochVector
 from .persistence import PersistenceProcess, ack_digest
 
@@ -61,7 +61,6 @@ class NaiveCheckpointConfig:
 class BilateralConfig:
     epoch: int = 1
     ack_timeout: int = 30
-    verify_acks: bool = False
     corrupt_acks: frozenset[str] = frozenset()  # fault injection: bad digests
 
     def __post_init__(self) -> None:
@@ -204,7 +203,6 @@ class BilateralCoordinator(Component):
         self.config = config
         self.record = record
         self.acks: set[str] = set()
-        self.mismatched: list[str] = []
 
     def start(self, sim: Simulation) -> None:
         msg = {"type": "checkpoint", "epoch": self.config.epoch, "tentative": True}
@@ -219,12 +217,8 @@ class BilateralCoordinator(Component):
             if self.record.decision is not None:
                 return
             component = payload["component"]
-            if self.config.verify_acks:
-                expected = ack_digest(component, self.config.epoch)
-                if payload.get("digest") != expected:
-                    # A mismatched digest counts as a missing ack.
-                    self.mismatched.append(component)
-                    return
+            if payload.get("digest") != ack_digest(component, self.config.epoch):
+                return  # a mismatched digest counts as a missing ack
             self.acks.add(component)
             if len(self.acks) == len(self.participant_names):
                 self._decide(sim, "commit")
@@ -373,7 +367,7 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
         raise ValueError("runs must be at least 1")
     if not 0.0 <= crash_prob <= 1.0:
         raise ValueError("crash probability must lie in [0, 1]")
-    names = [f"c{i}" for i in range(n)]
+    names = _component_names(n)
     bilateral_config = BilateralConfig(epoch=1, ack_timeout=ack_timeout)
     naive_config = NaiveCheckpointConfig(epoch=1, boundary_time=boundary_time)
     naive_t = ClassTallies()
@@ -494,7 +488,7 @@ def bernoulli_attempt(n: int) -> AttemptFn:
 
 def simulated_bilateral_attempt(n: int) -> AttemptFn:
     """Attempt = one full bilateral run with per-component crash injection."""
-    names = [f"c{i}" for i in range(n)]
+    names = _component_names(n)
     config = BilateralConfig(epoch=1)
 
     def attempt(k: int, p: float, rng: random.Random) -> bool:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 import random
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epochsim
 from epochsim import deploy, kernel, lattice, persistence, protocols
 from epochsim.deploy import FencePolicy, FirmwareEpoch
-from epochsim.kernel import EventKind, Simulation, UniformDelay
+from epochsim.kernel import AdversarialSchedule, EventKind, FixedDelay, Simulation, UniformDelay
 from epochsim.lattice import EpochSymbol
 from epochsim.persistence import PersistenceStage
 
@@ -64,19 +67,56 @@ def test_hot_function_reads_no_enum_member_through_its_class(fn):
     assert not _names(code) & (MEMBER_NAMES | ENUM_NAMES)
 
 
+# The arguments of message_delay, stage_duration and recovery_delay.
+DRAW_ARGS = (("a", "b", {}), ("a", "FSYNC"), ("a",))
+
+
 @pytest.mark.parametrize("lo,hi", [(1, 1), (1, 3), (1, 4), (1, 40), (7, 1000)])
 def test_uniform_draws_equal_randint(lo, hi):
-    # UniformDelay calls the private Random._randbelow directly; this pins
-    # that each of its draws is still the value randint(lo, hi) would give.
-    policy = UniformDelay(lo, hi)
-    draws = (lambda r: policy.message_delay(r, "a", "b", {}),
-             lambda r: policy.stage_duration(r, "a", "FSYNC"),
-             lambda r: policy.recovery_delay(r, "a"))
-    for i, draw in enumerate(draws):
+    # Each of the three callables, drawn on its own, gives the values that
+    # successive randint(lo, hi) calls give.
+    for i, args in enumerate(DRAW_ARGS):
         ours, reference = random.Random(i), random.Random(i)
-        got = [draw(ours) for _ in range(35_000)]
+        draw = UniformDelay(lo, hi).draws(ours)[i]
+        got = [draw(*args) for _ in range(35_000)]
         assert got == [reference.randint(lo, hi) for _ in range(35_000)]
-        assert ours.getstate() == reference.getstate()
+        if hi > 255:  # one randint call per draw, so the streams end level
+            assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("policy,expected", [
+    (FixedDelay(4), [4, 4, 4, 4, 4, 4]),
+    (AdversarialSchedule(message_delays={("b", "ready"): 5},
+                         stage_durations={("a", "FSYNC"): 6},
+                         default_message_delay=2, default_stage_duration=3,
+                         default_recovery_delay=7),
+     [5, 2, 2, 6, 3, 7]),
+], ids=["FixedDelay", "AdversarialSchedule"])
+def test_policy_draws(policy, expected):
+    # An AdversarialSchedule keys messages by (dst, type) and stages by
+    # (component, stage); anything else gets the defaults. Neither policy
+    # reads the rng.
+    rng = random.Random(0)
+    message_delay, stage_duration, recovery_delay = policy.draws(rng)
+    got = [message_delay("a", "b", {"type": "ready"}),
+           message_delay("b", "a", {"type": "ready"}),
+           message_delay("a", "b", {"type": "ack"}),
+           stage_duration("a", "FSYNC"),
+           stage_duration("b", "FSYNC"),
+           recovery_delay("a")]
+    assert got == expected
+    assert rng.getstate() == random.Random(0).getstate()
+
+
+def test_src_reads_no_private_random_attribute():
+    # random.Random's _rand* names are CPython internals that may change
+    # between releases; delay draws use only its public methods.
+    offenders = []
+    for path in sorted(Path(epochsim.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_rand"):
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert offenders == []
 
 
 def _bound_draws(lo: int, hi: int, seed: int, count: int) -> list[int]:

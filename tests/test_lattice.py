@@ -165,7 +165,8 @@ def test_atomicity_vanishes_for_large_n():
 
 
 def test_log_domain_power_agrees_with_direct():
-    # n above and below the switch must agree through the seam
+    # pr_atomic_binary equals the direct sum q^n + (1-q)^n to within 1e-12
+    # relative at n just below and just above 10^4
     lo = pr_atomic_binary(BinaryModelParams(q=0.9999, n=9_999))
     hi = pr_atomic_binary(BinaryModelParams(q=0.9999, n=10_001))
     direct_lo = 0.9999 ** 9_999 + (1 - 0.9999) ** 9_999
@@ -183,17 +184,6 @@ def test_parameter_validation():
         BinaryModelParams(q=0.5, n=0)
     with pytest.raises(LatticeError):
         TernaryModelParams(q=0.6, p=0.4, n=2)  # leaves r = 0
-
-
-def test_common_shock_mixture():
-    params = BinaryModelParams(q=0.99, n=100)
-    base = pr_atomic_binary(params)
-    shocked = pr_atomic_binary(params, common_shock=0.3)
-    assert shocked == pytest.approx(0.3 + 0.7 * base, abs=1e-12)
-    assert pr_mixed_analytic(params, common_shock=0.3) == pytest.approx(
-        0.7 * pr_mixed_analytic(params), abs=1e-12)
-    with pytest.raises(LatticeError):
-        pr_atomic_binary(params, common_shock=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +255,6 @@ def test_monte_carlo_tallies_partition_trials():
     params = BinaryModelParams(q=0.9, n=4)
     res = monte_carlo_atomicity(params, trials=5_000, seed=1)
     assert res.top + res.bottom_all + res.mixed == res.trials
-
-
-def test_monte_carlo_common_shock_agrees():
-    params = BinaryModelParams(q=0.99, n=100)
-    res = monte_carlo_atomicity(params, trials=200_000, seed=13, common_shock=0.25)
-    want = pr_atomic_binary(params, common_shock=0.25)
-    observed = res.pr_top + res.pr_bottom_all
-    stderr = math.sqrt(observed * (1 - observed) / res.trials)
-    assert abs(observed - want) < 4 * stderr
-
-
-def test_shock_rejected_for_ternary():
-    with pytest.raises(LatticeError):
-        monte_carlo_atomicity(TernaryModelParams(q=0.8, p=0.1, n=3),
-                              trials=100, seed=0, common_shock=0.2)
 
 
 def test_sim_harvested_vectors_match_binary_model():

@@ -165,6 +165,18 @@ def test_skew_pair_rejects_a_scalar_gradient():
         make_skew_pair(1.0, AdamWHyperparams())
 
 
+def test_state_rejects_scalar_arrays():
+    with pytest.raises(ValueError, match=r"^state arrays must be 1-D, got shape \(\)$"):
+        EpochTypedOptimizerState.make(1.0, 0.0, 0.0, 0.0, 7, 1, EpochTags.uniform(1))
+
+
+def test_state_rejects_2d_arrays():
+    square = [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(ValueError, match=r"^state arrays must be 1-D, got shape \(2, 2\)$"):
+        EpochTypedOptimizerState.make(square, square, square, square, 7, 1,
+                                      EpochTags.uniform(1))
+
+
 def test_task_rejects_negative_seed():
     # Refused with or without noise, before numpy ever sees the seed.
     for noise in (0.0, 0.1):

@@ -180,17 +180,9 @@ def test_bilateral_never_mixed_over_random_crashes():
 
 def test_verify_acks_rejects_corrupt_digest():
     sim = new_simulation(2, FixedDelay(1), seed=0)
-    out = run_bilateral(sim, BilateralConfig(ack_timeout=30, verify_acks=True,
+    out = run_bilateral(sim, BilateralConfig(ack_timeout=30,
                                              corrupt_acks=frozenset({"c1"})))
     assert out.decision is Decision.ROLLED_BACK
-
-
-def test_unverified_corrupt_ack_passes():
-    # with verification off the corrupted digest is accepted as an ack
-    sim = new_simulation(2, FixedDelay(1), seed=0)
-    out = run_bilateral(sim, BilateralConfig(ack_timeout=30, verify_acks=False,
-                                             corrupt_acks=frozenset({"c1"})))
-    assert out.decision is Decision.COMMITTED
 
 
 def test_decision_record_write_once():
