@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .kernel import AdversarialSchedule, new_simulation
+from .kernel import AdversarialSchedule, _component_names, new_simulation
 from .lattice import AtomicityClass, EpochVector
 from .persistence import ACTIVE_STAGE_NAMES
 from .protocols import NaiveCheckpointConfig, ProtocolOutcome, run_naive
@@ -58,7 +58,7 @@ class StraddlingSchedule:
 
     @property
     def target_name(self) -> str:
-        return f"c{self.target}"
+        return _component_names(self.n)[self.target]
 
     def delay_policy(self) -> AdversarialSchedule:
         return AdversarialSchedule(
@@ -105,10 +105,10 @@ def construct_straddling(n: int, j: int, t_c: int) -> StraddlingSchedule:
 
     deliver: dict[str, int] = {}
     durations: dict[tuple[str, str], int] = {}
-    target_name = f"c{j}"
-    for i in range(n):
-        name = f"c{i}"
-        if i == j:
+    names = _component_names(n)
+    target_name = names[j]
+    for name in names:
+        if name == target_name:
             continue
         deliver[name] = 1
         for s in ACTIVE_STAGE_NAMES:
@@ -127,7 +127,7 @@ def construct_straddling(n: int, j: int, t_c: int) -> StraddlingSchedule:
         durations[(target_name, s)] = d
     complete = begin + sum(per_stage)
 
-    early_name = next((f"c{i}" for i in range(n) if i != j), None)
+    early_name = next((name for name in names if name != target_name), None)
     early_time = 6 if (early_name is not None and 6 < t_c) else None
     if early_time is None:
         early_name = None
@@ -166,7 +166,8 @@ class MixedWitness:
         lines.append(
             f"t={self.crash[1]}: {s.target_name} crashes mid-persist; the declaration "
             f"at t_c={s.boundary} still claims committed")
-        symbols = ", ".join(f"c{i}={sym.value}" for i, sym in enumerate(self.vector))
+        symbols = ", ".join(f"{name}={sym.value}"
+                            for name, sym in zip(_component_names(s.n), self.vector))
         lines.append(f"stable vector after recovery: [{symbols}] -> "
                      f"{self.outcome.vector_class.value}")
         return "\n".join(lines)

@@ -32,10 +32,10 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .kernel import (Component, Event, EventKind, Simulation, Trace,
+from .kernel import (Component, ConfigError, Event, EventKind, Simulation, Trace,
                      UniformDelay, _component_names, new_simulation)
 from .lattice import AtomicityClass, EpochSymbol, EpochVector
-from .persistence import PersistenceProcess, ack_digest
+from .persistence import ACTIVE_STAGES, PersistenceProcess, ack_digest
 
 _DELIVER = EventKind.DELIVER
 _TIMER_FIRE = EventKind.TIMER_FIRE
@@ -291,6 +291,23 @@ def derive_seed(master: int, index: int) -> int:
 # in 1..CRASH_WINDOW, and every delay is drawn from one frozen U(1, 3) policy.
 CRASH_WINDOW = 28
 BATTERY_DELAY = UniformDelay(1, 3)
+# Draws on the path to a bilateral ack: the checkpoint message, one duration
+# per active stage, and the ack message.
+SLOWEST_ACK = 2 + len(ACTIVE_STAGES)
+
+
+def crash_free_commits(ack_timeout: int) -> bool:
+    """Whether every crash-free battery run ends Top under both protocols.
+
+    Naive always decides Committed, and with no crash every component ends
+    at E. A bilateral ack arrives after SLOWEST_ACK draws of at most
+    BATTERY_DELAY.hi ticks each, so by tick SLOWEST_ACK * hi = 21. The ack
+    timer is scheduled before any ack and wins a tie, so only a timeout
+    above that tick lets every ack win and the run commit. Such a run
+    crashes no stage and ends neither protocol Mixed, so a caller may count
+    it as Top for both without simulating it.
+    """
+    return ack_timeout > SLOWEST_ACK * BATTERY_DELAY.hi
 
 
 def crash_schedule(names: Sequence[str], rng: random.Random,
@@ -360,16 +377,25 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
 
     Runs execute one after another on the calling thread. Run i draws its
     crash schedule and seeds both simulations from derive_seed(seed, i),
-    so it does not depend on any other run. `workers` is accepted and
-    ignored: the report is the same for every value.
+    so it does not depend on any other run. A run that draws no crash is
+    counted Top for both protocols without being simulated when
+    ack_timeout > SLOWEST_ACK * BATTERY_DELAY.hi = 21 (see
+    crash_free_commits); at or below that bound it is simulated like any
+    other. `workers` is accepted and ignored: the report is the same for
+    every value.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    # Checked here, not left to new_simulation: a battery of crash-free
+    # runs may build no simulation at all.
+    if n < 1:
+        raise ConfigError("cluster size must be at least one component")
     if not 0.0 <= crash_prob <= 1.0:
         raise ValueError("crash probability must lie in [0, 1]")
     names = _component_names(n)
     bilateral_config = BilateralConfig(epoch=1, ack_timeout=ack_timeout)
     naive_config = NaiveCheckpointConfig(epoch=1, boundary_time=boundary_time)
+    settle = crash_free_commits(ack_timeout)
     naive_t = ClassTallies()
     bilat_t = ClassTallies()
     coverage: dict[str, int] = {}
@@ -378,6 +404,10 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
         run_seed = derive_seed(seed, i)
         rng = random.Random(run_seed)
         crashes = crash_schedule(names, rng, crash_prob, CRASH_WINDOW)
+        if settle and not crashes:
+            naive_t.top += 1
+            bilat_t.top += 1
+            continue
 
         sim_b = new_simulation(n, BATTERY_DELAY, run_seed)
         out_b = run_bilateral(sim_b, bilateral_config, crashes=crashes)
@@ -487,13 +517,20 @@ def bernoulli_attempt(n: int) -> AttemptFn:
 
 
 def simulated_bilateral_attempt(n: int) -> AttemptFn:
-    """Attempt = one full bilateral run with per-component crash injection."""
+    """Attempt = one full bilateral run with per-component crash injection.
+
+    An attempt that draws no crash commits without being simulated (see
+    crash_free_commits): its timeout, 30, is above the bound.
+    """
     names = _component_names(n)
     config = BilateralConfig(epoch=1)
+    settle = crash_free_commits(config.ack_timeout)
 
     def attempt(k: int, p: float, rng: random.Random) -> bool:
         run_seed = rng.getrandbits(48)
         crashes = crash_schedule(names, rng, p, CRASH_WINDOW)
+        if settle and not crashes:
+            return True  # the simulation draws from its own seed, not rng
         sim = new_simulation(n, BATTERY_DELAY, run_seed)
         out = run_bilateral(sim, config, crashes=crashes)
         return out.decision is Decision.COMMITTED

@@ -14,6 +14,7 @@ from epochsim.adversary import (
     straddle_trial,
     witness_mixed,
 )
+from epochsim.kernel import new_simulation
 from epochsim.lattice import AtomicityClass, EpochSymbol
 
 
@@ -63,6 +64,17 @@ def test_construct_scales_to_large_fleet_and_boundary():
     assert sch.complete_target == 1_000_003
     sch.check_invariants()
     assert len(sch.deliver_times) == 4000
+
+
+@pytest.mark.parametrize("n,j,t_c", [(2, 1, 2), (4, 3, 100), (7, 0, 5)])
+def test_straddle_keys_name_registered_components(n, j, t_c):
+    # AdversarialSchedule falls back to its defaults for a key that names no
+    # component, so a drift in the naming scheme would otherwise go unseen.
+    sch = construct_straddling(n, j, t_c)
+    registered = set(new_simulation(n, sch.delay_policy(), 0).component_names())
+    assert set(sch.deliver_times) == registered
+    assert {name for name, _ in sch.stage_durations} == registered
+    assert sch.target_name in registered
 
 
 def test_full_straddle_needs_early_completer():

@@ -9,11 +9,15 @@ import random
 import pytest
 
 from epochsim.adversary import search_schedules
-from epochsim.kernel import AdversarialSchedule, FixedDelay, Trace, UniformDelay, new_simulation
+from epochsim.kernel import (AdversarialSchedule, ConfigError, FixedDelay, Trace, UniformDelay,
+                             _component_names, new_simulation)
 from epochsim.lattice import AtomicityClass, EpochSymbol
 from epochsim.persistence import PersistenceStage
 from epochsim.protocols import (
+    BATTERY_DELAY,
+    CRASH_WINDOW,
     BilateralConfig,
+    ClassTallies,
     Decision,
     DecisionRecord,
     NaiveCheckpointConfig,
@@ -21,6 +25,8 @@ from epochsim.protocols import (
     bernoulli_attempt,
     compare_protocols,
     conv_holds,
+    crash_free_commits,
+    crash_schedule,
     derive_seed,
     geometric_baseline,
     retry_sweep,
@@ -219,6 +225,62 @@ def test_battery_covers_every_stage(tmp_path):
     assert rep.naive.disagreements > 0
 
 
+def test_battery_rejects_empty_cluster():
+    # A run with no components draws no crash, so the battery checks n itself.
+    with pytest.raises(ConfigError, match="^cluster size must be at least one component$"):
+        compare_protocols(0, 1, 0)
+
+
+def _simulated_tallies(n: int, runs: int, seed: int,
+                       ack_timeouts: range) -> tuple[ClassTallies, dict[int, ClassTallies]]:
+    """Naive tallies, and bilateral tallies per ack timeout, of runs 0..runs-1
+    of a battery, every run simulated in full with no crash."""
+    naive = ClassTallies()
+    bilateral = {t: ClassTallies() for t in ack_timeouts}
+    for i in range(runs):
+        run_seed = derive_seed(seed, i)
+        naive.add(run_naive(new_simulation(n, BATTERY_DELAY, run_seed),
+                            NaiveCheckpointConfig(epoch=1, boundary_time=10)))
+        for t, tallies in bilateral.items():
+            tallies.add(run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
+                                      BilateralConfig(epoch=1, ack_timeout=t)))
+    return naive, bilateral
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_settled_crash_free_runs_equal_full_simulation(n):
+    # crash_prob 0 makes every run crash-free, so every run above the bound is
+    # settled without a simulation; both sides of the bound are compared.
+    timeouts = range(1, 41)
+    runs = 6
+    naive, bilateral = _simulated_tallies(n, runs, 4242, timeouts)
+    for t in timeouts:
+        report = compare_protocols(n, runs, 4242, crash_prob=0.0, ack_timeout=t)
+        assert report.naive == naive, t
+        assert report.bilateral == bilateral[t], t
+        assert report.crash_stage_coverage == {}
+        assert report.sample_mixed_seed is None
+
+
+def test_crash_free_bound_is_sharp():
+    # Pinned from the full simulation: of the crash-free run indices of a
+    # battery, some roll back at the bound and none above it, and the
+    # settling rule switches on exactly there.
+    n, seed = 8, 90210
+    names = _component_names(n)
+    free = [run_seed for run_seed in (derive_seed(seed, i) for i in range(2000))
+            if not crash_schedule(names, random.Random(run_seed), 0.15, CRASH_WINDOW)]
+    assert len(free) == 570
+    rolled_back = {
+        t: sum(run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
+                             BilateralConfig(epoch=1, ack_timeout=t)).decision
+               is Decision.ROLLED_BACK for run_seed in free)
+        for t in (21, 22)}
+    assert rolled_back == {21: 5, 22: 0}
+    assert not crash_free_commits(21)
+    assert crash_free_commits(22)
+
+
 # ---------------------------------------------------------------------------
 # retry loops
 # ---------------------------------------------------------------------------
@@ -347,7 +409,7 @@ def test_simulated_attempt_drives_real_protocol():
     attempt = simulated_bilateral_attempt(2)
     rng = random.Random(5)
     results = [attempt(k, 0.0, rng) for k in range(1, 6)]
-    assert all(results)  # p=0: no crashes injected, always commits
+    assert all(results)  # p=0: no crash drawn, settled as committed unsimulated
     results = [attempt(k, 1.0, rng) for k in range(1, 6)]
     assert not any(results)  # p=1: forced pre-ack crash, always rolls back
 

@@ -28,7 +28,7 @@ from epochsim.deploy import (
     run_case_naive,
     run_consensus_deploy,
 )
-from epochsim.kernel import UniformDelay, new_simulation
+from epochsim.kernel import UniformDelay, _component_names, new_simulation
 from epochsim.protocols import (
     BATTERY_DELAY,
     CRASH_WINDOW,
@@ -65,8 +65,7 @@ def test_naive_with_double_crash():
 def _battery_run(n: int, seed: int, index: int):
     """Run index of a battery: its crash schedule and both runs, as in compare_protocols."""
     run_seed = derive_seed(seed, index)
-    names = [f"c{i}" for i in range(n)]
-    crashes = crash_schedule(names, random.Random(run_seed), 0.15, CRASH_WINDOW)
+    crashes = crash_schedule(_component_names(n), random.Random(run_seed), 0.15, CRASH_WINDOW)
     bilateral = run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
                               BilateralConfig(epoch=1, ack_timeout=30), crashes=crashes)
     naive = run_naive(new_simulation(n, BATTERY_DELAY, run_seed),
