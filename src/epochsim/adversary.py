@@ -42,28 +42,42 @@ class WitnessFalsification(AssertionError):
 class StraddlingSchedule:
     """Explicit schedule in which component j's persist spans t_c.
 
-    deliver_times maps each component to the checkpoint delivery tick;
-    stage_durations maps (component, stage name) to a tick count.
+    Only the target is retimed: its checkpoint is delivered at begin_target
+    and its five stages take stage_durations ticks, in stage order. Every
+    other component keeps AdversarialSchedule's one-tick defaults, so it is
+    delivered at t=1 and completes at t=6.
     """
 
     n: int
     target: int  # index j of the straddling component
     boundary: int  # t_c
-    deliver_times: dict[str, int]
-    stage_durations: dict[tuple[str, str], int]
     begin_target: int
-    complete_target: int
-    early_completer: str | None
-    early_complete_time: int | None
+    stage_durations: tuple[int, ...]
 
     @property
     def target_name(self) -> str:
         return _component_names(self.n)[self.target]
 
+    @property
+    def complete_target(self) -> int:
+        return self.begin_target + sum(self.stage_durations)
+
+    @property
+    def early_complete_time(self) -> int | None:
+        return 6 if 6 < self.boundary else None
+
+    @property
+    def early_completer(self) -> str | None:
+        if self.early_complete_time is None:
+            return None
+        return _component_names(self.n)[1 if self.target == 0 else 0]
+
     def delay_policy(self) -> AdversarialSchedule:
+        name = self.target_name
         return AdversarialSchedule(
-            message_delays={(c, "checkpoint"): t for c, t in self.deliver_times.items()},
-            stage_durations=dict(self.stage_durations),
+            message_delays={(name, "checkpoint"): self.begin_target},
+            stage_durations={(name, s): d
+                             for s, d in zip(ACTIVE_STAGE_NAMES, self.stage_durations)},
         )
 
     def check_invariants(self) -> None:
@@ -78,8 +92,8 @@ class StraddlingSchedule:
     def to_json_obj(self) -> dict:
         return {
             "n": self.n, "target": self.target, "boundary": self.boundary,
-            "deliver_times": dict(sorted(self.deliver_times.items())),
             "begin_target": self.begin_target,
+            "stage_durations": list(self.stage_durations),
             "complete_target": self.complete_target,
             "early_completer": self.early_completer,
             "early_complete_time": self.early_complete_time,
@@ -89,11 +103,11 @@ class StraddlingSchedule:
 def construct_straddling(n: int, j: int, t_c: int) -> StraddlingSchedule:
     """Build a schedule where component j's persist spans the boundary t_c.
 
-    All other components receive the signal at t=1 and run one-tick stages,
-    completing at t=6; for t_c >= 7 that satisfies the early-completer
-    requirement. The target j is timed so t_c falls strictly inside one of
-    its stages: mid write syscall when the boundary leaves room, otherwise
-    mid buffer flush with j's start shifted to t_c - 1.
+    All other components keep the one-tick defaults and complete at t=6;
+    for t_c >= 7 that satisfies the early-completer requirement. The target
+    j is timed so t_c falls strictly inside one of its stages: mid write
+    syscall when the boundary leaves room, otherwise mid buffer flush with
+    j's start shifted to t_c - 1.
     """
     if n < 2:
         raise ValueError("a straddle requires at least two components")
@@ -102,41 +116,14 @@ def construct_straddling(n: int, j: int, t_c: int) -> StraddlingSchedule:
     if t_c < MIN_BOUNDARY:
         raise ValueError(
             f"boundary t_c={t_c} leaves no room for a positive-duration stage before it")
-
-    deliver: dict[str, int] = {}
-    durations: dict[tuple[str, str], int] = {}
-    names = _component_names(n)
-    target_name = names[j]
-    for name in names:
-        if name == target_name:
-            continue
-        deliver[name] = 1
-        for s in ACTIVE_STAGE_NAMES:
-            durations[(name, s)] = 1
-
     if t_c >= 4:
         # Deliver at t_c - 3; stages (1,1,2,1,1) put t_c mid write syscall.
-        begin = t_c - 3
-        per_stage = [1, 1, 2, 1, 1]
+        begin, per_stage = t_c - 3, (1, 1, 2, 1, 1)
     else:
         # Minimal boundary: begin at t_c - 1 with a two-tick buffer flush.
-        begin = t_c - 1
-        per_stage = [2, 1, 1, 1, 1]
-    deliver[target_name] = begin
-    for s, d in zip(ACTIVE_STAGE_NAMES, per_stage):
-        durations[(target_name, s)] = d
-    complete = begin + sum(per_stage)
-
-    early_name = next((name for name in names if name != target_name), None)
-    early_time = 6 if (early_name is not None and 6 < t_c) else None
-    if early_time is None:
-        early_name = None
-
-    schedule = StraddlingSchedule(
-        n=n, target=j, boundary=t_c, deliver_times=deliver,
-        stage_durations=durations, begin_target=begin, complete_target=complete,
-        early_completer=early_name, early_complete_time=early_time,
-    )
+        begin, per_stage = t_c - 1, (2, 1, 1, 1, 1)
+    schedule = StraddlingSchedule(n=n, target=j, boundary=t_c, begin_target=begin,
+                                  stage_durations=per_stage)
     schedule.check_invariants()
     return schedule
 

@@ -14,7 +14,8 @@ and deploy. An identical configuration reruns to byte-identical output. --config
 names a JSON object whose keys are flag names; each entry is parsed as if
 given on the command line before the user's own flags, so flags win.
 
-Exit codes: 0 all embedded checks passed; 2 usage error; 3 lattice table
+Exit codes: 0 all embedded checks passed; 2 usage error, always one
+`epochsim: error:` line on stderr and nothing on stdout; 3 lattice table
 mismatch; 4 expected witness not found; 5 bilateral run ended mixed;
 6 moment-skew closed form violated; 7 consensus deploy produced a mixed
 collective.
@@ -27,7 +28,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Sequence, TextIO
 
 import numpy as np
 
@@ -45,6 +46,33 @@ _EPILOG = (
     "exit codes: 0 ok, 2 usage, 3 table mismatch, 4 missing witness, "
     "5 bilateral mixed state, 6 skew mismatch, 7 consensus deploy mixed"
 )
+
+
+class _Refusal(Exception):
+    """A refused command line, which `main` prints as one line with exit 2.
+    Not a ValueError, which argparse rewords when a flag's type raises it."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _Refusal(message)
+
+
+@dataclasses.dataclass(frozen=True)
+class _IntIn:
+    """argparse type of an int flag that must lie in [lo, hi]."""
+    flag: str
+    lo: int | None = None
+    hi: int | None = None
+    __name__ = "int"  # argparse names the type in "invalid int value"
+
+    def __call__(self, text: str) -> int:
+        value = int(text)
+        if self.lo is not None and value < self.lo:
+            raise _Refusal(f"{self.flag} must be at least {self.lo}")
+        if self.hi is not None and value > self.hi:
+            raise _Refusal(f"{self.flag} must be at most {self.hi}")
+        return value
 
 
 def _cell(value: Any, spec: str) -> str:
@@ -100,7 +128,7 @@ def _config_flags(path: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-# Size bounds, checked before any sampling. A Monte Carlo row holds --trials
+# Size bounds, checked while parsing. A Monte Carlo row holds --trials
 # int64 counts (a run at the largest --trials peaks near 120 MB RSS), and
 # numpy's binomial sampler takes --n as a C long, which is 32 bits on some
 # platforms.
@@ -109,12 +137,6 @@ LATTICE_MAX_N = 1_000_000_000
 
 
 def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
-    if args.trials < 0:
-        raise ValueError("--trials must not be negative")
-    if args.trials > LATTICE_MAX_TRIALS:
-        raise ValueError(f"--trials must be at most {LATTICE_MAX_TRIALS}")
-    if args.n is not None and args.n > LATTICE_MAX_N:
-        raise ValueError(f"--n must be at most {LATTICE_MAX_N}")
     if args.q is not None or args.n is not None:
         if args.q is None or args.n is None:
             raise ValueError("--q and --n must be given together")
@@ -152,16 +174,12 @@ def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
-# --n bound of straddle, bilateral-vs-naive and deploy, checked first: each
-# builds one component per --n, and one run at the bound takes seconds.
+# --n bound of straddle, bilateral-vs-naive and deploy: each builds one
+# component per --n, and one run at the bound takes seconds.
 FLEET_MAX_N = 100_000
 
 
 def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
-    if args.n > FLEET_MAX_N:
-        raise ValueError(f"--n must be at most {FLEET_MAX_N}")
     grid = adversary.boundary_grid(args.grid, t_max=args.t_max, seed=args.seed)
     witnesses = 0
     first: adversary.MixedWitness | None = None
@@ -202,17 +220,13 @@ def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
-# --runs bound of bilateral-vs-naive and retry, checked before any run.
+# --runs bound of bilateral-vs-naive and retry, checked while parsing.
 # Memory does not grow with --runs; at the default sizes a run at the bound
 # takes between ten minutes (retry) and half an hour (bilateral-vs-naive).
 BATTERY_MAX_RUNS = 10_000_000
 
 
 def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
-    if args.n > FLEET_MAX_N:
-        raise ValueError(f"--n must be at most {FLEET_MAX_N}")
-    if args.runs > BATTERY_MAX_RUNS:
-        raise ValueError(f"--runs must be at most {BATTERY_MAX_RUNS}")
     report = protocols.compare_protocols(
         n=args.n, runs=args.runs, seed=args.seed, crash_prob=args.crash_prob,
         boundary_time=args.t_c, ack_timeout=args.ack_timeout)
@@ -236,20 +250,14 @@ def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Size bounds, checked before anything is allocated. A run holds a few
-# dozen float64 arrays of --dim entries (its peak RSS is about 260 MB at the
-# largest --dim) and one row per step up to --horizon.
+# Size bounds, checked while parsing. A run holds a few dozen float64
+# arrays of --dim entries (its peak RSS is about 260 MB at the largest
+# --dim) and one row per step up to --horizon.
 ADAMW_MAX_DIM = 1_000_000
 ADAMW_MAX_HORIZON = 10_000
 
 
 def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
-    if args.dim < 1:
-        raise ValueError("--dim must be at least 1")
-    if args.dim > ADAMW_MAX_DIM:
-        raise ValueError(f"--dim must be at most {ADAMW_MAX_DIM}")
-    if args.horizon > ADAMW_MAX_HORIZON:
-        raise ValueError(f"--horizon must be at most {ADAMW_MAX_HORIZON}")
     if not math.isfinite(args.g_skip):
         raise ValueError("--g-skip must be finite")
     hyper = optimizer.AdamWHyperparams(lr=args.lr, beta1=args.beta1, beta2=args.beta2)
@@ -300,8 +308,6 @@ def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_retry(args: argparse.Namespace, out: TextIO) -> int:
-    if args.runs > BATTERY_MAX_RUNS:
-        raise ValueError(f"--runs must be at most {BATTERY_MAX_RUNS}")
     alphas = [float(a) for a in args.alphas.split(",") if a]
     summaries = protocols.retry_sweep(
         p0=args.p0, n=args.n, alphas=alphas, runs=args.runs, seed=args.seed,
@@ -333,19 +339,13 @@ def cmd_retry(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
-# --budget bound of deploy, checked before any schedule is built. Memory
-# does not grow with --budget; at the default --n a run at the bound takes
-# about twenty minutes.
+# --budget bound of deploy, checked while parsing. Memory does not grow
+# with --budget; at the default --n a run at the bound takes about twenty
+# minutes.
 DEPLOY_MAX_BUDGET = 10_000_000
 
 
 def cmd_deploy(args: argparse.Namespace, out: TextIO) -> int:
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
-    if args.n > FLEET_MAX_N:
-        raise ValueError(f"--n must be at most {FLEET_MAX_N}")
-    if args.budget > DEPLOY_MAX_BUDGET:
-        raise ValueError(f"--budget must be at most {DEPLOY_MAX_BUDGET}")
     fence = deploy.FencePolicy.ABORT if args.fence_abort else deploy.FencePolicy.PROCEED
     search = adversary.search_schedules(
         deploy.run_case_naive,
@@ -392,7 +392,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epochsim",
         description="Deterministic epoch-transition atomicity experiments",
         epilog=_EPILOG)
@@ -400,16 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("lattice-table", help="analytic atomicity table",
                         epilog=_EPILOG)
-    p.add_argument("--trials", type=int, default=10_000,
+    p.add_argument("--trials", type=_IntIn("--trials", 0, LATTICE_MAX_TRIALS), default=10_000,
                    help="Monte Carlo trials per row; 0 disables the MC columns")
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_IntIn("--n", hi=LATTICE_MAX_N), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_lattice_table)
 
     p = subs.add_parser("straddle", help="boundary-straddling crash witnesses",
                         epilog=_EPILOG)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_IntIn("--n", 2, FLEET_MAX_N), default=2)
     p.add_argument("--grid", type=int, default=100)
     p.add_argument("--t-max", type=int, default=1_000_000)
     p.add_argument("--no-crash", action="store_true",
@@ -422,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bilateral-vs-naive",
                         help="protocol battery under crash injection",
                         epilog=_EPILOG)
-    p.add_argument("--runs", type=int, default=10_000)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--runs", type=_IntIn("--runs", hi=BATTERY_MAX_RUNS), default=10_000)
+    p.add_argument("--n", type=_IntIn("--n", hi=FLEET_MAX_N), default=4)
     p.add_argument("--crash-prob", type=float, default=0.15)
     p.add_argument("--t-c", type=int, default=10)
     p.add_argument("--ack-timeout", type=int, default=30)
@@ -435,11 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta1", type=float, default=0.9)
     p.add_argument("--beta2", type=float, default=0.999)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--dim", type=int, default=1,
+    p.add_argument("--dim", type=_IntIn("--dim", 1, ADAMW_MAX_DIM), default=1,
                    help=f"task dimension, 1 to {ADAMW_MAX_DIM}")
     p.add_argument("--g-skip", type=float, default=1.0)
     p.add_argument("--skew-epoch", type=int, default=3)
-    p.add_argument("--horizon", type=int, default=50,
+    p.add_argument("--horizon", type=_IntIn("--horizon", hi=ADAMW_MAX_HORIZON), default=50,
                    help=f"steps in the divergence series, 2 to {ADAMW_MAX_HORIZON}")
     p.add_argument("--noise", type=float, default=0.0)
     _add_common(p)
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p0", type=float, default=0.1)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--alphas", type=str, default="1.0,1.25,1.5")
-    p.add_argument("--runs", type=int, default=10_000)
+    p.add_argument("--runs", type=_IntIn("--runs", hi=BATTERY_MAX_RUNS), default=10_000)
     p.add_argument("--max-attempts", type=int, default=40,
                    help=f"attempts per run, 1 to {protocols.RETRY_MAX_ATTEMPTS}")
     _add_common(p)
@@ -458,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("deploy", help="fleet deploy battery",
                         epilog=_EPILOG)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--n", type=_IntIn("--n", 2, FLEET_MAX_N), default=2)
+    p.add_argument("--budget", type=_IntIn("--budget", hi=DEPLOY_MAX_BUDGET), default=10_000)
     p.add_argument("--fence-abort", action="store_true",
                    help="abort collectives instead of proceeding without fenced nodes")
     _add_common(p)
@@ -472,18 +472,17 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
     out = stdout if stdout is not None else sys.stdout
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    if args.config:
-        try:
-            flags = _config_flags(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(f"--config {args.config}: {exc}")
-        at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + flags + argv[at:])
-    func: Callable[[argparse.Namespace, TextIO], int] = args.func
     try:
-        return func(args, out)
-    except ValueError as exc:
+        args = parser.parse_args(argv)
+        if args.config:
+            try:
+                flags = _config_flags(args.config)
+            except (OSError, ValueError) as exc:
+                raise _Refusal(f"--config {args.config}: {exc}") from None
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
+        return args.func(args, out)
+    except (_Refusal, ValueError) as exc:
         print(f"epochsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

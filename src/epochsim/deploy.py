@@ -336,11 +336,11 @@ def directed_straddle_case(n: int, *, seed: int = 0) -> DeployCase:
     """Collective timed exactly inside the firmware delivery window."""
     if n < 2:
         raise ValueError("a straddle needs at least two nodes")
-    # Node n0 switches at t=11, node n1 at t=31; the collective at t=21 sees
-    # one of each.
-    delays = {("n0", "firmware"): 1, ("n1", "firmware"): 21}
+    # The first node switches at t=11, the second at t=31; the collective at
+    # t=21 sees one of each.
+    participants = _node_names(n)[:2]
+    delays = {(participants[0], "firmware"): 1, (participants[1], "firmware"): 21}
     policy = AdversarialSchedule(message_delays=delays, default_message_delay=5)
-    participants = tuple(f"n{i}" for i in range(min(n, 2)))
     return DeployCase(
         n=n, deploy_time=10,
         collectives=(CollectiveSpec(cid=0, time=21, participants=participants),),

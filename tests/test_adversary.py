@@ -26,7 +26,7 @@ from epochsim.lattice import AtomicityClass, EpochSymbol
 def test_construct_large_boundary():
     sch = construct_straddling(4, 3, 100)
     assert sch.begin_target < 100 < sch.complete_target
-    assert sch.deliver_times["c3"] == 97
+    assert sch.begin_target == 97
     # non-targets finish at t=6, well before the boundary
     assert sch.early_complete_time == 6
     assert sch.early_completer in {"c0", "c1", "c2"}
@@ -63,18 +63,31 @@ def test_construct_scales_to_large_fleet_and_boundary():
     assert sch.begin_target == 999_997
     assert sch.complete_target == 1_000_003
     sch.check_invariants()
-    assert len(sch.deliver_times) == 4000
+    # one retimed component, however large the fleet
+    assert len(sch.delay_policy().message_delays) == 1
 
 
 @pytest.mark.parametrize("n,j,t_c", [(2, 1, 2), (4, 3, 100), (7, 0, 5)])
 def test_straddle_keys_name_registered_components(n, j, t_c):
     # AdversarialSchedule falls back to its defaults for a key that names no
     # component, so a drift in the naming scheme would otherwise go unseen.
+    # Only the target is retimed; every other component keeps the defaults.
     sch = construct_straddling(n, j, t_c)
-    registered = set(new_simulation(n, sch.delay_policy(), 0).component_names())
-    assert set(sch.deliver_times) == registered
-    assert {name for name, _ in sch.stage_durations} == registered
+    policy = sch.delay_policy()
+    registered = set(new_simulation(n, policy, 0).component_names())
     assert sch.target_name in registered
+    assert {name for name, _ in policy.message_delays} == {sch.target_name}
+    assert {name for name, _ in policy.stage_durations} == {sch.target_name}
+
+
+@pytest.mark.parametrize("n,j,t_c", [(2, 1, 2), (4, 3, 100), (7, 0, 5)])
+def test_straddle_non_targets_complete_at_t6(n, j, t_c):
+    sch, out = straddle_trial(n, t_c, j=j, crash=False)
+    done = {rec.target: rec.time for rec in out.trace.records
+            if rec.payload.get("action") == "persist_done"}
+    assert len(done) == n
+    assert {done[name] for name in done if name != sch.target_name} == {6}
+    assert done[sch.target_name] == sch.complete_target
 
 
 def test_full_straddle_needs_early_completer():

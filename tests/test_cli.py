@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import epochsim
 from epochsim import optimizer
 from epochsim.cli import (
     EXIT_NO_WITNESS,
@@ -29,16 +33,27 @@ def run_cli(*argv: str) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-def test_no_command_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def assert_refused(code: int, out: str, err: str) -> None:
+    """A refused command line: exit 2, nothing on stdout, one stderr line."""
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("epochsim: error: ")
+    assert len(err.splitlines()) == 1
 
 
-def test_unknown_command_is_usage_error():
+def test_no_command_is_usage_error(capsys):
+    assert_refused(*run_cli(), capsys.readouterr().err)
+
+
+def test_unknown_command_is_usage_error(capsys):
+    assert_refused(*run_cli("frobnicate"), capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("deploy", "--help")])
+def test_help_is_the_only_system_exit(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: epochsim")
 
 
 def test_parser_lists_all_subcommands():
@@ -198,12 +213,17 @@ def test_explicit_flag_beats_config(tmp_path):
     assert "3/3 mixed" in out
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"grid": 2, "nonsense": True}))
-    with pytest.raises(SystemExit) as exc:
-        run_cli("straddle", "--config", str(conf))
-    assert exc.value.code == 2
+    assert_refused(*run_cli("straddle", "--config", str(conf)), capsys.readouterr().err)
+
+
+def test_unreadable_config_is_usage_error(tmp_path, capsys):
+    code, out = run_cli("straddle", "--config", str(tmp_path / "missing.json"))
+    err = capsys.readouterr().err
+    assert_refused(code, out, err)
+    assert err.startswith(f"epochsim: error: --config {tmp_path / 'missing.json'}: ")
 
 
 def test_config_string_value_is_parsed_like_a_flag(tmp_path):
@@ -214,12 +234,10 @@ def test_config_string_value_is_parsed_like_a_flag(tmp_path):
     assert "3/3 mixed" in out
 
 
-def test_config_rejects_ill_typed_value(tmp_path):
+def test_config_rejects_ill_typed_value(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"grid": "three"}))
-    with pytest.raises(SystemExit) as exc:
-        run_cli("straddle", "--config", str(conf))
-    assert exc.value.code == 2
+    assert_refused(*run_cli("straddle", "--config", str(conf)), capsys.readouterr().err)
 
 
 def test_explicit_flag_at_its_default_beats_config(tmp_path):
@@ -243,6 +261,9 @@ def test_config_booleans_toggle_switches(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+# Argv from earlier reports, each refused with one line. The generated
+# cases further down run many of the same flags and values again; these
+# also cover library checks, flag combinations and values they do not try.
 @pytest.mark.parametrize("argv", [
     ("bilateral-vs-naive", "--n", "0"),
     ("bilateral-vs-naive", "--runs", "0"),
@@ -307,13 +328,103 @@ def test_config_booleans_toggle_switches(tmp_path):
 ], ids="_".join)
 @pytest.mark.filterwarnings("error")
 def test_invalid_value_is_usage_error(argv, capsys):
+    assert_refused(*run_cli(*argv), capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# generated invalid inputs: every int and float flag of every subcommand
+# ---------------------------------------------------------------------------
+
+
+# Small sizes ride along with every case, so each finishes fast.
+_SMALL = {"--runs": "5", "--budget": "5", "--trials": "10", "--grid": "3",
+          "--horizon": "5"}
+# lattice-table evaluates a single cell only when --q and --n come together.
+_PARTNER = {"--q": ("--n", "3"), "--n": ("--q", "0.5")}
+_FLOATS = ("nan", "inf", "-inf", "-1", "0", "1e308")
+_NON_FINITE = ("nan", "inf", "-inf")
+
+
+def _readme_exit_codes() -> set[int]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    return {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)}
+
+
+_EXIT_CODES = _readme_exit_codes()
+
+
+def _generated_cases() -> list[tuple[tuple[str, ...], bool]]:
+    """(argv, refused) for each int flag at 0, -1 and one past its declared
+    bound, and each float flag at every value of _FLOATS. refused says the
+    value lies outside the flag's declared range or is not finite."""
+    cases = []
+    subs = build_parser()._subparsers._group_actions[0].choices
+    for sub, parser in subs.items():
+        for action in parser._actions:
+            # A bounded int flag's type names itself "int" and carries lo and hi.
+            kind = getattr(action.type, "__name__", None)
+            if kind == "int":
+                lo, hi = getattr(action.type, "lo", None), getattr(action.type, "hi", None)
+                values = [(v, lo is not None and int(v) < lo) for v in ("0", "-1")]
+                values += [(str(hi + 1), True)] if hi is not None else []
+            elif kind == "float":
+                values = [(v, v in _NON_FINITE) for v in _FLOATS]
+            else:
+                continue
+            flag = action.option_strings[-1]
+            ride = [x for k, v in _SMALL.items() if k != flag
+                    and k in parser._option_string_actions for x in (k, v)]
+            if sub == "lattice-table" and flag in _PARTNER:
+                ride += _PARTNER[flag]
+            cases += [((sub, *ride, flag, value), refused) for value, refused in values]
+    return cases
+
+
+_GENERATED = _generated_cases()
+
+
+@pytest.mark.parametrize("argv,refused", _GENERATED, ids=[" ".join(a) for a, _ in _GENERATED])
+def test_generated_input_exits_cleanly(argv, refused, capsys):
     code, out = run_cli(*argv)
     err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err.startswith("epochsim: error: ")
-    assert len(err.splitlines()) == 1
+    assert code in _EXIT_CODES
     assert "Traceback" not in err
+    if refused or code == EXIT_USAGE:
+        assert_refused(code, out, err)
+    assert not re.search(r"\b(nan|inf|infinity)\b", out, re.I)
+
+
+def test_generated_cases_reach_every_subcommand():
+    # A flag type the walk fails to recognise would drop its cases silently.
+    subs = build_parser()._subparsers._group_actions[0].choices
+    walked = {(argv[0], argv[-2]) for argv, _ in _GENERATED}
+    assert {(sub, "--seed") for sub in subs} <= walked
+    assert {("retry", "--p0"), ("deploy", "--budget")} <= walked
+
+
+def test_main_is_the_only_exit():
+    # A refused command line returns 2 from main; only the script entry
+    # point turns that into a process exit.
+    found = []
+    for path in sorted(Path(epochsim.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            allowed = {id(node) for stmt in tree.body if isinstance(stmt, ast.If)
+                       and ast.unparse(stmt.test) == "__name__ == '__main__'"
+                       for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "error" or ast.unparse(node.func) == "sys.exit":
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "SystemExit":
+                    found.append(f"{path.name}:{node.lineno} raise SystemExit")
+    assert found == []
 
 
 def _reject_constant(name: str) -> None:
@@ -407,9 +518,7 @@ def test_adamw_skew_relative_mismatch_exits_6(monkeypatch, g_skip):
 
 def test_workers_flag_is_usage_error(capsys):
     # The battery has no worker pool, so it takes no --workers flag.
-    with pytest.raises(SystemExit) as exc:
-        main(["bilateral-vs-naive", "--runs", "10", "--workers", "4"])
+    code, out = run_cli("bilateral-vs-naive", "--runs", "10", "--workers", "4")
     err = capsys.readouterr().err
-    assert exc.value.code == EXIT_USAGE
+    assert_refused(code, out, err)
     assert "unrecognized arguments: --workers 4" in err
-    assert "Traceback" not in err

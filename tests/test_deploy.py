@@ -10,6 +10,7 @@ from epochsim.deploy import (
     FencePolicy,
     FirmwareEpoch,
     FirmwareNode,
+    _build_sim,
     _CollectiveRunner,
     _schedule_collectives,
     deploy_candidates,
@@ -54,6 +55,17 @@ def test_directed_straddle_always_mixed():
 def test_directed_straddle_scales_with_n():
     rep = run_case_naive(directed_straddle_case(16))
     assert len(rep.mixed) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_directed_straddle_keys_name_registered_nodes(n):
+    # AdversarialSchedule falls back to its default delay for a key that
+    # names no node, so a drift in the naming scheme would otherwise go unseen.
+    case = directed_straddle_case(n)
+    sim, _ = _build_sim(n, case.delay, 0)
+    registered = set(sim.component_names())
+    assert {name for name, _ in case.delay.message_delays} <= registered
+    assert set(case.collectives[0].participants) <= registered
 
 
 def test_naive_node_crashed_through_delivery_stays_stale():
