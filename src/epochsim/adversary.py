@@ -89,16 +89,6 @@ class StraddlingSchedule:
             if self.early_complete_time is None or self.early_complete_time >= self.boundary:
                 raise WitnessFalsification("no component completes before the boundary")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n, "target": self.target, "boundary": self.boundary,
-            "begin_target": self.begin_target,
-            "stage_durations": list(self.stage_durations),
-            "complete_target": self.complete_target,
-            "early_completer": self.early_completer,
-            "early_complete_time": self.early_complete_time,
-        }
-
 
 def construct_straddling(n: int, j: int, t_c: int) -> StraddlingSchedule:
     """Build a schedule where component j's persist spans the boundary t_c.
@@ -158,16 +148,6 @@ class MixedWitness:
         lines.append(f"stable vector after recovery: [{symbols}] -> "
                      f"{self.outcome.vector_class.value}")
         return "\n".join(lines)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schedule": self.schedule.to_json_obj(),
-            "crash": {"component": self.crash[0], "time": self.crash[1]},
-            "decision": self.outcome.decision.value,
-            "vector": self.outcome.final_vector.to_json_obj(),
-            "vector_class": self.outcome.vector_class.value,
-            "trace_hash": self.outcome.trace.hash64(),
-        }
 
 
 def straddle_trial(n: int, t_c: int, *, j: int | None = None, seed: int = 0,

@@ -12,7 +12,9 @@ Subcommands:
 Every subcommand takes --seed; text and JSON carry it, CSV only for straddle
 and deploy. An identical configuration reruns to byte-identical output. --config
 names a JSON object whose keys are flag names; each entry is parsed as if
-given on the command line before the user's own flags, so flags win.
+given on the command line before the user's own flags, so flags win. Every
+entry is still parsed, so an ill-typed or out-of-range entry is refused even
+when an explicit flag overrides it.
 
 Exit codes: 0 all embedded checks passed; 2 usage error, always one
 `epochsim: error:` line on stderr and nothing on stdout; 3 lattice table
@@ -174,8 +176,9 @@ def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
-# --n bound of straddle, bilateral-vs-naive and deploy: each builds one
-# component per --n, and one run at the bound takes seconds.
+# --n bound of straddle, bilateral-vs-naive, deploy and retry. The first
+# three build one component per --n, and one run at the bound takes seconds;
+# retry draws at most one uniform per component per attempt.
 FLEET_MAX_N = 100_000
 
 
@@ -258,6 +261,9 @@ ADAMW_MAX_HORIZON = 10_000
 
 
 def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
+    if args.skew_epoch >= args.horizon:
+        raise ValueError(f"--skew-epoch {args.skew_epoch} must be less than "
+                         f"--horizon {args.horizon}")
     if not math.isfinite(args.g_skip):
         raise ValueError("--g-skip must be finite")
     hyper = optimizer.AdamWHyperparams(lr=args.lr, beta1=args.beta1, beta2=args.beta2)
@@ -266,7 +272,7 @@ def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
     # usage error, caught where the arithmetic first overflows.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            pair = optimizer.make_skew_pair(g_skip, hyper, epoch=max(args.skew_epoch, 1))
+            pair = optimizer.make_skew_pair(g_skip, hyper, epoch=args.skew_epoch)
             observed = optimizer.skew_consistency_check(pair, g_skip, hyper)
             expected = optimizer.moment_skew(g_skip, args.beta1)
             err = float(np.max(np.abs(observed - expected)))
@@ -438,8 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_IntIn("--dim", 1, ADAMW_MAX_DIM), default=1,
                    help=f"task dimension, 1 to {ADAMW_MAX_DIM}")
     p.add_argument("--g-skip", type=float, default=1.0)
-    p.add_argument("--skew-epoch", type=int, default=3)
-    p.add_argument("--horizon", type=_IntIn("--horizon", hi=ADAMW_MAX_HORIZON), default=50,
+    p.add_argument("--skew-epoch", type=_IntIn("--skew-epoch", 1, ADAMW_MAX_HORIZON - 1),
+                   default=3)
+    p.add_argument("--horizon", type=_IntIn("--horizon", 2, ADAMW_MAX_HORIZON), default=50,
                    help=f"steps in the divergence series, 2 to {ADAMW_MAX_HORIZON}")
     p.add_argument("--noise", type=float, default=0.0)
     _add_common(p)
@@ -448,10 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("retry", help="retry sweep vs geometric baseline",
                         epilog=_EPILOG)
     p.add_argument("--p0", type=float, default=0.1)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_IntIn("--n", 1, FLEET_MAX_N), default=10)
     p.add_argument("--alphas", type=str, default="1.0,1.25,1.5")
     p.add_argument("--runs", type=_IntIn("--runs", hi=BATTERY_MAX_RUNS), default=10_000)
-    p.add_argument("--max-attempts", type=int, default=40,
+    p.add_argument("--max-attempts",
+                   type=_IntIn("--max-attempts", 1, protocols.RETRY_MAX_ATTEMPTS), default=40,
                    help=f"attempts per run, 1 to {protocols.RETRY_MAX_ATTEMPTS}")
     _add_common(p)
     p.set_defaults(func=cmd_retry)

@@ -98,11 +98,12 @@ class CollectiveInstance:
         return not self.aborted and len(self.correct_versions()) >= 2
 
     def to_json_obj(self) -> dict:
+        correct = self.correct
         return {
             "cid": self.cid, "time": self.time,
             "participants": list(self.participants),
             "versions": {k: self.versions[k] for k in sorted(self.versions)},
-            "correct": {k: self.correct[k] for k in sorted(self.correct)},
+            "correct": {k: correct[k] for k in sorted(correct)},
             "fenced": list(self.fenced),
             "aborted": self.aborted,
             "abort_reason": self.abort_reason,
@@ -212,7 +213,8 @@ class DeployReport:
 
     @property
     def mixed(self) -> list[CollectiveInstance]:
-        return detect_mixed(self)
+        """Collectives whose correct participants held two or more versions."""
+        return [c for c in self.collectives if c.is_mixed]
 
     def to_json_obj(self) -> dict:
         return {
@@ -222,11 +224,6 @@ class DeployReport:
             "mixed_count": len(self.mixed),
             "trace_hash": self.trace.hash64(),
         }
-
-
-def detect_mixed(report: DeployReport) -> list[CollectiveInstance]:
-    """Collectives whose correct participants held two or more versions."""
-    return [c for c in report.collectives if c.is_mixed]
 
 
 @lru_cache(maxsize=64)

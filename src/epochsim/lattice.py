@@ -92,19 +92,15 @@ class EpochVector:
         return cls(tuple([EpochSymbol.E_MINUS_1] * n))
 
     def classify(self) -> AtomicityClass:
-        return classify(self)
+        # Top or BottomAll iff every entry is the first, and that one is e or e-1.
+        entries = self.entries
+        first = entries[0]
+        if (first is _E or first is _E_MINUS_1) and entries.count(first) == len(entries):
+            return _TOP if first is _E else _BOTTOM_ALL
+        return _MIXED
 
     def to_json_obj(self) -> list[str]:
         return [s.value for s in self.entries]
-
-
-def classify(vector: EpochVector) -> AtomicityClass:
-    # Top or BottomAll iff every entry is the first, and that one is e or e-1.
-    entries = vector.entries
-    first = entries[0]
-    if (first is _E or first is _E_MINUS_1) and entries.count(first) == len(entries):
-        return _TOP if first is _E else _BOTTOM_ALL
-    return _MIXED
 
 
 def _check_same_length(a: EpochVector, b: EpochVector) -> None:

@@ -128,10 +128,6 @@ class EpochTypedOptimizerState:
     def dim(self) -> int:
         return int(self.w.shape[0])
 
-    @property
-    def consistent(self) -> bool:
-        return self.tags.consistent
-
 
 def initial_state(dim: int, *, w0=None, rng_seed: int = 0) -> EpochTypedOptimizerState:
     w = np.zeros(dim) if w0 is None else np.array(w0, dtype=np.float64)
@@ -359,10 +355,6 @@ class DivergenceSeries:
     skew_epoch: int
     horizon: int
     rows: tuple[DivergenceRow, ...]
-
-    @property
-    def distances(self) -> list[float]:
-        return [r.distance for r in self.rows]
 
 
 def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,

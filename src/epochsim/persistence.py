@@ -251,6 +251,3 @@ class PersistenceProcess(Component):
     def epoch_state(self) -> tuple[int, EpochSymbol]:
         """The transition's target epoch and the symbol held relative to it."""
         return (self.epoch, self.state)
-
-    def symbol(self) -> EpochSymbol:
-        return self.state

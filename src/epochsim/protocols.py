@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .kernel import (Component, ConfigError, Event, EventKind, Simulation, Trace,
                      UniformDelay, _component_names, new_simulation)
@@ -109,7 +109,7 @@ def _participants(sim: Simulation) -> list[PersistenceProcess]:
 
 
 def _vector(parts: Sequence[PersistenceProcess]) -> EpochVector:
-    return EpochVector.of(p.symbol() for p in parts)
+    return EpochVector.of(p.state for p in parts)
 
 
 def snap_holds(vector: EpochVector | None) -> bool:
@@ -153,7 +153,7 @@ class BoundaryProbe(Component):
     def on_event(self, sim: Simulation, event: Event) -> None:
         if event.payload.get("type") == "boundary":
             self.vector = EpochVector.of(
-                sim.handler(n).symbol() for n in self.participant_names)
+                sim.handler(n).state for n in self.participant_names)
 
 
 def run_naive(sim: Simulation, config: NaiveCheckpointConfig,
@@ -491,50 +491,23 @@ class RetryStats:
     total_load: float  # sum over attempts of the relative load alpha^(k-1)
 
 
-AttemptFn = Callable[[int, float, random.Random], bool]
+def run_retry_loop(model: RetryModel, n: int, rng: random.Random) -> RetryStats:
+    """Repeat attempts until one succeeds or max_attempts is exhausted.
 
-
-def run_retry_loop(model: RetryModel, attempt: AttemptFn,
-                   rng: random.Random) -> RetryStats:
-    """Repeat attempts until one succeeds or max_attempts is exhausted."""
+    An attempt succeeds iff none of the n components fails independently.
+    Components draw one uniform each, in order, and the first failure ends
+    the attempt: later components draw nothing.
+    """
     schedule = model.schedule
+    draw = rng.random
     for k, p, load in schedule:
-        if attempt(k, p, rng):
+        for _ in range(n):
+            if draw() < p:
+                break
+        else:
             return RetryStats(attempts=k, succeeded=True, total_load=load)
     return RetryStats(attempts=model.max_attempts, succeeded=False,
                       total_load=schedule[-1][2])
-
-
-def bernoulli_attempt(n: int) -> AttemptFn:
-    """Attempt succeeds iff none of the n components fails independently."""
-    def attempt(k: int, p: float, rng: random.Random) -> bool:
-        draw = rng.random
-        for _ in range(n):
-            if draw() < p:
-                return False  # later components draw nothing
-        return True
-    return attempt
-
-
-def simulated_bilateral_attempt(n: int) -> AttemptFn:
-    """Attempt = one full bilateral run with per-component crash injection.
-
-    An attempt that draws no crash commits without being simulated (see
-    crash_free_commits): its timeout, 30, is above the bound.
-    """
-    names = _component_names(n)
-    config = BilateralConfig(epoch=1)
-    settle = crash_free_commits(config.ack_timeout)
-
-    def attempt(k: int, p: float, rng: random.Random) -> bool:
-        run_seed = rng.getrandbits(48)
-        crashes = crash_schedule(names, rng, p, CRASH_WINDOW)
-        if settle and not crashes:
-            return True  # the simulation draws from its own seed, not rng
-        sim = new_simulation(n, BATTERY_DELAY, run_seed)
-        out = run_bilateral(sim, config, crashes=crashes)
-        return out.decision is Decision.COMMITTED
-    return attempt
 
 
 def geometric_baseline(p0: float, n: int) -> float:
@@ -555,8 +528,7 @@ class RetrySummary:
 
 
 def retry_sweep(p0: float, n: int, alphas: Sequence[float], runs: int, seed: int,
-                *, max_attempts: int = 40,
-                attempt_factory: Callable[[int], AttemptFn] = bernoulli_attempt) -> list[RetrySummary]:
+                *, max_attempts: int = 40) -> list[RetrySummary]:
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if n < 1:
@@ -564,7 +536,6 @@ def retry_sweep(p0: float, n: int, alphas: Sequence[float], runs: int, seed: int
     if not alphas:
         raise ValueError("at least one amplification alpha is required")
     out = []
-    attempt = attempt_factory(n)
     for j, alpha in enumerate(alphas):
         model = RetryModel(base_failure_prob=p0, amplification=alpha,
                            max_attempts=max_attempts)
@@ -573,7 +544,7 @@ def retry_sweep(p0: float, n: int, alphas: Sequence[float], runs: int, seed: int
         successes = 0
         for i in range(runs):
             rng = random.Random(derive_seed(seed, j * runs + i))
-            stats = run_retry_loop(model, attempt, rng)
+            stats = run_retry_loop(model, n, rng)
             total_attempts += stats.attempts
             total_load += stats.total_load
             successes += int(stats.succeeded)

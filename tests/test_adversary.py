@@ -153,11 +153,10 @@ def test_witness_narrative_names_times():
 
 def test_witness_json_shape():
     w = witness_mixed(2, 16)
-    obj = w.to_json_obj()
-    assert obj["vector_class"] == "mixed"
-    assert len(obj["trace_hash"]) == 16
-    assert obj["schedule"]["boundary"] == 16
-    assert obj["crash"]["time"] == 16
+    assert w.outcome.vector_class is AtomicityClass.MIXED
+    assert len(w.outcome.trace.hash64()) == 16
+    assert w.schedule.boundary == 16
+    assert w.crash[1] == 16
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,15 @@ def test_explicit_flag_at_its_default_beats_config(tmp_path):
     assert "seed: 0" in out
 
 
+def test_config_entry_is_checked_even_when_a_flag_overrides_it(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n": 1}))
+    code, out = run_cli("straddle", "--config", str(conf), "--n", "5")
+    err = capsys.readouterr().err
+    assert_refused(code, out, err)
+    assert "--n" in err
+
+
 def test_config_booleans_toggle_switches(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"grid": 3, "no_crash": True, "narrative": False}))
@@ -301,6 +310,9 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("deploy", "--budget", "10000001"),
     ("deploy", "--budget", "0"),
     ("adamw-skew", "--horizon", "1"),
+    # Inside --horizon's range, but not above the default --skew-epoch 3.
+    ("adamw-skew", "--horizon", "3"),
+    ("adamw-skew", "--skew-epoch", "0"),
     ("adamw-skew", "--dim", "0"),
     ("adamw-skew", "--lr", "nan"),
     ("adamw-skew", "--noise", "nan"),
@@ -445,6 +457,14 @@ def test_adamw_dim_zero_names_the_flag(capsys):
     code, _ = run_cli("adamw-skew", "--dim", "0")
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "epochsim: error: --dim must be at least 1\n"
+
+
+@pytest.mark.parametrize("horizon", ["2", "3"])
+def test_adamw_skew_epoch_at_horizon_names_both_flags(horizon, capsys):
+    code, out = run_cli("adamw-skew", "--horizon", horizon)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == (
+        f"epochsim: error: --skew-epoch 3 must be less than --horizon {horizon}\n")
 
 
 def test_straddle_grid_may_fill_every_boundary_below_t_max():

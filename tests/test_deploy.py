@@ -14,7 +14,6 @@ from epochsim.deploy import (
     _CollectiveRunner,
     _schedule_collectives,
     deploy_candidates,
-    detect_mixed,
     directed_straddle_case,
     random_deploy_case,
     run_case_consensus,
@@ -110,7 +109,7 @@ def test_naive_no_live_participants_aborts():
 
 def test_consensus_directed_case_is_clean():
     rep = run_case_consensus(directed_straddle_case(2))
-    assert detect_mixed(rep) == []
+    assert rep.mixed == []
     inst = rep.collectives[0]
     assert inst.correct_versions() == {FirmwareEpoch.F1}
 
@@ -131,7 +130,7 @@ def test_consensus_observation_is_mandatory():
     first, second = rep.collectives
     assert first.correct_versions() == {FirmwareEpoch.F0}
     assert second.correct_versions() == {FirmwareEpoch.F1}
-    assert detect_mixed(rep) == []
+    assert rep.mixed == []
 
 
 def test_consensus_register_outage_aborts():
@@ -141,7 +140,7 @@ def test_consensus_register_outage_aborts():
     inst = rep.collectives[0]
     assert inst.aborted
     assert inst.abort_reason == "register unavailable"
-    assert detect_mixed(rep) == []
+    assert rep.mixed == []
 
 
 def test_consensus_fence_abort_policy():
@@ -220,10 +219,11 @@ def test_random_case_shape():
 
 def test_detect_mixed_reports_only_true_mixes():
     rep = run_case_naive(directed_straddle_case(2))
-    found = detect_mixed(rep)
-    assert found == list(rep.mixed)
+    found = rep.mixed
+    assert found and all(c.is_mixed for c in found)
+    assert found == [c for c in rep.collectives if len(c.correct_versions()) >= 2]
     clean = run_case_consensus(directed_straddle_case(2))
-    assert detect_mixed(clean) == []
+    assert clean.mixed == []
 
 
 def test_single_node_fleet_never_mixes():

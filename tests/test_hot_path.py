@@ -35,7 +35,6 @@ HOT_FUNCTIONS = [
     persistence.PersistenceProcess.on_crash,
     persistence.PersistenceProcess.on_recover,
     persistence.PersistenceProcess.epoch_state,
-    persistence.PersistenceProcess.symbol,
     protocols.BilateralCoordinator.on_event,
     deploy.FirmwareNode.__init__,
     deploy.FirmwareNode.on_event,
@@ -43,7 +42,7 @@ HOT_FUNCTIONS = [
     deploy._ProposeHook.on_event,
     deploy._schedule_collectives,
     deploy.run_naive_deploy,
-    lattice.classify,
+    lattice.EpochVector.classify,
 ]
 
 ENUMS = (EventKind, PersistenceStage, EpochSymbol, FirmwareEpoch, FencePolicy)

@@ -19,7 +19,6 @@ from epochsim.lattice import (
     EpochVector,
     LatticeError,
     TernaryModelParams,
-    classify,
     join,
     meet,
     monte_carlo_atomicity,
@@ -76,7 +75,7 @@ def test_classify_matches_first_principles(vec):
         want = AtomicityClass.BOTTOM_ALL
     else:
         want = AtomicityClass.MIXED
-    assert classify(vec) is want
+    assert vec.classify() is want
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,8 @@ def test_sim_harvested_vectors_match_binary_model():
             if rng.random() >= q:
                 sim.inject_crash(f"c{i}", 1)
         sim.run_until_quiescent()
-        vec = EpochVector.of(sim.handler(f"c{i}").symbol() for i in range(n))
-        counts[classify(vec)] += 1
+        vec = EpochVector.of(sim.handler(f"c{i}").state for i in range(n))
+        counts[vec.classify()] += 1
 
     params = BinaryModelParams(q=q, n=n)
     expect = {

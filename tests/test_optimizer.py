@@ -329,7 +329,7 @@ def test_divergence_all_zero_when_no_gradient_was_skipped():
     task = QuadraticTask.of([2.0], [1.0], noise_scale=0.0)
     series = trajectory_divergence(task, AdamWHyperparams(), skew_epoch=5,
                                    horizon=20, w0=[1.0])
-    assert all(d == 0.0 for d in series.distances)
+    assert all(r.distance == 0.0 for r in series.rows)
     assert series.rows[0].ref_loss == 0.0
 
 
@@ -464,7 +464,7 @@ def test_validation_is_blind_to_moment_skew():
                      tags=replace(state.tags, m=state.tags.m - 1))
     res = validation_checkpoint(skewed, task, ref_loss, delta=1e-9)
     assert res.accepted
-    assert not skewed.consistent
+    assert not skewed.tags.consistent
 
 
 def test_validation_requires_positive_delta():

@@ -68,7 +68,7 @@ def test_crash_outcome_epochs():
         sim.inject_crash("c0", crash_time)
         trace = sim.run_until_quiescent()
         assert trace.final_states["c0"] == (5, symbol)
-        assert sim.handler("c0").symbol() is symbol
+        assert sim.handler("c0").state is symbol
 
 
 # ---------------------------------------------------------------------------

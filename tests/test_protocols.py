@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from epochsim import protocols
 from epochsim.adversary import search_schedules
 from epochsim.kernel import (AdversarialSchedule, ConfigError, FixedDelay, Trace, UniformDelay,
                              _component_names, new_simulation)
@@ -22,7 +23,7 @@ from epochsim.protocols import (
     DecisionRecord,
     NaiveCheckpointConfig,
     RetryModel,
-    bernoulli_attempt,
+    RetryStats,
     compare_protocols,
     conv_holds,
     crash_free_commits,
@@ -33,7 +34,6 @@ from epochsim.protocols import (
     run_bilateral,
     run_naive,
     run_retry_loop,
-    simulated_bilateral_attempt,
     snap_holds,
 )
 
@@ -303,7 +303,7 @@ def test_retry_flat_alpha_matches_geometric():
     runs = 20_000
     total = 0
     for _ in range(runs):
-        stats = run_retry_loop(model, bernoulli_attempt(1), rng)
+        stats = run_retry_loop(model, 1, rng)
         assert stats.succeeded
         total += stats.attempts
     mean = total / runs
@@ -321,7 +321,7 @@ def test_retry_amplification_exceeds_baseline():
     runs = 4_000
     total = succ = 0
     for _ in range(runs):
-        stats = run_retry_loop(model, bernoulli_attempt(1), rng)
+        stats = run_retry_loop(model, 1, rng)
         total += stats.attempts
         succ += stats.succeeded
     mean = total / runs
@@ -335,7 +335,7 @@ def test_retry_amplification_exceeds_baseline():
 def test_retry_divergent_schedule_exhausts_budget():
     model = RetryModel(base_failure_prob=1.0, amplification=2.0,
                        max_attempts=7)
-    stats = run_retry_loop(model, bernoulli_attempt(1), random.Random(0))
+    stats = run_retry_loop(model, 1, random.Random(0))
     assert not stats.succeeded
     assert stats.attempts == 7
     # load sums alpha^(k-1): 1+2+4+...+64
@@ -355,9 +355,8 @@ def test_retry_loop_matches_the_per_attempt_oracle(p0, alpha, max_attempts, n):
     model = RetryModel(base_failure_prob=p0, amplification=alpha,
                        max_attempts=max_attempts)
     ours, reference = random.Random(7), random.Random(7)
-    attempt = bernoulli_attempt(n)
     for _ in range(300):
-        stats = run_retry_loop(model, attempt, ours)
+        stats = run_retry_loop(model, n, ours)
         want = retry_loop(p0, alpha, max_attempts, n, reference)
         assert (stats.attempts, stats.succeeded, stats.total_load) == want
         assert ours.getstate() == reference.getstate()
@@ -386,32 +385,18 @@ def test_retry_sweep_reproducible():
     assert a == b
 
 
-def test_retry_sweep_alphas_never_share_a_stream():
+def test_retry_sweep_alphas_never_share_a_stream(monkeypatch):
     # alphas that agree to three decimals still get distinct streams
     firsts = []
 
-    def recording_attempt(n):
-        def attempt(k, p, rng):
-            if k == 1:
-                firsts.append(rng.random())
-            return True
-        return attempt
+    def recording_loop(model, n, rng):
+        firsts.append(rng.random())
+        return RetryStats(attempts=1, succeeded=True, total_load=1.0)
 
-    retry_sweep(0.1, 1, [1.0001, 1.0002], runs=50, seed=0,
-                attempt_factory=recording_attempt)
+    monkeypatch.setattr(protocols, "run_retry_loop", recording_loop)
+    retry_sweep(0.1, 1, [1.0001, 1.0002], runs=50, seed=0)
     assert len(firsts) == 100
     assert len(set(firsts)) == 100
-
-
-def test_simulated_attempt_drives_real_protocol():
-    # an attempt backed by the bilateral simulator: failure prob p is
-    # realized as the probability that some participant crashes pre-ack
-    attempt = simulated_bilateral_attempt(2)
-    rng = random.Random(5)
-    results = [attempt(k, 0.0, rng) for k in range(1, 6)]
-    assert all(results)  # p=0: no crash drawn, settled as committed unsimulated
-    results = [attempt(k, 1.0, rng) for k in range(1, 6)]
-    assert not any(results)  # p=1: forced pre-ack crash, always rolls back
 
 
 def test_model_validation():
@@ -432,7 +417,7 @@ def test_model_rejects_nonfinite_or_overflowing_amplification(alpha):
 
 def test_model_accepts_the_largest_finite_load():
     model = RetryModel(base_failure_prob=1.0, amplification=8e307, max_attempts=2)
-    stats = run_retry_loop(model, bernoulli_attempt(1), random.Random(0))
+    stats = run_retry_loop(model, 1, random.Random(0))
     assert stats.total_load == 8e307 + 1
 
 

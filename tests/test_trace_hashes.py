@@ -6,15 +6,13 @@ writes the same trace bytes" a test. Each run is chosen to reach a part of
 the trace format: dropped events behind a halted coordinator, an
 "already crashed" note, a 64-component battery run whose busiest tick
 holds over twenty events, and a 16-node deploy case run both ways. The deploy
-digest pins whole reports, trace hashes included, over 200 cases, and the
-retry digest pins a sweep whose every attempt is a full bilateral run. A change
+digest pins whole reports, trace hashes included, over 200 cases. A change
 that alters the event alphabet or the draw order on purpose updates these
 literals and says why in CHANGES.md.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -38,10 +36,8 @@ from epochsim.protocols import (
     compare_protocols,
     crash_schedule,
     derive_seed,
-    retry_sweep,
     run_bilateral,
     run_naive,
-    simulated_bilateral_attempt,
 )
 
 
@@ -122,12 +118,3 @@ def test_deploy_reports_digest():
                                 separators=(",", ":")).encode())
     assert h.hexdigest() == "cef0c2dd8a29f85e"
 
-
-def test_simulated_retry_sweep_digest():
-    # Alpha 4 reaches the failure-probability cap at attempt 2, and some runs
-    # exhaust the four-attempt budget, so the sweep's every branch is pinned.
-    rows = retry_sweep(0.3, 3, [1.0, 2.0, 4.0], runs=30, seed=17, max_attempts=4,
-                       attempt_factory=simulated_bilateral_attempt)
-    assert [r.success_rate < 1.0 for r in rows] == [True, True, True]
-    blob = json.dumps([dataclasses.asdict(r) for r in rows], sort_keys=True)
-    assert hashlib.blake2b(blob.encode(), digest_size=8).hexdigest() == "0b282954f96cf2ef"
