@@ -47,11 +47,12 @@ _TIMER_FIRE = EventKind.TIMER_FIRE
 _F0 = FirmwareEpoch.F0
 _F1_VALUE = int(FirmwareEpoch.F1)
 _FIRMWARE_BY_VALUE = {int(e): e for e in FirmwareEpoch}
+_VALUE_OF_FIRMWARE = {e: int(e) for e in FirmwareEpoch}
 _PROCEED = FencePolicy.PROCEED
 _ABORT = FencePolicy.ABORT
-# The message each node's broadcast delay is drawn for; read-only, so one
-# instance serves every draw.
-_FIRMWARE_MSG = MappingProxyType({"type": "firmware"})
+# The naive deploy's broadcast message; read-only, so one instance serves
+# every case.
+_FIRMWARE_MSG = MappingProxyType({"type": "firmware", "version": _F1_VALUE})
 # Delay policy of every random case; frozen, so one instance serves them all.
 _CASE_DELAY = UniformDelay(1, 40)
 # The rest of a random case's fixed design.
@@ -73,8 +74,12 @@ class CollectiveSpec:
             raise ValueError("a collective needs at least one participant")
 
 
-@dataclass(frozen=True)
+@dataclass
 class CollectiveInstance:
+    """What one collective observed: built once, when it runs, and never
+    changed. Not frozen: a frozen dataclass sets each field through
+    object.__setattr__, which made building one about four times slower."""
+
     cid: int
     time: int
     participants: tuple[str, ...]
@@ -145,19 +150,14 @@ class FirmwareNode(Component):
         if event.kind is _DELIVER and event.payload.get("type") == "firmware":
             self.version = _FIRMWARE_BY_VALUE[event.payload["version"]]
 
-    def observe(self, decision: FirmwareEpoch | None) -> None:
-        """Adopt a decision read from the register (None: nothing committed)."""
-        if decision is not None and self.version < decision:
-            self.version = decision
-        self.observed_decision = True
-
 
 class _CollectiveRunner(Component):
     """Executes scheduled collectives and records what each one observed.
 
     With a register the runner is on the consensus path: every live
     participant observes the register's decision before it participates.
-    Without one it runs the naive path.
+    Without one it runs the naive path. It reads the simulation's crashed
+    set and its nodes' fields directly, with no call per participant.
     """
 
     def __init__(self, register: DecisionRegister | None, fence_policy: FencePolicy):
@@ -170,28 +170,31 @@ class _CollectiveRunner(Component):
         payload = event.payload
         if payload.get("type") != "collective":
             return
-        participants = tuple(payload["participants"])
+        participants = payload["participants"]
         consensus = self.register is not None
         # Nothing writes the register while a collective runs, so one read
         # serves every participant.
         readable, decision = self.register.read(sim.now) if consensus else (True, None)
-        is_crashed, handler = sim.is_crashed, sim.handler
+        crashed, nodes, value_of = sim.crashed, sim.components, _VALUE_OF_FIRMWARE
         versions: dict[str, int] = {}
         fenced: list[str] = []
         reason = None
-        for node_name in participants:
-            if is_crashed(node_name):
-                fenced.append(node_name)
+        for name in participants:
+            if name in crashed:
+                fenced.append(name)
                 continue
-            node = handler(node_name)
+            node = nodes[name]
             if consensus:
                 # Observation before participation is mandatory: the first
                 # live participant that cannot read the register aborts.
                 if not readable:
                     reason = "register unavailable"
                     break
-                node.observe(decision)
-            versions[node_name] = int(node.version)
+                # The node adopts the decision read (None: nothing committed).
+                if decision is not None and node.version < decision:
+                    node.version = decision
+                node.observed_decision = True
+            versions[name] = value_of[node.version]
         if reason is None:
             if consensus and fenced:
                 if self.fence_policy is _ABORT or not versions:
@@ -232,11 +235,10 @@ def _node_names(n: int) -> tuple[str, ...]:
     return tuple(f"n{i}" for i in range(n))
 
 
-def _build_sim(n: int, delay: DelayPolicy, seed: int) -> tuple[Simulation, list[FirmwareNode]]:
+def _build_sim(n: int, delay: DelayPolicy, seed: int) -> Simulation:
     if n < 1:
         raise ConfigError("cluster size must be at least one component")
-    nodes = [FirmwareNode(name) for name in _node_names(n)]
-    return Simulation(delay, seed, components=nodes), nodes
+    return Simulation(delay, seed, components=[FirmwareNode(name) for name in _node_names(n)])
 
 
 def _schedule_collectives(sim: Simulation, runner: _CollectiveRunner,
@@ -245,7 +247,7 @@ def _schedule_collectives(sim: Simulation, runner: _CollectiveRunner,
     for spec in collectives:
         sim.schedule(spec.time, runner.name, _TIMER_FIRE,
                      {"type": "collective", "cid": spec.cid,
-                      "participants": list(spec.participants)})
+                      "participants": spec.participants})
 
 
 def run_naive_deploy(n: int, deploy_time: int, collectives: Sequence[CollectiveSpec],
@@ -254,19 +256,14 @@ def run_naive_deploy(n: int, deploy_time: int, collectives: Sequence[CollectiveS
     """Broadcast the new firmware; nodes switch whenever delivery lands."""
     if deploy_time < 0:
         raise ValueError("deploy time must be non-negative")
-    sim, nodes = _build_sim(n, delay, seed)
+    sim = _build_sim(n, delay, seed)
     runner = _CollectiveRunner(None, _PROCEED)
     _schedule_collectives(sim, runner, collectives)
     for component, time in crashes:
         sim.inject_crash(component, time)
-    schedule, message_delay = sim.schedule, sim.message_delay
-    for node in nodes:
-        # The broadcast leaves the deployer at deploy_time; per-node delivery
-        # delay comes from the policy.
-        name = node.name
-        delay_ticks = message_delay("deployer", name, _FIRMWARE_MSG)
-        schedule(deploy_time + delay_ticks, name, _DELIVER,
-                 {"type": "firmware", "version": _F1_VALUE, "src": "deployer"})
+    # The broadcast leaves the deployer at deploy_time; per-node delivery
+    # delay comes from the policy.
+    sim.broadcast("deployer", _node_names(n), _FIRMWARE_MSG, at=deploy_time)
     trace = sim.run_until_quiescent()
     return DeployReport(mode="naive", n=n, seed=seed,
                         collectives=tuple(runner.instances), register=None,
@@ -283,7 +280,7 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
     With propose_time None no transition is ever proposed and every
     collective runs F0 uniformly.
     """
-    sim, _ = _build_sim(n, delay, seed)
+    sim = _build_sim(n, delay, seed)
     register = DecisionRegister(outage=register_outage)
     runner = _CollectiveRunner(register, fence_policy)
     _schedule_collectives(sim, runner, collectives)

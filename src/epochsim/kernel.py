@@ -17,16 +17,20 @@ which runs next, so the (time, seq) order is the same as one heap entry
 per event would give. A run that raised (StepLimitExceeded, or an error
 in a handler) may have lost the rest of its tick and cannot be resumed.
 
-Delay draws: a DelayPolicy has one method, draws(rng), which returns a
-run's three draw callables; a Simulation calls it once, at construction,
-and sends, crashes and components call those (sim.message_delay,
-sim.stage_duration, sim.recovery_delay). A UniformDelay with hi <= 255
-takes its values from whole blocks of Mersenne Twister words, one C-level
-pass per block, and above that makes one rng.randint(lo, hi) call per
-draw; the values are exactly those successive rng.randint(lo, hi) calls
-would return, in the same order. The rng may run up to one block ahead of
-the last value used, so sim.rng's position after a run is unspecified;
-read delays only through the bound callables.
+Delay draws: a DelayPolicy has one method, draws(new_rng), which returns a
+run's three draw callables; a Simulation calls it once, at construction.
+Draws are batched: message_delays(src, dsts, msg) gives one delay per
+destination and stage_durations(component, stages) one duration per stage,
+in order, each value the one a single draw would give at that point of the
+stream; recovery_delay(component) gives one delay. A policy that reads
+random numbers calls new_rng() on its first draw, so a run that makes no
+draw, and every FixedDelay and AdversarialSchedule run, seeds no Mersenne
+Twister. A UniformDelay with hi <= 255 takes its values from whole blocks of MT
+words, one C-level pass per block, and above that makes one
+rng.randint(lo, hi) call per value; the values are exactly those
+successive Random(seed).randint(lo, hi) calls would return, in the same
+order. The generator may run up to one block ahead of the last value
+used, and only the policy holds it.
 
 Crash semantics: a CRASH event marks the target down and schedules a
 RECOVER after a policy-drawn delay. While a component is down, DELIVER,
@@ -37,21 +41,25 @@ the event; the processed Event is then its own trace record.
 
 Payload ownership: schedule and set_timer take ownership of the payload
 dict they are given and store it as is, without a copy; the caller must
-not mutate it afterwards. send copies its message once, because it adds
-the "src" key, so a caller may reuse or mutate its message dict freely.
+not mutate it afterwards. send and broadcast copy their message once,
+because they add the "src" key, so a caller may reuse or mutate its
+message dict freely. Every event of one broadcast shares that one copy,
+and a processed event is its own trace record, so a payload is read-only
+once queued: no handler may write into the payload it is handed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from heapq import heappop, heappush
+from types import MappingProxyType
+from typing import AbstractSet, Any, Callable, Mapping, Sequence
 
 VirtualTime = int  # non-negative tick count
 
@@ -156,14 +164,32 @@ class DelayPolicy(ABC):
     """
 
     @abstractmethod
-    def draws(self, rng: random.Random) -> tuple[Callable[..., int], Callable[..., int],
-                                                 Callable[..., int]]:
-        """One run's draw callables, bound to rng: message_delay(src, dst,
-        msg), stage_duration(component, stage) and recovery_delay(component).
+    def draws(self, new_rng: Callable[[], random.Random]) -> tuple[
+            Callable[..., Sequence[int]], Callable[..., Sequence[int]], Callable[[str], int]]:
+        """One run's draw callables: message_delays(src, dsts, msg), exactly
+        one delay per destination; stage_durations(component, stages),
+        exactly one duration per stage; and recovery_delay(component).
 
-        A Simulation calls this once and then draws only through the three
-        callables, so a policy may pull from rng ahead of its values.
+        new_rng() builds the run's generator; a policy that draws random
+        numbers calls it once, on its first draw, and may pull from the
+        generator ahead of its values.
         """
+
+
+# A FixedDelay or UniformDelay delay does not depend on what it is drawn
+# for, so one function serves as both message_delays(src, dsts, msg) and
+# stage_durations(component, stages): take(_key, items, _msg=None) returns
+# the stream's next len(items) delays.
+_Take = Callable[..., Sequence[int]]
+
+
+def _keyless(take: _Take) -> tuple[_Take, _Take, Callable[[str], int]]:
+    """The three draw callables over one stream's take."""
+
+    def recovery_delay(component):
+        return take(component, (component,))[0]
+
+    return take, take, recovery_delay
 
 
 @dataclass(frozen=True)
@@ -174,13 +200,13 @@ class FixedDelay(DelayPolicy):
         if self.ticks < 1:
             raise ConfigError("delay must be at least one tick")
 
-    def draws(self, rng):
-        ticks = self.ticks
+    def draws(self, new_rng):
+        one = (self.ticks,)
 
-        def fixed(_a, _b=None, _c=None):  # all three signatures; arguments unused
-            return ticks
+        def take(_key, items, _msg=None):
+            return one * len(items)
 
-        return fixed, fixed, fixed
+        return _keyless(take)
 
 
 # Block draws for UniformDelay. randint(lo, hi) is lo + _randbelow(span),
@@ -191,21 +217,50 @@ class FixedDelay(DelayPolicy):
 # [3::4] of its little-endian form are the words' top bytes in draw order.
 # With hi <= 255, k <= 8 and every value fits a byte: one translate maps each
 # top byte to lo + (byte >> (8 - k)) and deletes the bytes whose top k bits
-# are >= span, which is the retry loop.
+# are >= span, which is the retry loop. Values come from the word stream in
+# order however it is cut into blocks, so block sizes change only how far
+# ahead the generator runs: the first block covers a small run's draws.
 _BYTE_MAX = 255
-_FIRST_BLOCK_WORDS = 16
+_FIRST_BLOCK_WORDS = 64
 _MAX_BLOCK_WORDS = 2048
 
 
-def _block_values(rng: random.Random, table: bytes, delete: bytes) -> Iterator[int]:
-    """Successive randint(lo, hi) values, drawn from rng in blocks of words."""
-    getrandbits = rng.getrandbits
+def _block_values(new_rng: Callable[[], random.Random], table: bytes,
+                  delete: bytes) -> _Take:
+    """take: the next randint(lo, hi) values, drawn in blocks of words.
+
+    The generator is built on the first take, so a run that draws nothing
+    seeds nothing.
+    """
+    buffered = b""
+    used = size = 0
     words = _FIRST_BLOCK_WORDS
-    while True:
-        yield from getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(
-            table, delete)
-        if words < _MAX_BLOCK_WORDS:
-            words *= 2
+    getrandbits = None
+
+    def refill(k):
+        """Draw blocks until k values are buffered past the used ones."""
+        nonlocal buffered, used, size, words, getrandbits
+        if getrandbits is None:
+            getrandbits = new_rng().getrandbits
+        buffered = buffered[used:]
+        while len(buffered) < k:
+            buffered += getrandbits(32 * words).to_bytes(4 * words, "little")[3::4] \
+                .translate(table, delete)
+            if words < _MAX_BLOCK_WORDS:
+                words *= 2
+        used, size = 0, len(buffered)
+
+    def take(_key, items, _msg=None):
+        nonlocal used
+        end = used + len(items)
+        if end > size:
+            refill(len(items))
+            end = len(items)
+        values = buffered[used:end]
+        used = end
+        return values
+
+    return take
 
 
 @dataclass(frozen=True)
@@ -227,21 +282,19 @@ class UniformDelay(DelayPolicy):
         delete = bytes(b for b in range(256) if (b >> shift) >= span)
         return table, delete
 
-    def draws(self, rng):
-        if self.hi > _BYTE_MAX:
-            lo, hi, randint = self.lo, self.hi, rng.randint
+    def draws(self, new_rng):
+        if self.hi <= _BYTE_MAX:
+            return _keyless(_block_values(new_rng, *self._byte_tables))
+        lo, hi = self.lo, self.hi
+        randint = None
 
-            def draw():
-                return randint(lo, hi)
-        else:
-            table, delete = self._byte_tables
-            # The generator is lazy: a run that draws nothing pulls no words.
-            draw = _block_values(rng, table, delete).__next__
+        def take(_key, items, _msg=None):
+            nonlocal randint
+            if randint is None:
+                randint = new_rng().randint
+            return [randint(lo, hi) for _ in items]
 
-        def any_draw(_a, _b=None, _c=None):  # all three signatures; arguments unused
-            return draw()
-
-        return any_draw, any_draw, any_draw
+        return _keyless(take)
 
 
 @dataclass(frozen=True)
@@ -264,17 +317,21 @@ class AdversarialSchedule(DelayPolicy):
         if any(v < 1 for v in values):
             raise ConfigError("all scheduled delays must be at least one tick")
 
-    def draws(self, rng):
-        def message_delay(src, dst, msg):
-            return self.message_delays.get((dst, str(msg.get("type"))), self.default_message_delay)
+    def draws(self, new_rng):
+        by_message, by_stage = self.message_delays.get, self.stage_durations.get
+        message_default, stage_default = self.default_message_delay, self.default_stage_duration
 
-        def stage_duration(component, stage):
-            return self.stage_durations.get((component, stage), self.default_stage_duration)
+        def message_delays(src, dsts, msg):
+            mtype = str(msg.get("type"))
+            return [by_message((dst, mtype), message_default) for dst in dsts]
+
+        def stage_durations(component, stages):
+            return [by_stage((component, stage), stage_default) for stage in stages]
 
         def recovery_delay(component):
             return self.default_recovery_delay
 
-        return message_delay, stage_duration, recovery_delay
+        return message_delays, stage_durations, recovery_delay
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +370,10 @@ class Simulation:
             raise ConfigError("step limit must be positive")
         self.seed = seed
         self.step_limit = step_limit
-        self.rng = random.Random(seed)
-        # Bound once: every delay of the run comes from these three callables.
-        self.message_delay, self.stage_duration, self.recovery_delay = (
-            delay_policy.draws(self.rng))
+        # Bound once: every delay of the run comes from these three callables,
+        # and the generator is seeded on the first draw that needs it.
+        self.message_delays, self.stage_durations, self.recovery_delay = (
+            delay_policy.draws(lambda: random.Random(seed)))
         self.now: VirtualTime = 0
         # Pending events by tick, each list in seq order, and a heap of
         # the ticks that have a list.
@@ -343,8 +400,15 @@ class Simulation:
     def component_names(self) -> list[str]:
         return list(self._handlers)
 
-    def is_crashed(self, name: str) -> bool:
-        return name in self._crashed
+    @property
+    def components(self) -> Mapping[str, Component]:
+        """Registered components by name, in registration order; read-only."""
+        return MappingProxyType(self._handlers)
+
+    @property
+    def crashed(self) -> AbstractSet[str]:
+        """Names of the components down now: the live set, read-only."""
+        return self._crashed
 
     # -- scheduling --------------------------------------------------------
 
@@ -360,31 +424,55 @@ class Simulation:
         bucket = self._pending.get(time)
         if bucket is None:
             self._pending[time] = [ev]
-            heapq.heappush(self._ticks, time)
+            heappush(self._ticks, time)
         else:
             bucket.append(ev)
         return ev
 
     def send(self, src: str, dst: str, msg: Mapping[str, Any]) -> Event:
         """Schedule a message delivery after a policy-drawn positive delay."""
-        delay = self.message_delay(src, dst, msg)
-        if delay < 1:
-            raise ConfigError("message delay must be at least one tick")
-        if dst not in self._handlers:
-            raise ConfigError(f"unknown component {dst!r}")
+        return self.broadcast(src, (dst,), msg)[0]
+
+    def broadcast(self, src: str, dsts: Sequence[str], msg: Mapping[str, Any], *,
+                  at: VirtualTime | None = None) -> list[Event]:
+        """Send msg from src to each of dsts, leaving at tick `at` (default now).
+
+        The same events, seqs and delays as one send per destination in
+        order, but the delays are one batched draw and every event shares
+        one payload: msg copied once, with "src" added. Each destination and
+        delay is checked as its event is queued, so a bad one fails after the
+        ones before it were queued, as a loop of sends would.
+        """
+        if at is None:
+            at = self.now
+        elif at < self.now:
+            raise SchedulePastError(f"cannot send at t={at}, now is t={self.now}")
+        handlers = self._handlers
         payload = dict(msg)
         payload["src"] = src
         # schedule's steps inline: a delivery is never in the past.
-        time = self.now + delay
-        self._seq = seq = self._seq + 1
-        ev = Event(time, seq, dst, _DELIVER, payload)
-        bucket = self._pending.get(time)
-        if bucket is None:
-            self._pending[time] = [ev]
-            heapq.heappush(self._ticks, time)
-        else:
-            bucket.append(ev)
-        return ev
+        pending, ticks = self._pending, self._ticks
+        seq = self._seq
+        events = []
+        try:
+            for dst, delay in zip(dsts, self.message_delays(src, dsts, msg)):
+                if delay < 1:
+                    raise ConfigError("message delay must be at least one tick")
+                if dst not in handlers:
+                    raise ConfigError(f"unknown component {dst!r}")
+                time = at + delay
+                seq += 1
+                ev = Event(time, seq, dst, _DELIVER, payload)
+                bucket = pending.get(time)
+                if bucket is None:
+                    pending[time] = [ev]
+                    heappush(ticks, time)
+                else:
+                    bucket.append(ev)
+                events.append(ev)
+        finally:
+            self._seq = seq  # the queued events keep their seqs
+        return events
 
     def set_timer(self, target: str, delay: int, payload: Mapping[str, Any]) -> Event:
         if delay < 1:
@@ -406,7 +494,7 @@ class Simulation:
         record = self._records.append
         limit = self.step_limit
         recovery_delay = self.recovery_delay
-        pop = heapq.heappop
+        pop = heappop
         crash, recover = _CRASH, _RECOVER
         steps = 0
         while ticks:

@@ -83,14 +83,6 @@ class EpochVector:
     def of(cls, symbols: Iterable[EpochSymbol]) -> EpochVector:
         return cls(tuple(symbols))
 
-    @classmethod
-    def top(cls, n: int) -> EpochVector:
-        return cls(tuple([EpochSymbol.E] * n))
-
-    @classmethod
-    def bottom_all(cls, n: int) -> EpochVector:
-        return cls(tuple([EpochSymbol.E_MINUS_1] * n))
-
     def classify(self) -> AtomicityClass:
         # Top or BottomAll iff every entry is the first, and that one is e or e-1.
         entries = self.entries

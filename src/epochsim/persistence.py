@@ -66,9 +66,8 @@ ACTIVE_STAGES: tuple[PersistenceStage, ...] = (
     PersistenceStage.FSYNC,
     PersistenceStage.METADATA_UPDATE,
 )
-# Their names, as passed to the simulation's stage_duration draw.
+# Their names, as passed to the simulation's stage_durations draw.
 ACTIVE_STAGE_NAMES: tuple[str, ...] = tuple(s.name for s in ACTIVE_STAGES)
-_FLUSH, _DMA, _WRITE, _FSYNC, _METADATA = ACTIVE_STAGE_NAMES
 
 
 # Members the per-event methods use, bound once: a global name is about ten
@@ -161,17 +160,16 @@ class PersistenceProcess(Component):
         self.tentative = tentative
         self.attempt += 1
         self.stage = _BUFFER_FLUSH  # in flight; on_crash finds the exact stage
-        # Draw every stage duration now, in stage order, so the draw sequence
-        # is a deterministic function of the event order. Each draw is one
-        # call of the simulation's bound draw (for a UniformDelay, the next
-        # block-drawn value: no Random call per draw). Written out stage by
-        # stage: with per-call draws a loop here added about 40% to their cost.
-        stage_duration, name = sim.stage_duration, self.name
-        flush = sim.now + stage_duration(name, _FLUSH)
-        dma = flush + stage_duration(name, _DMA)
-        write = dma + stage_duration(name, _WRITE)
-        fsync = write + stage_duration(name, _FSYNC)
-        end = fsync + stage_duration(name, _METADATA)
+        # Draw every stage duration now, in stage order and in one batched
+        # call, so the draw sequence is a deterministic function of the
+        # event order. The running sums are written out: accumulate() and a
+        # tuple slice cost more than these five additions.
+        flush, dma, write, fsync, end = sim.stage_durations(self.name, ACTIVE_STAGE_NAMES)
+        flush += sim.now
+        dma += flush
+        write += dma
+        fsync += write
+        end += fsync
         self._stage_ends = (flush, dma, write, fsync, end)
         sim.schedule(end, self.name, _LOCAL_STEP,
                      {"action": "persist_done", "attempt": self.attempt,

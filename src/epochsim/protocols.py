@@ -103,9 +103,7 @@ class DecisionRecord:
 
 
 def _participants(sim: Simulation) -> list[PersistenceProcess]:
-    handler = sim.handler
-    return [p for name in sim.component_names()
-            if isinstance(p := handler(name), PersistenceProcess)]
+    return [p for p in sim.components.values() if isinstance(p, PersistenceProcess)]
 
 
 def _vector(parts: Sequence[PersistenceProcess]) -> EpochVector:
@@ -152,8 +150,9 @@ class BoundaryProbe(Component):
 
     def on_event(self, sim: Simulation, event: Event) -> None:
         if event.payload.get("type") == "boundary":
+            components = sim.components
             self.vector = EpochVector.of(
-                sim.handler(n).state for n in self.participant_names)
+                components[n].state for n in self.participant_names)
 
 
 def run_naive(sim: Simulation, config: NaiveCheckpointConfig,
@@ -168,13 +167,12 @@ def run_naive(sim: Simulation, config: NaiveCheckpointConfig,
     parts = _participants(sim)
     if not parts:
         raise ValueError("simulation has no persistence components")
-    # send copies its message, so one dict serves every participant.
-    msg = {"type": "checkpoint", "epoch": config.epoch, "tentative": False}
-    for p in parts:
-        sim.send("origin", p.name, msg)
+    names = [p.name for p in parts]
+    sim.broadcast("origin", names,
+                  {"type": "checkpoint", "epoch": config.epoch, "tentative": False})
     for component, time in crashes:
         sim.inject_crash(component, time)
-    probe = BoundaryProbe([p.name for p in parts])
+    probe = BoundaryProbe(names)
     sim.register(probe)
     sim.set_timer(probe.name, config.boundary_time, {"type": "boundary"})
     trace = sim.run_until_quiescent()
@@ -205,9 +203,8 @@ class BilateralCoordinator(Component):
         self.acks: set[str] = set()
 
     def start(self, sim: Simulation) -> None:
-        msg = {"type": "checkpoint", "epoch": self.config.epoch, "tentative": True}
-        for name in self.participant_names:
-            sim.send(self.name, name, msg)
+        sim.broadcast(self.name, self.participant_names,
+                      {"type": "checkpoint", "epoch": self.config.epoch, "tentative": True})
         sim.set_timer(self.name, self.config.ack_timeout,
                       {"type": "ack_timeout", "epoch": self.config.epoch})
 
@@ -228,9 +225,8 @@ class BilateralCoordinator(Component):
 
     def _decide(self, sim: Simulation, kind: str) -> None:
         self.record.write(kind, self.config.epoch, sim.now)
-        msg = {"type": kind, "epoch": self.config.epoch}
-        for name in self.participant_names:
-            sim.send(self.name, name, msg)
+        sim.broadcast(self.name, self.participant_names,
+                      {"type": kind, "epoch": self.config.epoch})
 
 
 def run_bilateral(sim: Simulation, config: BilateralConfig,

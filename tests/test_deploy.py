@@ -61,7 +61,7 @@ def test_directed_straddle_keys_name_registered_nodes(n):
     # AdversarialSchedule falls back to its default delay for a key that
     # names no node, so a drift in the naming scheme would otherwise go unseen.
     case = directed_straddle_case(n)
-    sim, _ = _build_sim(n, case.delay, 0)
+    sim = _build_sim(n, case.delay, 0)
     registered = set(sim.component_names())
     assert {name for name, _ in case.delay.message_delays} <= registered
     assert set(case.collectives[0].participants) <= registered

@@ -25,7 +25,7 @@ from epochsim.kernel import (
     new_simulation,
 )
 from epochsim.lattice import EpochSymbol
-from epochsim.persistence import PersistenceProcess
+from epochsim.persistence import ACTIVE_STAGE_NAMES, PersistenceProcess
 
 
 class Recorder(Component):
@@ -72,15 +72,24 @@ def test_schedule_in_past_raises():
     sim.run_until_quiescent()
     with pytest.raises(SchedulePastError):
         sim.schedule(0, "r0", EventKind.LOCAL_STEP, {})
+    with pytest.raises(SchedulePastError, match="^cannot send at t=0, now is t=1$"):
+        sim.broadcast("r0", ["r0"], {}, at=0)
 
 
 def test_unknown_target_rejected():
     sim, _ = _sim()
     with pytest.raises(ConfigError):
         sim.schedule(1, "nobody", EventKind.LOCAL_STEP, {})
-    # send pushes onto the queue itself and keeps the same check.
+    # send keeps the same check.
     with pytest.raises(ConfigError, match="^unknown component 'nobody'$"):
         sim.send("r0", "nobody", {})
+    # A broadcast fails where a loop of sends would: after queueing the
+    # destinations before the unknown one.
+    with pytest.raises(ConfigError, match="^unknown component 'nobody'$"):
+        sim.broadcast("r0", ["r0", "nobody", "r0"], {"tag": "first"})
+    sim.schedule(5, "r0", EventKind.LOCAL_STEP, {"tag": "next"})
+    assert [(r.seq, r.payload["tag"]) for r in sim.run_until_quiescent().records] \
+        == [(1, "first"), (2, "next")]
 
 
 def test_duplicate_registration_rejected():
@@ -144,14 +153,19 @@ def test_new_simulation_registers_its_cluster_in_order():
     sim = new_simulation(5, FixedDelay(1), seed=0)
     assert sim.component_names() == ["c0", "c1", "c2", "c3", "c4"]
     assert all(sim.handler(name).name == name for name in sim.component_names())
+    assert list(sim.components) == sim.component_names()
+    with pytest.raises(TypeError):  # a read-only view of the registry
+        sim.components["c9"] = PersistenceProcess("c9", epoch=1)
     with pytest.raises(ConfigError, match="^component 'c3' already registered$"):
         sim.register(PersistenceProcess("c3", epoch=1))
 
 
 def test_deploy_fleet_is_registered_in_order():
-    sim, nodes = deploy._build_sim(3, FixedDelay(1), 0)
-    assert [node.name for node in nodes] == sim.component_names() == ["n0", "n1", "n2"]
-    assert all(sim.handler(node.name) is node for node in nodes)
+    sim = deploy._build_sim(3, FixedDelay(1), 0)
+    assert sim.component_names() == ["n0", "n1", "n2"]
+    nodes = [sim.handler(name) for name in sim.component_names()]
+    assert all(isinstance(node, deploy.FirmwareNode) for node in nodes)
+    assert [node.name for node in nodes] == ["n0", "n1", "n2"]
 
 
 def test_components_given_at_construction_must_have_distinct_names():
@@ -184,7 +198,7 @@ def test_permanent_crash_never_recovers():
     trace = sim.run_until_quiescent()
     assert rec.seen == []
     assert not any(r.kind == "recover" for r in trace.records)
-    assert sim.is_crashed("r0")
+    assert "r0" in sim.crashed
 
 
 def test_crash_of_crashed_component_is_noop():
@@ -250,6 +264,48 @@ def test_empty_queue_yields_empty_trace_and_initial_states():
     states = trace.final_states
     assert set(states) == {"c0", "c1"}
     assert all(s == (1, EpochSymbol.E_MINUS_1) for s in states.values())  # untouched prior
+
+
+FANOUT_POLICIES = [
+    FixedDelay(3), UniformDelay(1, 3), UniformDelay(1, 40), UniformDelay(7, 1000),
+    AdversarialSchedule(message_delays={("r5", "ping"): 9, ("r63", "ping"): 4},
+                        default_message_delay=2),
+]
+
+
+@pytest.mark.parametrize("policy", FANOUT_POLICIES, ids=[
+    "FixedDelay(3)", "UniformDelay(1,3)", "UniformDelay(1,40)", "UniformDelay(7,1000)",
+    "AdversarialSchedule"])
+def test_broadcast_equals_one_send_per_destination(policy):
+    # A fan-out to k destinations queues the events k sends would, in the
+    # same order, and leaves the draw stream where they would: the next
+    # message and stage draws agree too.
+    names = [f"r{i}" for i in range(64)]
+    for k in range(1, 65):
+        dsts = [names[(j * j + k) % 64] for j in range(k)]  # some repeat
+        fan, one = (Simulation(policy, k, components=[Recorder(n) for n in names])
+                    for _ in range(2))
+        for sim in (fan, one):
+            sim.schedule(2, "r0", EventKind.LOCAL_STEP, {"tag": "before"})
+        msg = {"type": "ping", "tag": "fan"}
+        fanned = fan.broadcast("src", dsts, msg)
+        sent = [one.send("src", dst, msg) for dst in dsts]
+        assert [e.to_obj() for e in fanned] == [e.to_obj() for e in sent]
+        assert all(e.payload is fanned[0].payload for e in fanned)
+        assert fan.send("src", "r1", msg).to_obj() == one.send("src", "r1", msg).to_obj()
+        assert list(fan.stage_durations("r1", ACTIVE_STAGE_NAMES)) == list(
+            one.stage_durations("r1", ACTIVE_STAGE_NAMES))
+        assert fan.run_until_quiescent().to_jsonl() == one.run_until_quiescent().to_jsonl()
+
+
+def test_broadcast_leaves_at_its_departure_tick():
+    sim, recs = _sim(n=3)
+    events = sim.broadcast("deployer", ["r2", "r0"], {"tag": "late"}, at=10)
+    assert [(e.time, e.seq, e.target) for e in events] == [(11, 1, "r2"), (11, 2, "r0")]
+    assert events[0].payload == {"tag": "late", "src": "deployer"}
+    sim.run_until_quiescent()
+    assert [r.seen for r in recs] == [[(11, 2, "late")], [], [(11, 1, "late")]]
+    assert sim.broadcast("deployer", [], {}) == []
 
 
 def test_send_copies_the_message_once():

@@ -103,22 +103,27 @@ def test_join_meet_idempotent(vec):
     assert meet(vec, vec) == vec
 
 
+def _uniform(symbol: EpochSymbol, n: int) -> EpochVector:
+    return EpochVector.of([symbol] * n)
+
+
 @given(vectors)
 def test_top_and_bottom_are_units(vec):
     n = len(vec.entries)
-    assert join(vec, EpochVector.bottom_all(n)).entries == tuple(
+    top, bottom_all = _uniform(EpochSymbol.E, n), _uniform(EpochSymbol.E_MINUS_1, n)
+    assert join(vec, bottom_all).entries == tuple(
         s if s is not EpochSymbol.E_MINUS_1 else EpochSymbol.E_MINUS_1
         for s in vec.entries)
-    assert join(vec, EpochVector.top(n)) == EpochVector.top(n)
-    assert meet(vec, EpochVector.bottom_all(n)) == EpochVector.bottom_all(n)
-    assert meet(vec, EpochVector.top(n)) == vec
+    assert join(vec, top) == top
+    assert meet(vec, bottom_all) == bottom_all
+    assert meet(vec, top) == vec
 
 
 def test_length_mismatch_raises():
     with pytest.raises(LatticeError):
-        join(EpochVector.top(2), EpochVector.top(3))
+        join(_uniform(EpochSymbol.E, 2), _uniform(EpochSymbol.E, 3))
     with pytest.raises(LatticeError):
-        meet(EpochVector.top(2), EpochVector.top(3))
+        meet(_uniform(EpochSymbol.E, 2), _uniform(EpochSymbol.E, 3))
 
 
 def test_symbol_order():
