@@ -37,7 +37,9 @@ RECOVER after a policy-drawn delay. While a component is down, DELIVER,
 LOCAL_STEP, and TIMER_FIRE events addressed to it are dropped. Crashing
 an already-crashed component is a no-op. The loop sets an event's dropped
 flag or note ("already crashed", "not crashed") once, when it processes
-the event; the processed Event is then its own trace record.
+the event; the processed Event is then its own trace record. Only the
+loop writes the set of crashed components; Simulation.crashed hands out
+that live set for reading.
 
 Payload ownership: schedule and set_timer take ownership of the payload
 dict they are given and store it as is, without a copy; the caller must
@@ -219,9 +221,9 @@ class FixedDelay(DelayPolicy):
 # top byte to lo + (byte >> (8 - k)) and deletes the bytes whose top k bits
 # are >= span, which is the retry loop. Values come from the word stream in
 # order however it is cut into blocks, so block sizes change only how far
-# ahead the generator runs: the first block covers a small run's draws.
+# ahead the generator runs.
 _BYTE_MAX = 255
-_FIRST_BLOCK_WORDS = 64
+_FIRST_BLOCK_WORDS = 16
 _MAX_BLOCK_WORDS = 2048
 
 
@@ -407,7 +409,12 @@ class Simulation:
 
     @property
     def crashed(self) -> AbstractSet[str]:
-        """Names of the components down now: the live set, read-only."""
+        """Names of the components down now.
+
+        The loop's own live set, returned without a copy so a collective
+        reads it at no cost: callers must not mutate it. Only the loop
+        writes it, on CRASH and RECOVER events.
+        """
         return self._crashed
 
     # -- scheduling --------------------------------------------------------
@@ -439,9 +446,11 @@ class Simulation:
 
         The same events, seqs and delays as one send per destination in
         order, but the delays are one batched draw and every event shares
-        one payload: msg copied once, with "src" added. Each destination and
-        delay is checked as its event is queued, so a bad one fails after the
-        ones before it were queued, as a loop of sends would.
+        one payload: msg copied once, with "src" added. A draw that does not
+        give exactly one delay per destination raises ConfigError before
+        anything is queued. Each destination and delay is checked as its
+        event is queued, so a bad one fails after the ones before it were
+        queued, as a loop of sends would.
         """
         if at is None:
             at = self.now
@@ -452,10 +461,14 @@ class Simulation:
         payload["src"] = src
         # schedule's steps inline: a delivery is never in the past.
         pending, ticks = self._pending, self._ticks
+        delays = self.message_delays(src, dsts, msg)
+        if len(delays) != len(dsts):
+            raise ConfigError(
+                f"delay policy gave {len(delays)} delays for {len(dsts)} destinations")
         seq = self._seq
         events = []
         try:
-            for dst, delay in zip(dsts, self.message_delays(src, dsts, msg)):
+            for dst, delay in zip(dsts, delays):
                 if delay < 1:
                     raise ConfigError("message delay must be at least one tick")
                 if dst not in handlers:

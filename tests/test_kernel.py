@@ -298,6 +298,26 @@ def test_broadcast_equals_one_send_per_destination(policy):
         assert fan.run_until_quiescent().to_jsonl() == one.run_until_quiescent().to_jsonl()
 
 
+class _ShortDraws(FixedDelay):
+    """Gives one delay fewer than a fan-out has destinations."""
+
+    def draws(self, new_rng):
+        message_delays, stage_durations, recovery_delay = super().draws(new_rng)
+        return (lambda src, dsts, msg: message_delays(src, dsts, msg)[1:],
+                stage_durations, recovery_delay)
+
+
+def test_broadcast_refuses_a_draw_of_the_wrong_length():
+    # Without the check, the destinations past the end of a short draw
+    # would get no delivery and nothing would say so.
+    sim = Simulation(_ShortDraws(2), 0, components=[Recorder("r0"), Recorder("r1")])
+    with pytest.raises(ConfigError, match="^delay policy gave 1 delays for 2 destinations$"):
+        sim.broadcast("src", ["r0", "r1"], {"tag": "fan"})
+    with pytest.raises(ConfigError, match="^delay policy gave 0 delays for 1 destinations$"):
+        sim.send("src", "r0", {})
+    assert sim.run_until_quiescent().records == ()
+
+
 def test_broadcast_leaves_at_its_departure_tick():
     sim, recs = _sim(n=3)
     events = sim.broadcast("deployer", ["r2", "r0"], {"tag": "late"}, at=10)

@@ -56,11 +56,12 @@ class WatchedSimulation(Simulation):
         super().__init__(delay_policy, seed)
         self.violations = violations
 
-    def send(self, src, dst, msg):
-        sender = self.handler(src) if src in self.component_names() else None
+    def broadcast(self, src, dsts, msg, **kw):
+        # send is a one-destination broadcast, so this sees every message.
+        sender = self.components.get(src)
         if isinstance(sender, PersistenceProcess) and sender.resolved:
             self.violations.append(f"{src} sent {msg.get('type')} at t={self.now}")
-        return super().send(src, dst, msg)
+        return super().broadcast(src, dsts, msg, **kw)
 
 
 @st.composite
@@ -127,6 +128,19 @@ def test_trace_final_states_agree_with_the_final_vector(case):
 def test_resolved_component_does_no_further_work(case):
     _, violations = _run(case)
     assert violations == []
+
+
+def test_watch_sees_sends_and_broadcasts():
+    # The property above is only as good as its watch: a resolved
+    # component's message is caught whichever call queues it.
+    violations: list[str] = []
+    sim = WatchedSimulation(UniformDelay(1, 3), 0, violations)
+    proc = WatchedProcess("c0", violations)
+    sim.register(proc)
+    proc.resolved = True
+    sim.send("c0", "c0", {"type": "ack"})
+    sim.broadcast("c0", ["c0"], {"type": "ready"})
+    assert violations == ["c0 sent ack at t=0", "c0 sent ready at t=0"]
 
 
 @st.composite
