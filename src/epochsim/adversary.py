@@ -166,7 +166,7 @@ def straddle_trial(n: int, t_c: int, *, j: int | None = None, seed: int = 0,
     crashes = []
     if crash:
         crashes = [(schedule.target_name, t_c if crash_time is None else crash_time)]
-    outcome = run_naive(sim, NaiveCheckpointConfig(epoch=1, boundary_time=t_c),
+    outcome = run_naive(sim, NaiveCheckpointConfig(boundary_time=t_c),
                         crashes=crashes)
     return schedule, outcome
 

@@ -144,7 +144,6 @@ class FirmwareNode(Component):
     def __init__(self, name: str):
         self.name = name
         self.version = _F0
-        self.observed_decision = False
 
     def on_event(self, sim: Simulation, event: Event) -> None:
         if event.kind is _DELIVER and event.payload.get("type") == "firmware":
@@ -193,7 +192,6 @@ class _CollectiveRunner(Component):
                 # The node adopts the decision read (None: nothing committed).
                 if decision is not None and node.version < decision:
                     node.version = decision
-                node.observed_decision = True
             versions[name] = value_of[node.version]
         if reason is None:
             if consensus and fenced:

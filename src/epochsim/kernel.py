@@ -5,7 +5,9 @@ Virtual time is an integer tick count. Events are totally ordered by
 single deterministic sequence: re-running with the same seed and the
 same setup code reproduces the event list bit for bit. Message delays,
 stage durations, and crash-recovery delays are drawn from a pluggable
-DelayPolicy; all delays are strictly positive ticks.
+DelayPolicy; all delays are strictly positive ticks. The kernel records
+events only: a run's Trace is its seed and its processed events, and what
+a component holds when the run ends is read off the component itself.
 
 The queue is a list of events per pending tick, plus a heap of the
 distinct pending ticks. seq only grows, so appending keeps each list in
@@ -25,12 +27,11 @@ in order, each value the one a single draw would give at that point of the
 stream; recovery_delay(component) gives one delay. A policy that reads
 random numbers calls new_rng() on its first draw, so a run that makes no
 draw, and every FixedDelay and AdversarialSchedule run, seeds no Mersenne
-Twister. A UniformDelay with hi <= 255 takes its values from whole blocks of MT
-words, one C-level pass per block, and above that makes one
-rng.randint(lo, hi) call per value; the values are exactly those
-successive Random(seed).randint(lo, hi) calls would return, in the same
-order. The generator may run up to one block ahead of the last value
-used, and only the policy holds it.
+Twister. A UniformDelay (hi <= 255) takes its values from whole blocks of MT
+words, one C-level pass per block; the values are exactly those successive
+Random(seed).randint(lo, hi) calls would return, in the same order. The
+generator may run up to one block ahead of the last value used, and only
+the policy holds it.
 
 Crash semantics: a CRASH event marks the target down and schedules a
 RECOVER after a policy-drawn delay. While a component is down, DELIVER,
@@ -138,11 +139,13 @@ def digest64(text: str) -> str:
 
 @dataclass(frozen=True)
 class Trace:
-    """Replayable record of one run: every processed event plus final states."""
+    """Replayable record of one run: every processed event, in order.
+
+    Where a run ended is the components' own state, not the trace's.
+    """
 
     seed: int
     records: tuple[Event, ...]
-    final_states: Mapping[str, Any]
 
     def to_jsonl(self) -> str:
         return "\n".join(
@@ -217,11 +220,11 @@ class FixedDelay(DelayPolicy):
 # is the top k bits of one 32-bit MT word, one word per try. getrandbits(32*n)
 # returns n successive words, the first least significant, so the bytes at
 # [3::4] of its little-endian form are the words' top bytes in draw order.
-# With hi <= 255, k <= 8 and every value fits a byte: one translate maps each
-# top byte to lo + (byte >> (8 - k)) and deletes the bytes whose top k bits
-# are >= span, which is the retry loop. Values come from the word stream in
-# order however it is cut into blocks, so block sizes change only how far
-# ahead the generator runs.
+# UniformDelay refuses hi > 255, so k <= 8 and every value fits a byte: one
+# translate maps each top byte to lo + (byte >> (8 - k)) and deletes the
+# bytes whose top k bits are >= span, which is the retry loop. Values come
+# from the word stream in order however it is cut into blocks, so block
+# sizes change only how far ahead the generator runs.
 _BYTE_MAX = 255
 _FIRST_BLOCK_WORDS = 16
 _MAX_BLOCK_WORDS = 2048
@@ -273,6 +276,8 @@ class UniformDelay(DelayPolicy):
     def __post_init__(self) -> None:
         if self.lo < 1 or self.hi < self.lo:
             raise ConfigError("uniform delay bounds must satisfy 1 <= lo <= hi")
+        if self.hi > _BYTE_MAX:
+            raise ConfigError(f"uniform delay hi must be at most {_BYTE_MAX}")
 
     @cached_property  # per policy, not per run: a run's set-up is on the deploy path
     def _byte_tables(self) -> tuple[bytes, bytes]:
@@ -285,18 +290,7 @@ class UniformDelay(DelayPolicy):
         return table, delete
 
     def draws(self, new_rng):
-        if self.hi <= _BYTE_MAX:
-            return _keyless(_block_values(new_rng, *self._byte_tables))
-        lo, hi = self.lo, self.hi
-        randint = None
-
-        def take(_key, items, _msg=None):
-            nonlocal randint
-            if randint is None:
-                randint = new_rng().randint
-            return [randint(lo, hi) for _ in items]
-
-        return _keyless(take)
+        return _keyless(_block_values(new_rng, *self._byte_tables))
 
 
 @dataclass(frozen=True)
@@ -355,10 +349,6 @@ class Component:
 
     def on_recover(self, sim: Simulation, event: Event) -> None:
         pass
-
-    def epoch_state(self):
-        """Durable epoch state for the trace, or None if not applicable."""
-        return None
 
 
 class Simulation:
@@ -539,12 +529,7 @@ class Simulation:
                 else:
                     handler.on_event(self, ev)
                 record(ev)
-        final = {}
-        for name, handler in handlers.items():
-            state = handler.epoch_state()
-            if state is not None:
-                final[name] = state
-        return Trace(seed=self.seed, records=tuple(self._records), final_states=final)
+        return Trace(seed=self.seed, records=tuple(self._records))
 
 
 def new_simulation(n: int, delay_policy: DelayPolicy, seed: int, *,

@@ -104,11 +104,14 @@ def ack_digest(component: str, epoch: int) -> str:
 class CrashRecord:
     stage: str
     acked: bool
-    tentative: bool
 
 
 class PersistenceProcess(Component):
     """One component's durable state plus the staged-write machinery.
+
+    The component owns its transition: epoch is the target it moves to and
+    state is the symbol it holds; a protocol reads both off its participants
+    once the run quiesces. staged_ready is derived: a tentative attempt at Done.
 
     Protocol wiring is optional: ack_to names a coordinator to notify when
     a tentative persist completes, and decision_record is that
@@ -121,7 +124,6 @@ class PersistenceProcess(Component):
         self.state = _E_MINUS_1            # durable symbol relative to `epoch`
         self.stage = _IDLE
         self.tentative = False
-        self.staged_ready = False   # staged copy of epoch e is durable
         self.resolved = False       # a commit/rollback directive was applied
         self.acked = False
         self.attempt = 0            # staleness guard for the queued completion
@@ -130,6 +132,11 @@ class PersistenceProcess(Component):
         self.decision_record = None  # protocols.DecisionRecord, wired externally
         self.corrupt_ack = False
         self.crash_log: list[CrashRecord] = []
+
+    @property
+    def staged_ready(self) -> bool:
+        """The staged copy of epoch e is durable: a tentative attempt reached Done."""
+        return self.tentative and self.stage is _DONE
 
     # -- event plumbing ------------------------------------------------------
 
@@ -177,18 +184,16 @@ class PersistenceProcess(Component):
 
     def _complete(self, sim: Simulation) -> None:
         self.stage = _DONE
-        if self.tentative:
-            self.staged_ready = True
-            if self.ack_to is not None:
-                digest = ack_digest(self.name, self.epoch)
-                if self.corrupt_ack:
-                    digest = digest64(digest + ":corrupt")
-                sim.send(self.name, self.ack_to,
-                         {"type": "ready", "epoch": self.epoch,
-                          "component": self.name, "digest": digest})
-                self.acked = True
-        else:
+        if not self.tentative:
             self.state = _E
+        elif self.ack_to is not None:
+            digest = ack_digest(self.name, self.epoch)
+            if self.corrupt_ack:
+                digest = digest64(digest + ":corrupt")
+            sim.send(self.name, self.ack_to,
+                     {"type": "ready", "epoch": self.epoch,
+                      "component": self.name, "digest": digest})
+            self.acked = True
 
     # -- directives (tentative mode) ------------------------------------------
 
@@ -206,7 +211,6 @@ class PersistenceProcess(Component):
             self.stage = _DONE
         else:
             self.state = _E_MINUS_1
-            self.staged_ready = False
             self.stage = _IDLE
             self.attempt += 1  # a rollback ends the attempt in flight
         self.resolved = True
@@ -217,21 +221,15 @@ class PersistenceProcess(Component):
         if self.stage in ACTIVE_STAGES:
             # Crashes are injected at setup, so one at stage k's end tick sees stage k.
             self.stage = ACTIVE_STAGES[bisect_left(self._stage_ends, sim.now)]
-        self.crash_log.append(CrashRecord(self.stage.name, self.acked, self.tentative))
+        self.crash_log.append(CrashRecord(self.stage.name, self.acked))
         if self.stage in ACTIVE_STAGES:
             symbol = DURABILITY[self.stage]
-            if self.tentative:
-                # Staging writes never touch the stable copy: either the
-                # staged data is already durable, or the attempt is discarded.
-                if symbol is _E:
-                    self.staged_ready = True
-                    self.stage = _DONE
-                else:
-                    self.staged_ready = False
-                    self.stage = _IDLE
-            else:
+            # Staging writes never touch the stable copy: a tentative attempt
+            # either has its staged data durable already (Done) or is
+            # discarded (Idle).
+            if not self.tentative:
                 self.state = symbol
-                self.stage = _DONE if symbol is _E else _IDLE
+            self.stage = _DONE if symbol is _E else _IDLE
             self.attempt += 1  # invalidate the queued completion
         # A crash at Idle or Done changes nothing durable: a completed direct
         # persist is stable, and durable staged data survives.
@@ -243,9 +241,3 @@ class PersistenceProcess(Component):
         if record is not None and record.decision is not None and not self.resolved:
             kind, epoch = record.decision
             sim.send(self.ack_to, self.name, {"type": kind, "epoch": epoch})
-
-    # -- observation ------------------------------------------------------------
-
-    def epoch_state(self) -> tuple[int, EpochSymbol]:
-        """The transition's target epoch and the symbol held relative to it."""
-        return (self.epoch, self.state)

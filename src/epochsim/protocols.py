@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from .kernel import (Component, ConfigError, Event, EventKind, Simulation, Trace,
                      UniformDelay, _component_names, new_simulation)
-from .lattice import AtomicityClass, EpochSymbol, EpochVector
+from .lattice import AtomicityClass, EpochVector
 from .persistence import ACTIVE_STAGES, PersistenceProcess, ack_digest
 
 _DELIVER = EventKind.DELIVER
@@ -49,7 +49,6 @@ class Decision(str, Enum):
 
 @dataclass(frozen=True)
 class NaiveCheckpointConfig:
-    epoch: int = 1
     boundary_time: int = 10  # t_c: when the transition is declared done
 
     def __post_init__(self) -> None:
@@ -59,7 +58,6 @@ class NaiveCheckpointConfig:
 
 @dataclass(frozen=True)
 class BilateralConfig:
-    epoch: int = 1
     ack_timeout: int = 30
     corrupt_acks: frozenset[str] = frozenset()  # fault injection: bad digests
 
@@ -102,8 +100,15 @@ class DecisionRecord:
         self.time = time
 
 
-def _participants(sim: Simulation) -> list[PersistenceProcess]:
-    return [p for p in sim.components.values() if isinstance(p, PersistenceProcess)]
+def _participants(sim: Simulation) -> tuple[list[PersistenceProcess], int]:
+    """The persistence components and the one epoch they all move to."""
+    parts = [p for p in sim.components.values() if isinstance(p, PersistenceProcess)]
+    if not parts:
+        raise ValueError("simulation has no persistence components")
+    epochs = {p.epoch for p in parts}
+    if len(epochs) > 1:
+        raise ValueError(f"participants move to different epochs {sorted(epochs)}")
+    return parts, parts[0].epoch
 
 
 def _vector(parts: Sequence[PersistenceProcess]) -> EpochVector:
@@ -119,20 +124,18 @@ def snap_holds(vector: EpochVector | None) -> bool:
     return vector is not None and vector.classify() is AtomicityClass.TOP
 
 
-def conv_holds(trace: Trace, epoch: int) -> bool:
+def conv_holds(outcome: ProtocolOutcome, epoch: int) -> bool:
     """Convergence as a property of the completed run.
 
-    Folds over the whole history: every component that persists state must
-    have ended durably holding E for `epoch`. Deciding this from the finished
-    trace, rather than from a vector sampled at one boundary instant, is
+    Reads the quiesced state: the run must move its participants to
+    `epoch`, and every one of them must have ended durably holding E once
+    all crashes and recoveries settled. Deciding this from where the run
+    ended, rather than from a vector sampled at one boundary instant, is
     what separates an all-or-nothing guarantee from a boundary declaration;
     a write straddling the boundary can look fine at t_c and still land
     prior or ambiguous.
     """
-    states = trace.final_states
-    if not states:
-        return False
-    return all(e == epoch and s is EpochSymbol.E for e, s in states.values())
+    return outcome.epoch == epoch and outcome.vector_class is AtomicityClass.TOP
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +167,10 @@ def run_naive(sim: Simulation, config: NaiveCheckpointConfig,
     the decision is Committed(epoch). Crashes passed in are injected before
     the boundary probe so a crash at exactly t_c is visible to it.
     """
-    parts = _participants(sim)
-    if not parts:
-        raise ValueError("simulation has no persistence components")
+    parts, epoch = _participants(sim)
     names = [p.name for p in parts]
     sim.broadcast("origin", names,
-                  {"type": "checkpoint", "epoch": config.epoch, "tentative": False})
+                  {"type": "checkpoint", "epoch": epoch, "tentative": False})
     for component, time in crashes:
         sim.inject_crash(component, time)
     probe = BoundaryProbe(names)
@@ -179,7 +180,7 @@ def run_naive(sim: Simulation, config: NaiveCheckpointConfig,
     final = _vector(parts)
     return ProtocolOutcome(
         decision=Decision.COMMITTED,
-        epoch=config.epoch,
+        epoch=epoch,
         final_vector=final,
         vector_class=final.classify(),
         trace=trace,
@@ -194,19 +195,20 @@ def run_naive(sim: Simulation, config: NaiveCheckpointConfig,
 
 
 class BilateralCoordinator(Component):
-    def __init__(self, participant_names: Sequence[str], config: BilateralConfig,
-                 record: DecisionRecord):
+    def __init__(self, participant_names: Sequence[str], epoch: int,
+                 config: BilateralConfig, record: DecisionRecord):
         self.name = "coord"
         self.participant_names = tuple(participant_names)
+        self.epoch = epoch
         self.config = config
         self.record = record
         self.acks: set[str] = set()
 
     def start(self, sim: Simulation) -> None:
         sim.broadcast(self.name, self.participant_names,
-                      {"type": "checkpoint", "epoch": self.config.epoch, "tentative": True})
+                      {"type": "checkpoint", "epoch": self.epoch, "tentative": True})
         sim.set_timer(self.name, self.config.ack_timeout,
-                      {"type": "ack_timeout", "epoch": self.config.epoch})
+                      {"type": "ack_timeout", "epoch": self.epoch})
 
     def on_event(self, sim: Simulation, event: Event) -> None:
         payload = event.payload
@@ -214,7 +216,7 @@ class BilateralCoordinator(Component):
             if self.record.decision is not None:
                 return
             component = payload["component"]
-            if payload.get("digest") != ack_digest(component, self.config.epoch):
+            if payload.get("digest") != ack_digest(component, self.epoch):
                 return  # a mismatched digest counts as a missing ack
             self.acks.add(component)
             if len(self.acks) == len(self.participant_names):
@@ -224,31 +226,29 @@ class BilateralCoordinator(Component):
                 self._decide(sim, "rollback")
 
     def _decide(self, sim: Simulation, kind: str) -> None:
-        self.record.write(kind, self.config.epoch, sim.now)
+        self.record.write(kind, self.epoch, sim.now)
         sim.broadcast(self.name, self.participant_names,
-                      {"type": kind, "epoch": self.config.epoch})
+                      {"type": kind, "epoch": self.epoch})
 
 
 def run_bilateral(sim: Simulation, config: BilateralConfig,
                   crashes: Iterable[tuple[str, int]] = (),
                   coordinator_crash_at: int | None = None) -> ProtocolOutcome:
     """Tentative persists plus acks; commit only on unanimous readiness."""
-    parts = _participants(sim)
-    if not parts:
-        raise ValueError("simulation has no persistence components")
+    parts, epoch = _participants(sim)
     record = DecisionRecord()
+    coord = BilateralCoordinator([p.name for p in parts], epoch, config, record)
     for p in parts:
-        p.ack_to = "coord"
+        p.ack_to = coord.name
         p.decision_record = record
         p.corrupt_ack = p.name in config.corrupt_acks
-    coord = BilateralCoordinator([p.name for p in parts], config, record)
     sim.register(coord)
     coord.start(sim)
     for component, time in crashes:
         sim.inject_crash(component, time)
     if coordinator_crash_at is not None:
         # a halting failure: the classic blocking case for this protocol
-        sim.inject_crash("coord", coordinator_crash_at, permanent=True)
+        sim.inject_crash(coord.name, coordinator_crash_at, permanent=True)
     trace = sim.run_until_quiescent()
     if record.decision is None:
         decision = Decision.NO_DECISION
@@ -261,7 +261,7 @@ def run_bilateral(sim: Simulation, config: BilateralConfig,
         if decision is Decision.NO_DECISION else ()
     return ProtocolOutcome(
         decision=decision,
-        epoch=config.epoch,
+        epoch=epoch,
         final_vector=final,
         vector_class=final.classify(),
         trace=trace,
@@ -389,8 +389,8 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
     if not 0.0 <= crash_prob <= 1.0:
         raise ValueError("crash probability must lie in [0, 1]")
     names = _component_names(n)
-    bilateral_config = BilateralConfig(epoch=1, ack_timeout=ack_timeout)
-    naive_config = NaiveCheckpointConfig(epoch=1, boundary_time=boundary_time)
+    bilateral_config = BilateralConfig(ack_timeout=ack_timeout)
+    naive_config = NaiveCheckpointConfig(boundary_time=boundary_time)
     settle = crash_free_commits(ack_timeout)
     naive_t = ClassTallies()
     bilat_t = ClassTallies()

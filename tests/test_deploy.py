@@ -249,7 +249,7 @@ def test_deploy_refuses_an_empty_fleet(run):
 def test_register_outage_fences_crashed_nodes_then_aborts_at_first_live_one():
     # n0 is down and the register is unavailable when the collective runs:
     # n0 is fenced, n1 cannot observe and aborts the collective, and n2 is
-    # never asked, so it has observed nothing either.
+    # never asked, so none of them adopts the committed F1.
     sim = Simulation(FixedDelay(100), seed=0)
     nodes = [FirmwareNode(f"n{i}") for i in range(3)]
     for node in nodes:
@@ -265,5 +265,4 @@ def test_register_outage_fences_crashed_nodes_then_aborts_at_first_live_one():
     assert inst.correct == {"n0": False}
     assert inst.versions == {}
     assert inst.aborted and inst.abort_reason == "register unavailable"
-    assert [n.observed_decision for n in nodes] == [False, False, False]
     assert [n.version for n in nodes] == [FirmwareEpoch.F0] * 3

@@ -234,6 +234,8 @@ def test_delay_policies_reject_nonpositive_ticks():
         UniformDelay(0, 3)
     with pytest.raises(ValueError):
         UniformDelay(4, 3)
+    with pytest.raises(ConfigError, match="^uniform delay hi must be at most 255$"):
+        UniformDelay(1, 256)  # values are drawn a byte at a time
     with pytest.raises(ValueError):
         AdversarialSchedule(default_message_delay=0)
 
@@ -249,32 +251,23 @@ def test_every_scheduled_message_eventually_delivers():
     assert sorted(seen) == sorted(tags)
 
 
-def test_final_states_keyed_by_component():
-    sim = new_simulation(2, FixedDelay(1), seed=0)
-    for name in sim.component_names():
-        sim.send("driver", name, {"type": "checkpoint", "epoch": 1})
-    trace = sim.run_until_quiescent()
-    assert set(trace.final_states) == {"c0", "c1"}
-
-
 def test_empty_queue_yields_empty_trace_and_initial_states():
     sim = new_simulation(2, FixedDelay(1), seed=0)
     trace = sim.run_until_quiescent()
     assert trace.records == ()
-    states = trace.final_states
-    assert set(states) == {"c0", "c1"}
-    assert all(s == (1, EpochSymbol.E_MINUS_1) for s in states.values())  # untouched prior
+    states = [(p.epoch, p.state) for p in sim.components.values()]
+    assert states == [(1, EpochSymbol.E_MINUS_1)] * 2  # untouched prior
 
 
 FANOUT_POLICIES = [
-    FixedDelay(3), UniformDelay(1, 3), UniformDelay(1, 40), UniformDelay(7, 1000),
+    FixedDelay(3), UniformDelay(1, 3), UniformDelay(1, 40),
     AdversarialSchedule(message_delays={("r5", "ping"): 9, ("r63", "ping"): 4},
                         default_message_delay=2),
 ]
 
 
 @pytest.mark.parametrize("policy", FANOUT_POLICIES, ids=[
-    "FixedDelay(3)", "UniformDelay(1,3)", "UniformDelay(1,40)", "UniformDelay(7,1000)",
+    "FixedDelay(3)", "UniformDelay(1,3)", "UniformDelay(1,40)",
     "AdversarialSchedule"])
 def test_broadcast_equals_one_send_per_destination(policy):
     # A fan-out to k destinations queues the events k sends would, in the

@@ -16,6 +16,11 @@ from epochsim.persistence import (
 E_MINUS_1, BOTTOM, E = EpochSymbol.E_MINUS_1, EpochSymbol.BOTTOM, EpochSymbol.E
 
 
+def _held(proc):
+    """The component's target epoch and the symbol it holds durably."""
+    return proc.epoch, proc.state
+
+
 def _start(n=1, ticks=2, seed=0, epoch=1):
     sim = new_simulation(n, FixedDelay(ticks), seed=seed, epoch=epoch)
     for name in sim.component_names():
@@ -66,8 +71,8 @@ def test_crash_outcome_epochs():
     for crash_time, symbol in [(3, E_MINUS_1), (9, BOTTOM), (13, E)]:
         sim = _start(ticks=2, epoch=5)
         sim.inject_crash("c0", crash_time)
-        trace = sim.run_until_quiescent()
-        assert trace.final_states["c0"] == (5, symbol)
+        sim.run_until_quiescent()
+        assert _held(sim.handler("c0")) == (5, symbol)
         assert sim.handler("c0").state is symbol
 
 
@@ -79,8 +84,7 @@ def test_crash_outcome_epochs():
 def test_uninterrupted_persist_commits():
     sim = _start(ticks=2)
     trace = sim.run_until_quiescent()
-    state = trace.final_states["c0"]
-    assert state == (1, E)
+    assert _held(sim.handler("c0")) == (1, E)
     # deliver at 2, five stages of 2 ticks each: the attempt completes at 12
     assert trace.records[-1].time == 12
 
@@ -112,15 +116,15 @@ def test_crash_before_delivery_stays_prior():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 1)  # IDLE; the checkpoint at t=2 lands mid-crash
     trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == (1, E_MINUS_1)
+    assert _held(sim.handler("c0")) == (1, E_MINUS_1)
     assert any(r.dropped for r in trace.records)
 
 
 def test_crash_mid_buffer_flush_keeps_prior_epoch():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 3)
-    trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == (1, E_MINUS_1)
+    sim.run_until_quiescent()
+    assert _held(sim.handler("c0")) == (1, E_MINUS_1)
     proc = sim.handler("c0")
     assert proc.crash_log[0].stage == "BUFFER_FLUSH"
 
@@ -128,22 +132,22 @@ def test_crash_mid_buffer_flush_keeps_prior_epoch():
 def test_crash_mid_fsync_is_ambiguous():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 9)  # FSYNC spans (8, 10]
-    trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == (1, BOTTOM)
+    sim.run_until_quiescent()
+    assert _held(sim.handler("c0")) == (1, BOTTOM)
 
 
 def test_crash_mid_metadata_update_is_committed():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 11)
-    trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == (1, E)
+    sim.run_until_quiescent()
+    assert _held(sim.handler("c0")) == (1, E)
 
 
 def test_crash_after_done_is_committed():
     sim = _start(ticks=2)
     sim.inject_crash("c0", 13)
-    trace = sim.run_until_quiescent()
-    assert trace.final_states["c0"] == (1, E)
+    sim.run_until_quiescent()
+    assert _held(sim.handler("c0")) == (1, E)
     proc = sim.handler("c0")
     assert proc.crash_log[0].stage == "DONE"
 
@@ -175,11 +179,11 @@ _STAGE_AT_TICK = [
 def test_crash_symbol_by_stage(crash_time, stage, symbol, tentative):
     sim = _staged(ticks=2)[0] if tentative else _start(ticks=2)
     sim.inject_crash("c0", crash_time)
-    trace = sim.run_until_quiescent()
+    sim.run_until_quiescent()
     assert sim.handler("c0").crash_log[0].stage == stage
     # a tentative attempt never touches the stable copy
     want = EpochSymbol.E_MINUS_1 if tentative else symbol
-    assert trace.final_states["c0"] == (1, want)
+    assert _held(sim.handler("c0")) == (1, want)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +202,16 @@ def test_staged_persist_leaves_stable_copy_until_commit():
     sim, proc = _staged()
     sim.run_until_quiescent()
     assert proc.staged_ready
-    assert proc.epoch_state() == (1, E_MINUS_1)
+    assert _held(proc) == (1, E_MINUS_1)
     proc.apply_directive(sim, "commit", 1)
-    assert proc.epoch_state() == (1, E)
+    assert _held(proc) == (1, E)
 
 
 def test_staged_rollback_discards():
     sim, proc = _staged()
     sim.run_until_quiescent()
     proc.apply_directive(sim, "rollback", 1)
-    assert proc.epoch_state() == (1, E_MINUS_1)
+    assert _held(proc) == (1, E_MINUS_1)
     assert not proc.staged_ready
     assert proc.stage is PersistenceStage.IDLE
 
@@ -218,12 +222,19 @@ def test_directives_idempotent():
     proc.apply_directive(sim, "commit", 1)
     proc.apply_directive(sim, "commit", 1)
     proc.apply_directive(sim, "rollback", 1)  # resolved: ignored
-    assert proc.epoch_state() == (1, E)
+    assert _held(proc) == (1, E)
 
 
 def test_commit_without_staged_data_rejected():
     sim = new_simulation(1, FixedDelay(1), seed=0)
     proc = sim.handler("c0")
+    with pytest.raises(ProtocolViolation):
+        proc.apply_directive(sim, "commit", 1)
+    # a completed direct persist is durable in place and stages nothing
+    sim = _start(ticks=1)
+    sim.run_until_quiescent()
+    proc = sim.handler("c0")
+    assert proc.stage is PersistenceStage.DONE and not proc.staged_ready
     with pytest.raises(ProtocolViolation):
         proc.apply_directive(sim, "commit", 1)
 
@@ -241,7 +252,7 @@ def test_staged_crash_early_discards_staging():
     sim.run_until_quiescent()
     assert not proc.staged_ready
     assert proc.stage is PersistenceStage.IDLE
-    assert proc.epoch_state() == (1, E_MINUS_1)
+    assert _held(proc) == (1, E_MINUS_1)
 
 
 def test_staged_crash_late_keeps_staging_durable():
@@ -251,9 +262,9 @@ def test_staged_crash_late_keeps_staging_durable():
     sim.inject_crash("c0", 11)  # METADATA_UPDATE
     sim.run_until_quiescent()
     assert proc.staged_ready
-    assert proc.epoch_state() == (1, E_MINUS_1)
+    assert _held(proc) == (1, E_MINUS_1)
     proc.apply_directive(sim, "commit", 1)
-    assert proc.epoch_state() == (1, E)
+    assert _held(proc) == (1, E)
 
 
 def test_ack_digest_stable():
@@ -269,4 +280,3 @@ def test_crash_log_records_ack_state():
     sim.run_until_quiescent()
     rec = proc.crash_log[0]
     assert rec.stage == "DONE"
-    assert rec.tentative

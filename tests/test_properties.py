@@ -4,9 +4,8 @@ Fixed-seed batteries only sample the schedules a seed happens to draw;
 these properties let Hypothesis search for a counterexample instead. The
 bilateral protocol must never end Mixed, a decided run must converge to
 the decision, and a component that has applied its directive does no
-further work: it sends nothing and its durable state stays put. For
-bilateral and naive runs alike, Conv holds over the trace exactly when the
-stable vector is Top. The consensus deploy never runs a collective whose
+further work: it sends nothing and its durable state stays put. The
+consensus deploy never runs a collective whose
 correct participants hold two firmware versions, whatever the crashes,
 register outage and fence policy.
 """
@@ -20,8 +19,7 @@ from epochsim.deploy import CollectiveSpec, FencePolicy, run_consensus_deploy
 from epochsim.kernel import DelayPolicy, Simulation, UniformDelay
 from epochsim.lattice import AtomicityClass, EpochSymbol
 from epochsim.persistence import PersistenceProcess
-from epochsim.protocols import (BilateralConfig, Decision, NaiveCheckpointConfig, conv_holds,
-                                run_bilateral, run_naive)
+from epochsim.protocols import BilateralConfig, Decision, conv_holds, run_bilateral
 
 EPOCH = 1
 
@@ -83,7 +81,7 @@ def _run(case):
     sim = WatchedSimulation(case["delay"], case["seed"], violations)
     for i in range(case["n"]):
         sim.register(WatchedProcess(f"c{i}", violations))
-    out = run_bilateral(sim, BilateralConfig(epoch=EPOCH, ack_timeout=case["ack_timeout"]),
+    out = run_bilateral(sim, BilateralConfig(ack_timeout=case["ack_timeout"]),
                         crashes=case["crashes"],
                         coordinator_crash_at=case["coordinator_crash_at"])
     return out, violations
@@ -101,26 +99,10 @@ def test_bilateral_is_never_mixed(case):
 def test_decided_run_converges_to_its_decision(case):
     out, _ = _run(case)
     if out.decision is Decision.COMMITTED:
-        assert conv_holds(out.trace, EPOCH)
+        assert conv_holds(out, EPOCH)
     elif out.decision is Decision.ROLLED_BACK:
-        prior = (EPOCH, EpochSymbol.E_MINUS_1)
-        assert all(s == prior for s in out.trace.final_states.values())
-
-
-def _run_naive(case):
-    sim = Simulation(case["delay"], case["seed"])
-    for i in range(case["n"]):
-        sim.register(PersistenceProcess(f"c{i}", epoch=EPOCH))
-    return run_naive(sim, NaiveCheckpointConfig(epoch=EPOCH), crashes=case["crashes"])
-
-
-@settings(max_examples=100, deadline=None)
-@given(bilateral_runs())
-def test_trace_final_states_agree_with_the_final_vector(case):
-    # The trace's final states and the outcome's vector are two views of the
-    # same durable state: Conv holds exactly when the vector is Top.
-    for out in (_run(case)[0], _run_naive(case)):
-        assert conv_holds(out.trace, out.epoch) == (out.vector_class is AtomicityClass.TOP)
+        assert out.epoch == EPOCH
+        assert all(s is EpochSymbol.E_MINUS_1 for s in out.final_vector.entries)
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,10 +10,10 @@ import pytest
 
 from epochsim import protocols
 from epochsim.adversary import search_schedules
-from epochsim.kernel import (AdversarialSchedule, ConfigError, FixedDelay, Trace, UniformDelay,
-                             _component_names, new_simulation)
+from epochsim.kernel import (AdversarialSchedule, ConfigError, FixedDelay, Simulation,
+                             UniformDelay, _component_names, new_simulation)
 from epochsim.lattice import AtomicityClass, EpochSymbol
-from epochsim.persistence import PersistenceStage
+from epochsim.persistence import PersistenceProcess, PersistenceStage
 from epochsim.protocols import (
     BATTERY_DELAY,
     CRASH_WINDOW,
@@ -240,10 +240,10 @@ def _simulated_tallies(n: int, runs: int, seed: int,
     for i in range(runs):
         run_seed = derive_seed(seed, i)
         naive.add(run_naive(new_simulation(n, BATTERY_DELAY, run_seed),
-                            NaiveCheckpointConfig(epoch=1, boundary_time=10)))
+                            NaiveCheckpointConfig(boundary_time=10)))
         for t, tallies in bilateral.items():
             tallies.add(run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
-                                      BilateralConfig(epoch=1, ack_timeout=t)))
+                                      BilateralConfig(ack_timeout=t)))
     return naive, bilateral
 
 
@@ -273,7 +273,7 @@ def test_crash_free_bound_is_sharp():
     assert len(free) == 570
     rolled_back = {
         t: sum(run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
-                             BilateralConfig(epoch=1, ack_timeout=t)).decision
+                             BilateralConfig(ack_timeout=t)).decision
                is Decision.ROLLED_BACK for run_seed in free)
         for t in (21, 22)}
     assert rolled_back == {21: 5, 22: 0}
@@ -454,14 +454,14 @@ def test_naive_all_crashed_before_start_still_declares_commit():
     assert all(s is EpochSymbol.E_MINUS_1 for s in out.final_vector.entries)
     assert out.decision is Decision.COMMITTED
     assert out.disagreement
-    assert not conv_holds(out.trace, 1)
+    assert not conv_holds(out, 1)
 
 
 def test_snap_and_conv_agree_on_clean_run():
     sim = new_simulation(3, FixedDelay(1), seed=0)
     out = run_naive(sim, NaiveCheckpointConfig(boundary_time=20))
     assert snap_holds(out.boundary_vector)
-    assert conv_holds(out.trace, 1)
+    assert conv_holds(out, 1)
 
 
 def test_conv_holds_where_early_snap_misses_inflight_writes():
@@ -470,7 +470,7 @@ def test_conv_holds_where_early_snap_misses_inflight_writes():
     sim = new_simulation(3, FixedDelay(2), seed=0)
     out = run_naive(sim, NaiveCheckpointConfig(boundary_time=5))
     assert not snap_holds(out.boundary_vector)
-    assert conv_holds(out.trace, 1)
+    assert conv_holds(out, 1)
 
 
 def test_conv_false_on_mixed_witness():
@@ -478,24 +478,37 @@ def test_conv_false_on_mixed_witness():
     out = run_naive(sim, NaiveCheckpointConfig(boundary_time=10),
                     crashes=[("c1", 9)])
     assert out.decision is Decision.COMMITTED
-    assert not conv_holds(out.trace, 1)
+    assert not conv_holds(out, 1)
     assert not snap_holds(out.boundary_vector)
 
 
-def test_conv_checks_epoch_and_rejects_empty_history():
+def test_conv_checks_epoch():
     sim = new_simulation(2, FixedDelay(1), seed=3)
     out = run_naive(sim, NaiveCheckpointConfig(boundary_time=30))
-    assert conv_holds(out.trace, 1)
-    assert not conv_holds(out.trace, 2)
-    assert not conv_holds(Trace(seed=0, records=(), final_states={}), 1)
+    assert conv_holds(out, 1)
+    assert not conv_holds(out, 2)
     assert not snap_holds(None)
+
+
+@pytest.mark.parametrize("run,config", [(run_naive, NaiveCheckpointConfig()),
+                                        (run_bilateral, BilateralConfig())],
+                         ids=["naive", "bilateral"])
+def test_participants_moving_to_different_epochs_are_refused(run, config):
+    # The components own the target epoch; a run whose participants disagree
+    # on it is refused before anything is queued or registered.
+    sim = Simulation(FixedDelay(1), 0, components=[PersistenceProcess("c0", 1),
+                                                   PersistenceProcess("c1", 2)])
+    with pytest.raises(ValueError, match=r"^participants move to different epochs \[1, 2\]$"):
+        run(sim, config, crashes=[("c1", 1)])
+    assert sim.component_names() == ["c0", "c1"]
+    assert sim.run_until_quiescent().records == ()
 
 
 def test_bilateral_commit_satisfies_conv():
     sim = new_simulation(2, FixedDelay(1), seed=0)
     out = run_bilateral(sim, BilateralConfig(ack_timeout=30))
     assert out.decision is Decision.COMMITTED
-    assert conv_holds(out.trace, 1)
+    assert conv_holds(out, 1)
 
 
 def test_search_for_mixed_bilateral_run_exhausts_budget():

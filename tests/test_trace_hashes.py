@@ -63,9 +63,9 @@ def _battery_run(n: int, seed: int, index: int):
     run_seed = derive_seed(seed, index)
     crashes = crash_schedule(_component_names(n), random.Random(run_seed), 0.15, CRASH_WINDOW)
     bilateral = run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
-                              BilateralConfig(epoch=1, ack_timeout=30), crashes=crashes)
+                              BilateralConfig(ack_timeout=30), crashes=crashes)
     naive = run_naive(new_simulation(n, BATTERY_DELAY, run_seed),
-                      NaiveCheckpointConfig(epoch=1, boundary_time=10), crashes=crashes)
+                      NaiveCheckpointConfig(boundary_time=10), crashes=crashes)
     return crashes, bilateral, naive
 
 
