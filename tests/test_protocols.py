@@ -482,12 +482,16 @@ def test_conv_false_on_mixed_witness():
     assert not snap_holds(out.boundary_vector)
 
 
-def test_conv_checks_epoch():
+def test_conv_checks_epoch_and_rejects_empty_history():
     sim = new_simulation(2, FixedDelay(1), seed=3)
     out = run_naive(sim, NaiveCheckpointConfig(boundary_time=30))
     assert conv_holds(out, 1)
     assert not conv_holds(out, 2)
     assert not snap_holds(None)
+    # a run with no participants has no outcome, so Conv never holds vacuously
+    for run, config in ((run_naive, NaiveCheckpointConfig()), (run_bilateral, BilateralConfig())):
+        with pytest.raises(ValueError, match="^simulation has no persistence components$"):
+            run(Simulation(FixedDelay(1), 0), config)
 
 
 @pytest.mark.parametrize("run,config", [(run_naive, NaiveCheckpointConfig()),
