@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -181,6 +182,13 @@ def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
 # retry draws at most one uniform per component per attempt.
 FLEET_MAX_N = 100_000
 
+# --grid bound of straddle, checked while parsing whatever --t-max is; it
+# admits the 999,992 boundaries below the default --t-max. Sampling a grid
+# at the bound takes about 1.5 s and peaks near 150 MB RSS (t_max 10^12, on
+# a 2-core Xeon), and the run then tries one witness per boundary, about
+# 45 s at --n 2.
+STRADDLE_MAX_GRID = 1_000_000
+
 
 def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
     grid = adversary.boundary_grid(args.grid, t_max=args.t_max, seed=args.seed)
@@ -313,8 +321,17 @@ def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Entry bound of retry --alphas, checked before any run: a sweep runs
+# --runs runs per entry.
+RETRY_MAX_ALPHAS = 100
+
+
 def cmd_retry(args: argparse.Namespace, out: TextIO) -> int:
-    alphas = [float(a) for a in args.alphas.split(",") if a]
+    entries = [a for a in args.alphas.split(",") if a]
+    if len(entries) > RETRY_MAX_ALPHAS:
+        raise ValueError(f"--alphas takes at most {RETRY_MAX_ALPHAS} entries, "
+                         f"got {len(entries)}")
+    alphas = [float(a) for a in entries]
     summaries = protocols.retry_sweep(
         p0=args.p0, n=args.n, alphas=alphas, runs=args.runs, seed=args.seed,
         max_attempts=args.max_attempts)
@@ -416,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("straddle", help="boundary-straddling crash witnesses",
                         epilog=_EPILOG)
     p.add_argument("--n", type=_IntIn("--n", 2, FLEET_MAX_N), default=2)
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=_IntIn("--grid", 1, STRADDLE_MAX_GRID), default=100)
     p.add_argument("--t-max", type=int, default=1_000_000)
     p.add_argument("--no-crash", action="store_true",
                    help="negative control: same schedules, crash disabled")
@@ -431,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=_IntIn("--runs", hi=BATTERY_MAX_RUNS), default=10_000)
     p.add_argument("--n", type=_IntIn("--n", hi=FLEET_MAX_N), default=4)
     p.add_argument("--crash-prob", type=float, default=0.15)
-    p.add_argument("--t-c", type=int, default=10)
-    p.add_argument("--ack-timeout", type=int, default=30)
+    p.add_argument("--t-c", type=_IntIn("--t-c", 1), default=10)
+    p.add_argument("--ack-timeout", type=_IntIn("--ack-timeout", 1), default=30)
     _add_common(p)
     p.set_defaults(func=cmd_bilateral_vs_naive)
 
@@ -456,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
                         epilog=_EPILOG)
     p.add_argument("--p0", type=float, default=0.1)
     p.add_argument("--n", type=_IntIn("--n", 1, FLEET_MAX_N), default=10)
-    p.add_argument("--alphas", type=str, default="1.0,1.25,1.5")
+    p.add_argument("--alphas", type=str, default="1.0,1.25,1.5",
+                   help=f"comma-separated load amplifications, at most {RETRY_MAX_ALPHAS}")
     p.add_argument("--runs", type=_IntIn("--runs", hi=BATTERY_MAX_RUNS), default=10_000)
     p.add_argument("--max-attempts",
                    type=_IntIn("--max-attempts", 1, protocols.RETRY_MAX_ATTEMPTS), default=40,
@@ -476,9 +494,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process. Sharing it is safe:
+    parse_args keeps no state between calls and no flag has a mutable
+    default. set_defaults binds each cmd_* function when the parser is
+    built, so code that replaces one must call _parser.cache_clear()."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)

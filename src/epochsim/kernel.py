@@ -539,15 +539,20 @@ def new_simulation(n: int, delay_policy: DelayPolicy, seed: int, *,
     Components start holding epoch - 1 durably; epoch is the transition
     target a protocol will drive them toward.
     """
-    from .persistence import PersistenceProcess
-
     if n < 1:
         raise ConfigError("cluster size must be at least one component")
+    process = _persistence.PersistenceProcess
     return Simulation(delay_policy, seed, components=[
-        PersistenceProcess(name, epoch) for name in _component_names(n)])
+        process(name, epoch) for name in _component_names(n)])
 
 
 @lru_cache(maxsize=64)
 def _component_names(n: int) -> tuple[str, ...]:
     """Names c0..c{n-1} of an n-component cluster."""
     return tuple(f"c{i}" for i in range(n))
+
+
+# Last, because persistence imports this module. When persistence loads
+# first this binds the half-loaded module, and new_simulation reads
+# PersistenceProcess off it only when called.
+from . import persistence as _persistence  # noqa: E402

@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 
 import epochsim
-from epochsim import optimizer
+from epochsim import cli, optimizer, protocols
 from epochsim.cli import (
     EXIT_NO_WITNESS,
     EXIT_OK,
     EXIT_SKEW_MISMATCH,
     EXIT_USAGE,
+    RETRY_MAX_ALPHAS,
+    STRADDLE_MAX_GRID,
     build_parser,
     main,
 )
@@ -54,6 +56,52 @@ def test_help_is_the_only_system_exit(argv, capsys):
         main(list(argv))
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: epochsim")
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grid": 3, "seed": 12}))
+    argvs = [("straddle", "--n", "1"),
+             ("straddle", "--config", str(conf)),
+             ("straddle", "--grid", "2"),
+             ("retry", "--runs", "20", "--format", "csv"),
+             ("--help",)]
+
+    def run(argv):
+        buf = io.StringIO()
+        try:
+            code = main(list(argv), stdout=buf)
+        except SystemExit as exc:  # --help prints to sys.stdout and exits
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, buf.getvalue() + captured.out, captured.err
+
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        shared = [run(argv) for argv in argvs]
+        assert len(built) == 1
+        assert cli._parser() is built[0]
+        # Each argv alone, against a parser built for it.
+        for argv, result in zip(argvs, shared):
+            cli._parser.cache_clear()
+            assert run(argv) == result
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1 + len(argvs)
+    assert [code for code, _, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, 0]
+    # The --config run's values do not become the next run's defaults.
+    assert "seed: 12" in shared[1][1] and "3/3 mixed" in shared[1][1]
+    assert "seed: 0" in shared[2][1] and "2/2 mixed" in shared[2][1]
+    assert shared[4][1].startswith("usage: epochsim")
+    assert real() is not real()
 
 
 def test_parser_lists_all_subcommands():
@@ -337,6 +385,10 @@ def test_config_booleans_toggle_switches(tmp_path):
     # One above the default cap: 999,992 boundaries lie in [8, 10^6). It must
     # be refused before anything that size is built.
     ("straddle", "--grid", "999993"),
+    # One above the --grid bound, refused while parsing however large --t-max is.
+    ("straddle", "--t-max", "1000000000000", "--grid", str(STRADDLE_MAX_GRID + 1)),
+    # One entry above the --alphas bound; refused before any run.
+    ("retry", "--runs", "1", "--alphas", ",".join(["1"] * (RETRY_MAX_ALPHAS + 1))),
 ], ids="_".join)
 @pytest.mark.filterwarnings("error")
 def test_invalid_value_is_usage_error(argv, capsys):
@@ -472,6 +524,29 @@ def test_straddle_grid_may_fill_every_boundary_below_t_max():
     code, out = run_cli("straddle", "--t-max", "20", "--grid", "12", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["grid"] == 12 and json.loads(out)["mixed"] == 12
+
+
+@pytest.mark.parametrize("flag", ["--t-c", "--ack-timeout"])
+def test_bilateral_nonpositive_time_names_the_flag(flag, capsys):
+    code, out = run_cli("bilateral-vs-naive", "--runs", "5", flag, "0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"epochsim: error: {flag} must be at least 1\n"
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("ran a sweep")
+
+
+def test_retry_alphas_past_the_bound_names_the_flag(monkeypatch, capsys):
+    alphas = ",".join(["1"] * RETRY_MAX_ALPHAS)
+    code, out = run_cli("retry", "--alphas", alphas, "--runs", "1", "--format", "csv")
+    assert code == EXIT_OK and len(out.splitlines()) == 1 + RETRY_MAX_ALPHAS
+    monkeypatch.setattr(protocols, "retry_sweep", _no_run)
+    code, out = run_cli("retry", "--alphas", alphas + ",1.5", "--runs", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == (
+        f"epochsim: error: --alphas takes at most {RETRY_MAX_ALPHAS} entries, "
+        f"got {RETRY_MAX_ALPHAS + 1}\n")
 
 
 def test_straddle_rejects_single_component(capsys):
