@@ -262,7 +262,7 @@ def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
 
 
 # Size bounds, checked while parsing. A run holds a few dozen float64
-# arrays of --dim entries (its peak RSS is about 260 MB at the largest
+# arrays of --dim entries (its peak RSS is about 230 MB at the largest
 # --dim) and one row per step up to --horizon.
 ADAMW_MAX_DIM = 1_000_000
 ADAMW_MAX_HORIZON = 10_000

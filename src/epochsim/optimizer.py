@@ -13,6 +13,10 @@ m by beta1 * (1 - beta1) * g_skipped, a phantom gradient fraction of 0.09
 at beta1 = 0.9. trajectory_divergence measures how that error compounds on
 a diagonal quadratic task; validation_checkpoint shows a loss-only gate
 accepts such states because the weights are untouched.
+
+The AdamW arithmetic lives in one routine, _adamw_update. adamw_step runs
+it into fresh arrays and returns a new state; trajectory_divergence owns
+its buffers and steps both runs' weights and moments in place with it.
 """
 
 from __future__ import annotations
@@ -136,6 +140,38 @@ def initial_state(dim: int, *, w0=None, rng_seed: int = 0) -> EpochTypedOptimize
         data_pos=0, tags=EpochTags.uniform(0))
 
 
+def _adamw_update(w, m, v, grad, hyper: AdamWHyperparams, t: int, *,
+                  w_out, m_out, v_out, update, scratch) -> None:
+    """The AdamW arithmetic at bias-correction step count t, into *_out.
+
+    The operations and their order are those of
+      m_new = b1 * m + (1 - b1) * g
+      v_new = b2 * v + ((1 - b2) * g) * g
+      w_new = w - lr * (m_hat / (sqrt(v_hat) + eps) + wd * w)
+    written with out= and in-place operators (each rounds the same way), so
+    the routine allocates nothing. Each output may be its own input (w_out
+    may also be update); update and scratch must share no memory with any
+    other argument, and grad none with m_out or v_out.
+    """
+    b1, b2 = hyper.beta1, hyper.beta2
+    np.multiply(grad, 1.0 - b1, out=scratch)
+    np.multiply(m, b1, out=m_out)
+    m_out += scratch
+    np.multiply(grad, 1.0 - b2, out=scratch)
+    scratch *= grad
+    np.multiply(v, b2, out=v_out)
+    v_out += scratch
+    np.divide(m_out, 1.0 - b1 ** t, out=update)         # m_hat
+    np.divide(v_out, 1.0 - b2 ** t, out=scratch)        # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += hyper.eps
+    update /= scratch
+    np.multiply(w, hyper.weight_decay, out=scratch)
+    update += scratch
+    update *= hyper.lr
+    np.subtract(w, update, out=w_out)
+
+
 def adamw_step(state: EpochTypedOptimizerState, gradient,
                hyper: AdamWHyperparams,
                mode: StepMode = StepMode.STRICT) -> EpochTypedOptimizerState:
@@ -146,7 +182,8 @@ def adamw_step(state: EpochTypedOptimizerState, gradient,
 
     Neither the state nor the gradient is written. The returned state owns
     fresh arrays: its g is a copy of the gradient, and its w, m and v share
-    no memory with any input.
+    no memory with any input. _adamw_update does the arithmetic into four
+    fresh arrays, the new w landing in the update buffer.
     """
     if mode is StepMode.STRICT and not state.tags.consistent:
         expected = state.tags.w
@@ -156,30 +193,10 @@ def adamw_step(state: EpochTypedOptimizerState, gradient,
     grad = np.array(gradient, dtype=np.float64)
     if grad.shape != state.w.shape:
         raise ValueError("gradient shape does not match the state")
-    b1, b2 = hyper.beta1, hyper.beta2
     t = state.tags.w + 1
-    # The operations and their order are those of
-    #   m_new = b1 * m + (1 - b1) * g
-    #   v_new = b2 * v + ((1 - b2) * g) * g
-    #   w_new = w - lr * (m_hat / (sqrt(v_hat) + eps) + wd * w)
-    # written with out= and in-place operators (each rounds the same way),
-    # so the step builds four arrays besides the gradient copy.
-    scratch = np.multiply(grad, 1.0 - b1)
-    m_new = np.multiply(state.m, b1)
-    m_new += scratch
-    np.multiply(grad, 1.0 - b2, out=scratch)
-    scratch *= grad
-    v_new = np.multiply(state.v, b2)
-    v_new += scratch
-    update = np.divide(m_new, 1.0 - b1 ** t)            # m_hat
-    np.divide(v_new, 1.0 - b2 ** t, out=scratch)        # v_hat
-    np.sqrt(scratch, out=scratch)
-    scratch += hyper.eps
-    update /= scratch
-    np.multiply(state.w, hyper.weight_decay, out=scratch)
-    update += scratch
-    update *= hyper.lr
-    w_new = np.subtract(state.w, update, out=update)
+    m_new, v_new, w_new, scratch = (np.empty_like(grad) for _ in range(4))
+    _adamw_update(state.w, state.m, state.v, grad, hyper, t, w_out=w_new,
+                  m_out=m_new, v_out=v_new, update=w_new, scratch=scratch)
     tags = (EpochTags.uniform(t) if mode is StepMode.STRICT
             else state.tags.advanced_per_field())
     return EpochTypedOptimizerState(
@@ -367,34 +384,46 @@ def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
     checkpoint); both runs then continue on the same noise stream, drawn
     once per step. Rows report the per-step weight-space distance and both
     losses.
+
+    The call owns its buffers: each run's w, m and v step in place through
+    _adamw_update, the arithmetic of adamw_step, and one update and one
+    scratch array serve every step of both runs. Neither w0 nor the task's
+    arrays nor a noise draw is written.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not (1 <= skew_epoch < horizon):
         raise ValueError("skew epoch must satisfy 1 <= skew_epoch < horizon")
     ref = initial_state(task.dim, w0=w0, rng_seed=task.seed)
-    mixed = ref
+    w, m, v = ref.w, ref.m, ref.v       # fresh arrays the call may write
+    update, scratch = np.empty_like(w), np.empty_like(w)
     rows = []
     for k in range(horizon + 1):
         if k > 0:
-            prev_m = ref.m
             xi = task.noise(k - 1)
-            ref = adamw_step(ref, task.gradient(ref.w, xi), hyper)
-            mixed = ref if k <= skew_epoch else adamw_step(
-                mixed, task.gradient(mixed.w, xi), hyper, StepMode.COERCE)
+            if k == skew_epoch:
+                mixed_m = m.copy()
+            # Both runs correct bias with t = k, as adamw_step's tags give:
+            # a strict step k tags the reference's W with k, the mixed state
+            # takes the reference's W tag at skew_epoch, and a Coerce step
+            # advances every tag once.
+            _adamw_update(w, m, v, task.gradient(w, xi), hyper, k, w_out=w,
+                          m_out=m, v_out=v, update=update, scratch=scratch)
+            if k > skew_epoch:
+                _adamw_update(mixed_w, mixed_m, mixed_v, task.gradient(mixed_w, xi),
+                              hyper, k, w_out=mixed_w, m_out=mixed_m,
+                              v_out=mixed_v, update=update, scratch=scratch)
         if k == skew_epoch:
-            mixed = EpochTypedOptimizerState.make(
-                w=ref.w, m=prev_m, v=ref.v, g=ref.g,
-                rng=ref.rng, data_pos=ref.data_pos,
-                tags=replace(ref.tags, m=ref.tags.m - 1))
-        ref_loss = task.loss(ref.w)
-        if mixed is ref:
+            mixed_w, mixed_v = w.copy(), v.copy()
+        ref_loss = task.loss(w)
+        if k < skew_epoch:
             rows.append(DivergenceRow(step=k, distance=0.0, ref_loss=ref_loss,
                                       mixed_loss=ref_loss))
         else:
+            np.subtract(w, mixed_w, out=scratch)
             rows.append(DivergenceRow(
-                step=k, distance=float(np.linalg.norm(ref.w - mixed.w)),
-                ref_loss=ref_loss, mixed_loss=task.loss(mixed.w)))
+                step=k, distance=float(np.linalg.norm(scratch)),
+                ref_loss=ref_loss, mixed_loss=task.loss(mixed_w)))
     return DivergenceSeries(skew_epoch=skew_epoch, horizon=horizon, rows=tuple(rows))
 
 

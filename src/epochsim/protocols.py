@@ -531,6 +531,10 @@ def retry_sweep(p0: float, n: int, alphas: Sequence[float], runs: int, seed: int
         raise ValueError("n must be at least 1")
     if not alphas:
         raise ValueError("at least one amplification alpha is required")
+    # Refuse any invalid alpha before the first run. The models are built
+    # again in the loop, so at most one built schedule is alive at a time.
+    for alpha in alphas:
+        RetryModel(base_failure_prob=p0, amplification=alpha, max_attempts=max_attempts)
     out = []
     for j, alpha in enumerate(alphas):
         model = RetryModel(base_failure_prob=p0, amplification=alpha,

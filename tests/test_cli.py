@@ -549,6 +549,14 @@ def test_retry_alphas_past_the_bound_names_the_flag(monkeypatch, capsys):
         f"got {RETRY_MAX_ALPHAS + 1}\n")
 
 
+def test_retry_refuses_a_late_invalid_alpha_before_any_run(monkeypatch, capsys):
+    monkeypatch.setattr(protocols, "run_retry_loop", _no_run)
+    code, out = run_cli("retry", "--alphas", "1,1,1,0.5", "--runs", "100000")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == (
+        "epochsim: error: amplification must be a finite number >= 1\n")
+
+
 def test_straddle_rejects_single_component(capsys):
     code, out = run_cli("straddle", "--n", "1")
     assert (code, out) == (EXIT_USAGE, "")

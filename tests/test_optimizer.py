@@ -17,6 +17,7 @@ from epochsim.optimizer import (
     QuadraticTask,
     StepMode,
     TypeViolationError,
+    _adamw_update,
     adamw_step,
     default_validation_threshold,
     initial_state,
@@ -109,6 +110,23 @@ def test_step_and_gradient_neither_write_nor_share_their_inputs(noise_draws, mod
         assert not any(np.shares_memory(out, a) for a in inputs + [xi])
     for i, out in enumerate(outputs):
         assert not any(np.shares_memory(out, a) for a in [grad] + outputs[i + 1:])
+
+
+@pytest.mark.parametrize("dim", [1, 3, 257])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_update_in_place_equals_fresh_outputs_bit_for_bit(dim, weight_decay):
+    rng = np.random.default_rng(dim)
+    hyper = AdamWHyperparams(lr=0.03, weight_decay=weight_decay)
+    state = initial_state(dim, w0=rng.standard_normal(dim))
+    w, m, v = state.w.copy(), state.m.copy(), state.v.copy()
+    update, scratch = np.empty(dim), np.empty(dim)
+    for t in range(1, 6):
+        grad = rng.standard_normal(dim)
+        state = adamw_step(state, grad, hyper)
+        _adamw_update(w, m, v, grad, hyper, t, w_out=w, m_out=m, v_out=v,
+                      update=update, scratch=scratch)
+        for in_place, fresh in zip([w, m, v], [state.w, state.m, state.v]):
+            assert in_place.tobytes() == fresh.tobytes()
 
 
 def test_weight_decay_pulls_toward_zero():
@@ -370,15 +388,47 @@ def _two_run_divergence(task, hyper, skew_epoch, horizon, w0):
             for k, (r, x) in enumerate(zip(ref, mixed))]
 
 
-@pytest.mark.parametrize("skew_epoch", [1, 4, 11])
-def test_divergence_matches_two_run_reference(skew_epoch):
-    task = QuadraticTask.of([2.0, 0.7, 3.5], [0.5, -1.0, 0.25],
-                            noise_scale=0.1, seed=13)
-    hyper = AdamWHyperparams(lr=0.05)
-    w0 = [1.0, -0.5, 2.0]
+def _noisy_task(dim):
+    """A noisy task and a start point: the fixed 3-dim one, or a random one."""
+    if dim == 3:
+        return (QuadraticTask.of([2.0, 0.7, 3.5], [0.5, -1.0, 0.25],
+                                 noise_scale=0.1, seed=13), [1.0, -0.5, 2.0])
+    rng = np.random.default_rng(dim)
+    return (QuadraticTask.of(rng.uniform(0.5, 4.0, dim), rng.standard_normal(dim),
+                             noise_scale=0.1, seed=13), rng.standard_normal(dim))
+
+
+# The dim-3 cases without weight decay are named by their skew epoch alone.
+@pytest.mark.parametrize("dim,weight_decay,skew_epoch", [
+    pytest.param(dim, wd, k, id=str(k) if (dim, wd) == (3, 0.0) else f"{dim}-{wd}-{k}")
+    for dim in (3, 257) for wd in (0.0, 0.01) for k in (1, 4, 11)])
+def test_divergence_matches_two_run_reference(dim, weight_decay, skew_epoch):
+    task, w0 = _noisy_task(dim)
+    hyper = AdamWHyperparams(lr=0.05, weight_decay=weight_decay)
     series = trajectory_divergence(task, hyper, skew_epoch=skew_epoch,
                                    horizon=12, w0=w0)
     assert list(series.rows) == _two_run_divergence(task, hyper, skew_epoch, 12, w0)
+
+
+def test_divergence_writes_no_input_and_no_noise_draw(noise_draws):
+    task, w0 = _noisy_task(257)
+    before = [w0.copy(), task.curvature.copy(), task.target.copy()]
+    trajectory_divergence(task, AdamWHyperparams(lr=0.05, weight_decay=0.01),
+                          skew_epoch=4, horizon=12, w0=w0)
+    for a, b in zip([w0, task.curvature, task.target], before):
+        assert np.array_equal(a, b)
+    draws = list(noise_draws)
+    assert [step for step, _ in draws] == list(range(12))
+    for step, xi in draws:
+        assert np.array_equal(xi, task.noise(step))
+
+
+@pytest.mark.parametrize("w0", [[1.0, -0.5], [[1.0, -0.5, 2.0]]],
+                         ids=["wrong-length", "2-D"])
+def test_divergence_refuses_a_misshapen_w0(w0):
+    task, _ = _noisy_task(3)
+    with pytest.raises(ValueError, match="^state arrays must share one shape$"):
+        trajectory_divergence(task, AdamWHyperparams(), skew_epoch=1, horizon=3, w0=w0)
 
 
 @pytest.mark.parametrize("horizon,skew_epoch", [(10, 3), (12, 1), (12, 11)])

@@ -432,6 +432,16 @@ def test_retry_sweep_rejects_degenerate_sweeps(kwargs):
         retry_sweep(**kwargs)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1e10])
+def test_retry_sweep_refuses_a_late_invalid_alpha_before_any_run(monkeypatch, alpha):
+    def no_run(model, n, rng):
+        raise AssertionError("ran a retry loop")
+
+    monkeypatch.setattr(protocols, "run_retry_loop", no_run)
+    with pytest.raises(ValueError, match="amplification"):
+        retry_sweep(0.1, 3, [1.0, 1.0, 1.0, alpha], runs=100_000, seed=0)
+
+
 def test_derive_seed_spreads():
     seeds = {derive_seed(0, i) for i in range(1000)}
     assert len(seeds) == 1000
