@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -188,13 +189,16 @@ def boundary_grid(count: int, *, t_max: int = 1_000_000, seed: int = 0) -> list[
     """Seeded sample of count distinct boundary times in [8, t_max).
 
     Every boundary lies above the full-straddle threshold and below t_max;
-    a count larger than the number of such boundaries is rejected before
-    anything is sampled.
+    a count larger than the number of such boundaries, or more boundaries
+    than random.sample can index (sys.maxsize), is rejected before anything
+    is sampled.
     """
     if count < 1:
         raise ValueError("grid size must be at least 1")
     lo = FULL_STRADDLE_THRESHOLD + 1
     available = max(0, t_max - lo)
+    if available > sys.maxsize:
+        raise ValueError(f"t_max must be at most {lo + sys.maxsize}, got {t_max}")
     if count > available:
         raise ValueError(f"grid size {count} exceeds the {available} boundary times "
                          f"from {lo} up to t_max={t_max}")

@@ -9,12 +9,13 @@ Subcommands:
   retry               retry loop sweep vs the geometric baseline
   deploy              naive vs consensus fleet deployment battery
 
-Every subcommand takes --seed; text and JSON carry it, CSV only for straddle
-and deploy. An identical configuration reruns to byte-identical output. --config
-names a JSON object whose keys are flag names; each entry is parsed as if
-given on the command line before the user's own flags, so flags win. Every
-entry is still parsed, so an ill-typed or out-of-range entry is refused even
-when an explicit flag overrides it.
+Every subcommand takes --seed, 0 to 2**64 - 1; text and JSON carry it, CSV
+only for straddle and deploy. An identical configuration reruns to
+byte-identical output. --config names a JSON object whose keys are flag
+names; each entry is parsed as if given on the command line before the
+user's own flags, so flags win. Every entry is still parsed, so an
+ill-typed or out-of-range entry is refused even when an explicit flag
+overrides it.
 
 Exit codes: 0 all embedded checks passed; 2 usage error, always one
 `epochsim: error:` line on stderr and nothing on stdout; 3 lattice table
@@ -188,6 +189,9 @@ FLEET_MAX_N = 100_000
 # a 2-core Xeon), and the run then tries one witness per boundary, about
 # 45 s at --n 2.
 STRADDLE_MAX_GRID = 1_000_000
+# --t-max bound of straddle, below the 2**63 + 7 at which the boundary range
+# [8, t_max) no longer fits the index random.sample takes.
+STRADDLE_MAX_T = 10**18
 
 
 def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
@@ -407,8 +411,13 @@ def cmd_deploy(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
+# --seed range: derive_seed keeps only a seed's low 64 bits and Random seeds
+# from its absolute value, so a seed outside would share another's streams.
+SEED_MAX = 2**64 - 1
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_IntIn("--seed", 0, SEED_MAX), default=0)
     sub.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file of flag values; explicit flags win")
@@ -434,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                         epilog=_EPILOG)
     p.add_argument("--n", type=_IntIn("--n", 2, FLEET_MAX_N), default=2)
     p.add_argument("--grid", type=_IntIn("--grid", 1, STRADDLE_MAX_GRID), default=100)
-    p.add_argument("--t-max", type=int, default=1_000_000)
+    p.add_argument("--t-max", type=_IntIn("--t-max", hi=STRADDLE_MAX_T), default=1_000_000)
     p.add_argument("--no-crash", action="store_true",
                    help="negative control: same schedules, crash disabled")
     p.add_argument("--narrative", action="store_true",

@@ -121,13 +121,6 @@ class EpochTypedOptimizerState:
         if np.any(self.v < 0.0):
             raise ValueError("second moment must be non-negative")
 
-    @classmethod
-    def make(cls, w, m, v, g, rng: int, data_pos: int,
-             tags: EpochTags) -> EpochTypedOptimizerState:
-        arr = lambda x: np.array(x, dtype=np.float64, copy=True)
-        return cls(w=arr(w), m=arr(m), v=arr(v), g=arr(g),
-                   rng=rng, data_pos=data_pos, tags=tags)
-
     @property
     def dim(self) -> int:
         return int(self.w.shape[0])
@@ -216,24 +209,23 @@ def make_skew_pair(g_skipped, hyper: AdamWHyperparams, *, epoch: int = 1,
     The pair realizes the closed form exactly: the lagging moment is the
     zero vector it held before the skipped update, so the reference m is
     (1 - beta1) * g_skipped. W, v, g, rng, and data position are shared and
-    tagged at `epoch`; only the twin's m (value and tag) lags by one.
+    tagged at `epoch`; only the twin's m (value and tag) lags by one. The
+    two states hold the same w, v and g arrays, copies of the caller's.
     """
     if epoch < 1:
         raise ValueError("skew requires at least one completed epoch")
-    g_skipped = np.asarray(g_skipped, dtype=np.float64)
-    if g_skipped.ndim != 1:
-        raise ValueError(f"skipped gradient must be 1-D, got shape {g_skipped.shape}")
-    dim = g_skipped.shape[0]
-    w_arr = np.zeros(dim) if w is None else np.asarray(w, dtype=np.float64)
-    v = (1.0 - hyper.beta2) * g_skipped * g_skipped
-    m_ref = (1.0 - hyper.beta1) * g_skipped
-    ref = EpochTypedOptimizerState.make(
-        w=w_arr, m=m_ref, v=v, g=g_skipped, rng=7, data_pos=epoch,
-        tags=EpochTags.uniform(epoch))
-    lag_tags = replace(EpochTags.uniform(epoch), m=epoch - 1)
-    lag = EpochTypedOptimizerState.make(
-        w=w_arr, m=np.zeros(dim), v=v, g=g_skipped, rng=7, data_pos=epoch,
-        tags=lag_tags)
+    g = np.array(g_skipped, dtype=np.float64)
+    if g.ndim != 1:
+        raise ValueError(f"skipped gradient must be 1-D, got shape {g.shape}")
+    dim = g.shape[0]
+    w = np.zeros(dim) if w is None else np.array(w, dtype=np.float64)
+    v = (1.0 - hyper.beta2) * g
+    v *= g
+    tags = EpochTags.uniform(epoch)
+    ref = EpochTypedOptimizerState(w=w, m=(1.0 - hyper.beta1) * g, v=v, g=g, rng=7,
+                                   data_pos=epoch, tags=tags)
+    lag = EpochTypedOptimizerState(w=w, m=np.zeros(dim), v=v, g=g, rng=7,
+                                   data_pos=epoch, tags=replace(tags, m=epoch - 1))
     return ref, lag
 
 

@@ -316,6 +316,31 @@ def crash_schedule(names: Sequence[str], rng: random.Random,
     return out
 
 
+@dataclass(frozen=True)
+class BatteryCase:
+    """One battery run: cluster size, run seed and crash schedule.
+
+    `seed` is the run seed a report's sample_mixed_seed names. Build cases
+    with battery_case, which owns the battery's design.
+    """
+    n: int
+    seed: int
+    crashes: tuple[tuple[str, int], ...]
+
+    def simulation(self) -> Simulation:
+        """A fresh simulation of this run; each protocol needs its own."""
+        return new_simulation(self.n, BATTERY_DELAY, self.seed)
+
+
+def battery_case(n: int, run_seed: int, crash_prob: float = 0.15) -> BatteryCase:
+    """The battery's run for run_seed. Random(run_seed) draws the crash
+    schedule over 1..CRASH_WINDOW, and the simulation seeds from run_seed
+    too: this function is where the run's stream layout lives."""
+    rng = random.Random(run_seed)
+    crashes = crash_schedule(_component_names(n), rng, crash_prob, CRASH_WINDOW)
+    return BatteryCase(n, run_seed, tuple(crashes))
+
+
 @dataclass
 class ClassTallies:
     top: int = 0
@@ -371,14 +396,14 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
                       workers: int = 1) -> ComparisonReport:
     """Run naive and bilateral side by side under identical crash injection.
 
-    Runs execute one after another on the calling thread. Run i draws its
-    crash schedule and seeds both simulations from derive_seed(seed, i),
-    so it does not depend on any other run. A run that draws no crash is
+    Runs execute one after another on the calling thread. Run i is
+    battery_case(n, derive_seed(seed, i), crash_prob), so it does not
+    depend on any other run, and sample_mixed_seed names the first run
+    seed whose case ends naive Mixed. A run that draws no crash is
     counted Top for both protocols without being simulated when
-    ack_timeout > SLOWEST_ACK * BATTERY_DELAY.hi = 21 (see
-    crash_free_commits); at or below that bound it is simulated like any
-    other. `workers` is accepted and ignored: the report is the same for
-    every value.
+    crash_free_commits(ack_timeout), i.e. ack_timeout > 21; at or below
+    that bound it is simulated like any other. `workers` is accepted and
+    ignored: the report is the same for every value.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -388,7 +413,6 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
         raise ConfigError("cluster size must be at least one component")
     if not 0.0 <= crash_prob <= 1.0:
         raise ValueError("crash probability must lie in [0, 1]")
-    names = _component_names(n)
     bilateral_config = BilateralConfig(ack_timeout=ack_timeout)
     naive_config = NaiveCheckpointConfig(boundary_time=boundary_time)
     settle = crash_free_commits(ack_timeout)
@@ -397,30 +421,27 @@ def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
     coverage: dict[str, int] = {}
     sample: int | None = None
     for i in range(runs):
-        run_seed = derive_seed(seed, i)
-        rng = random.Random(run_seed)
-        crashes = crash_schedule(names, rng, crash_prob, CRASH_WINDOW)
-        if settle and not crashes:
+        case = battery_case(n, derive_seed(seed, i), crash_prob)
+        if settle and not case.crashes:
             naive_t.top += 1
             bilat_t.top += 1
             continue
 
-        sim_b = new_simulation(n, BATTERY_DELAY, run_seed)
-        out_b = run_bilateral(sim_b, bilateral_config, crashes=crashes)
+        sim_b = case.simulation()
+        out_b = run_bilateral(sim_b, bilateral_config, crashes=case.crashes)
         bilat_t.add(out_b)
         # Only a component in the crash schedule, which names each at most
         # once, has a crash log.
-        for name, _ in crashes:
-            for rec in sim_b.handler(name).crash_log:
+        for name, _ in case.crashes:
+            for rec in sim_b.components[name].crash_log:
                 coverage[rec.stage] = coverage.get(rec.stage, 0) + 1
                 if rec.acked:
                     coverage["post_ack"] = coverage.get("post_ack", 0) + 1
 
-        sim_n = new_simulation(n, BATTERY_DELAY, run_seed)
-        out_n = run_naive(sim_n, naive_config, crashes=crashes)
+        out_n = run_naive(case.simulation(), naive_config, crashes=case.crashes)
         naive_t.add(out_n)
         if sample is None and out_n.vector_class is AtomicityClass.MIXED:
-            sample = run_seed
+            sample = case.seed
     return ComparisonReport(runs=runs, n=n, seed=seed, naive=naive_t,
                             bilateral=bilat_t, crash_stage_coverage=coverage,
                             sample_mixed_seed=sample)

@@ -184,6 +184,15 @@ def test_boundary_grid_stays_below_t_max():
             boundary_grid(count, t_max=t_max)
 
 
+def test_boundary_grid_refuses_a_range_random_sample_cannot_index():
+    # [8, 2**63 + 7) holds sys.maxsize boundaries, the most random.sample takes.
+    grid = boundary_grid(2, t_max=2**63 + 7, seed=1)
+    assert len(grid) == 2 and all(8 <= t < 2**63 + 7 for t in grid)
+    for t_max in (2**63 + 8, 10**23):
+        with pytest.raises(ValueError, match=rf"^t_max must be at most {2**63 + 7}, got {t_max}$"):
+            boundary_grid(2, t_max=t_max)
+
+
 def test_grid_witnesses_all_mixed():
     for t_c in boundary_grid(10, t_max=10_000, seed=1):
         w = witness_mixed(2, t_c)

@@ -387,6 +387,10 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("straddle", "--grid", "999993"),
     # One above the --grid bound, refused while parsing however large --t-max is.
     ("straddle", "--t-max", "1000000000000", "--grid", str(STRADDLE_MAX_GRID + 1)),
+    # A --t-max whose boundary range random.sample cannot index.
+    ("straddle", "--grid", "2", "--t-max", "99999999999999999999999"),
+    # 2**64: derive_seed would keep its low 64 bits and run seed 0's battery.
+    ("bilateral-vs-naive", "--seed", "18446744073709551616"),
     # One entry above the --alphas bound; refused before any run.
     ("retry", "--runs", "1", "--alphas", ",".join(["1"] * (RETRY_MAX_ALPHAS + 1))),
 ], ids="_".join)
@@ -407,6 +411,8 @@ _SMALL = {"--runs": "5", "--budget": "5", "--trials": "10", "--grid": "3",
 _PARTNER = {"--q": ("--n", "3"), "--n": ("--q", "0.5")}
 _FLOATS = ("nan", "inf", "-inf", "-1", "0", "1e308")
 _NON_FINITE = ("nan", "inf", "-inf")
+# Every int flag is also tried at 2**64, unless that is one past its bound.
+_HUGE = 2**64
 
 
 def _readme_exit_codes() -> set[int]:
@@ -419,9 +425,9 @@ _EXIT_CODES = _readme_exit_codes()
 
 
 def _generated_cases() -> list[tuple[tuple[str, ...], bool]]:
-    """(argv, refused) for each int flag at 0, -1 and one past its declared
-    bound, and each float flag at every value of _FLOATS. refused says the
-    value lies outside the flag's declared range or is not finite."""
+    """(argv, refused) for each int flag at 0, -1, one past its declared
+    bound and 2**64, and each float flag at every value of _FLOATS. refused
+    says the value lies outside the flag's declared range or is not finite."""
     cases = []
     subs = build_parser()._subparsers._group_actions[0].choices
     for sub, parser in subs.items():
@@ -432,6 +438,8 @@ def _generated_cases() -> list[tuple[tuple[str, ...], bool]]:
                 lo, hi = getattr(action.type, "lo", None), getattr(action.type, "hi", None)
                 values = [(v, lo is not None and int(v) < lo) for v in ("0", "-1")]
                 values += [(str(hi + 1), True)] if hi is not None else []
+                if hi != _HUGE - 1:
+                    values.append((str(_HUGE), hi is not None))
             elif kind == "float":
                 values = [(v, v in _NON_FINITE) for v in _FLOATS]
             else:
@@ -464,6 +472,11 @@ def test_generated_cases_reach_every_subcommand():
     subs = build_parser()._subparsers._group_actions[0].choices
     walked = {(argv[0], argv[-2]) for argv, _ in _GENERATED}
     assert {(sub, "--seed") for sub in subs} <= walked
+    # A bare int flag declares no range, so the walk could not say which
+    # values it must refuse.
+    bare = [(sub, action.option_strings[-1]) for sub, parser in subs.items()
+            for action in parser._actions if action.type is int]
+    assert bare == []
     assert {("retry", "--p0"), ("deploy", "--budget")} <= walked
 
 

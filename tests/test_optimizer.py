@@ -184,15 +184,17 @@ def test_skew_pair_rejects_a_scalar_gradient():
 
 
 def test_state_rejects_scalar_arrays():
+    scalar = np.array(1.0)
     with pytest.raises(ValueError, match=r"^state arrays must be 1-D, got shape \(\)$"):
-        EpochTypedOptimizerState.make(1.0, 0.0, 0.0, 0.0, 7, 1, EpochTags.uniform(1))
+        EpochTypedOptimizerState(w=scalar, m=scalar, v=scalar, g=scalar, rng=7, data_pos=1,
+                                 tags=EpochTags.uniform(1))
 
 
 def test_state_rejects_2d_arrays():
-    square = [[1.0, 2.0], [3.0, 4.0]]
+    square = np.array([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError, match=r"^state arrays must be 1-D, got shape \(2, 2\)$"):
-        EpochTypedOptimizerState.make(square, square, square, square, 7, 1,
-                                      EpochTags.uniform(1))
+        EpochTypedOptimizerState(w=square, m=square, v=square, g=square, rng=7, data_pos=1,
+                                 tags=EpochTags.uniform(1))
 
 
 def test_task_rejects_negative_seed():
@@ -375,7 +377,7 @@ def _two_run_divergence(task, hyper, skew_epoch, horizon, w0):
     """Both trajectories materialised in full, then compared step by step."""
     ref = run_trajectory(task, hyper, horizon, w0=w0)
     base = ref[skew_epoch]
-    state = EpochTypedOptimizerState.make(
+    state = EpochTypedOptimizerState(
         w=base.w, m=ref[skew_epoch - 1].m, v=base.v, g=base.g,
         rng=base.rng, data_pos=base.data_pos,
         tags=replace(base.tags, m=base.tags.m - 1))

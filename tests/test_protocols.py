@@ -11,12 +11,10 @@ import pytest
 from epochsim import protocols
 from epochsim.adversary import search_schedules
 from epochsim.kernel import (AdversarialSchedule, ConfigError, FixedDelay, Simulation,
-                             UniformDelay, _component_names, new_simulation)
+                             UniformDelay, new_simulation)
 from epochsim.lattice import AtomicityClass, EpochSymbol
 from epochsim.persistence import PersistenceProcess, PersistenceStage
 from epochsim.protocols import (
-    BATTERY_DELAY,
-    CRASH_WINDOW,
     BilateralConfig,
     ClassTallies,
     Decision,
@@ -24,10 +22,10 @@ from epochsim.protocols import (
     NaiveCheckpointConfig,
     RetryModel,
     RetryStats,
+    battery_case,
     compare_protocols,
     conv_holds,
     crash_free_commits,
-    crash_schedule,
     derive_seed,
     geometric_baseline,
     retry_sweep,
@@ -231,6 +229,19 @@ def test_battery_rejects_empty_cluster():
         compare_protocols(0, 1, 0)
 
 
+def test_reported_mixed_seed_replays_as_a_battery_case():
+    # The README example's sample_mixed_seed, rebuilt with battery_case and
+    # run naive, ends Mixed, and no earlier run index's case does.
+    report = compare_protocols(4, 300, 0)
+    seeds = [derive_seed(0, i) for i in range(300)]
+    first = seeds.index(report.sample_mixed_seed)
+    config = NaiveCheckpointConfig(boundary_time=10)
+    classes = [run_naive(case.simulation(), config, crashes=case.crashes).vector_class
+               for case in (battery_case(4, s) for s in seeds[:first + 1])]
+    assert classes[-1] is AtomicityClass.MIXED
+    assert AtomicityClass.MIXED not in classes[:-1]
+
+
 def _simulated_tallies(n: int, runs: int, seed: int,
                        ack_timeouts: range) -> tuple[ClassTallies, dict[int, ClassTallies]]:
     """Naive tallies, and bilateral tallies per ack timeout, of runs 0..runs-1
@@ -238,12 +249,10 @@ def _simulated_tallies(n: int, runs: int, seed: int,
     naive = ClassTallies()
     bilateral = {t: ClassTallies() for t in ack_timeouts}
     for i in range(runs):
-        run_seed = derive_seed(seed, i)
-        naive.add(run_naive(new_simulation(n, BATTERY_DELAY, run_seed),
-                            NaiveCheckpointConfig(boundary_time=10)))
+        case = battery_case(n, derive_seed(seed, i), 0.0)
+        naive.add(run_naive(case.simulation(), NaiveCheckpointConfig(boundary_time=10)))
         for t, tallies in bilateral.items():
-            tallies.add(run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
-                                      BilateralConfig(ack_timeout=t)))
+            tallies.add(run_bilateral(case.simulation(), BilateralConfig(ack_timeout=t)))
     return naive, bilateral
 
 
@@ -267,14 +276,12 @@ def test_crash_free_bound_is_sharp():
     # battery, some roll back at the bound and none above it, and the
     # settling rule switches on exactly there.
     n, seed = 8, 90210
-    names = _component_names(n)
-    free = [run_seed for run_seed in (derive_seed(seed, i) for i in range(2000))
-            if not crash_schedule(names, random.Random(run_seed), 0.15, CRASH_WINDOW)]
+    free = [case for case in (battery_case(n, derive_seed(seed, i)) for i in range(2000))
+            if not case.crashes]
     assert len(free) == 570
     rolled_back = {
-        t: sum(run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
-                             BilateralConfig(ack_timeout=t)).decision
-               is Decision.ROLLED_BACK for run_seed in free)
+        t: sum(run_bilateral(case.simulation(), BilateralConfig(ack_timeout=t)).decision
+               is Decision.ROLLED_BACK for case in free)
         for t in (21, 22)}
     assert rolled_back == {21: 5, 22: 0}
     assert not crash_free_commits(21)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import random
 from collections import Counter
 
 from epochsim.deploy import (
@@ -26,15 +25,13 @@ from epochsim.deploy import (
     run_case_naive,
     run_consensus_deploy,
 )
-from epochsim.kernel import UniformDelay, _component_names, new_simulation
+from epochsim.kernel import UniformDelay, new_simulation
 from epochsim.protocols import (
-    BATTERY_DELAY,
-    CRASH_WINDOW,
     BilateralConfig,
     Decision,
     NaiveCheckpointConfig,
+    battery_case,
     compare_protocols,
-    crash_schedule,
     derive_seed,
     run_bilateral,
     run_naive,
@@ -60,13 +57,12 @@ def test_naive_with_double_crash():
 
 def _battery_run(n: int, seed: int, index: int):
     """Run index of a battery: its crash schedule and both runs, as in compare_protocols."""
-    run_seed = derive_seed(seed, index)
-    crashes = crash_schedule(_component_names(n), random.Random(run_seed), 0.15, CRASH_WINDOW)
-    bilateral = run_bilateral(new_simulation(n, BATTERY_DELAY, run_seed),
-                              BilateralConfig(ack_timeout=30), crashes=crashes)
-    naive = run_naive(new_simulation(n, BATTERY_DELAY, run_seed),
-                      NaiveCheckpointConfig(boundary_time=10), crashes=crashes)
-    return crashes, bilateral, naive
+    case = battery_case(n, derive_seed(seed, index))
+    bilateral = run_bilateral(case.simulation(), BilateralConfig(ack_timeout=30),
+                              crashes=case.crashes)
+    naive = run_naive(case.simulation(), NaiveCheckpointConfig(boundary_time=10),
+                      crashes=case.crashes)
+    return case.crashes, bilateral, naive
 
 
 def _busiest_tick(trace) -> int:
