@@ -289,11 +289,11 @@ def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
             expected = optimizer.moment_skew(g_skip, args.beta1)
             err = float(np.max(np.abs(observed - expected)))
             task = optimizer.QuadraticTask.of(
-                [2.0] * args.dim, [0.0] * args.dim, noise_scale=args.noise,
+                np.full(args.dim, 2.0), np.zeros(args.dim), noise_scale=args.noise,
                 seed=args.seed)
             series = optimizer.trajectory_divergence(
                 task, hyper, skew_epoch=args.skew_epoch, horizon=args.horizon,
-                w0=[1.0] * args.dim)
+                w0=np.ones(args.dim))
     except FloatingPointError as exc:
         raise ValueError(f"float64 arithmetic failed ({exc}); "
                          f"--lr, --g-skip or --noise is too large") from None
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                         epilog=_EPILOG)
     p.add_argument("--runs", type=_IntIn("--runs", hi=BATTERY_MAX_RUNS), default=10_000)
     p.add_argument("--n", type=_IntIn("--n", hi=FLEET_MAX_N), default=4)
-    p.add_argument("--crash-prob", type=float, default=0.15)
+    p.add_argument("--crash-prob", type=float, default=protocols.BATTERY_CRASH_PROB)
     p.add_argument("--t-c", type=_IntIn("--t-c", 1), default=10)
     p.add_argument("--ack-timeout", type=_IntIn("--ack-timeout", 1), default=30)
     _add_common(p)

@@ -285,8 +285,11 @@ def derive_seed(master: int, index: int) -> int:
 
 # The battery's fixed design: each component crashes at most once, at a tick
 # in 1..CRASH_WINDOW, and every delay is drawn from one frozen U(1, 3) policy.
+# BATTERY_CRASH_PROB is the default chance that a component crashes at all,
+# for battery_case, compare_protocols and bilateral-vs-naive --crash-prob.
 CRASH_WINDOW = 28
 BATTERY_DELAY = UniformDelay(1, 3)
+BATTERY_CRASH_PROB = 0.15
 # Draws on the path to a bilateral ack: the checkpoint message, one duration
 # per active stage, and the ack message.
 SLOWEST_ACK = 2 + len(ACTIVE_STAGES)
@@ -332,7 +335,8 @@ class BatteryCase:
         return new_simulation(self.n, BATTERY_DELAY, self.seed)
 
 
-def battery_case(n: int, run_seed: int, crash_prob: float = 0.15) -> BatteryCase:
+def battery_case(n: int, run_seed: int,
+                 crash_prob: float = BATTERY_CRASH_PROB) -> BatteryCase:
     """The battery's run for run_seed. Random(run_seed) draws the crash
     schedule over 1..CRASH_WINDOW, and the simulation seeds from run_seed
     too: this function is where the run's stream layout lives."""
@@ -391,9 +395,9 @@ class ComparisonReport:
         }
 
 
-def compare_protocols(n: int, runs: int, seed: int, *, crash_prob: float = 0.15,
-                      boundary_time: int = 10, ack_timeout: int = 30,
-                      workers: int = 1) -> ComparisonReport:
+def compare_protocols(n: int, runs: int, seed: int, *,
+                      crash_prob: float = BATTERY_CRASH_PROB, boundary_time: int = 10,
+                      ack_timeout: int = 30, workers: int = 1) -> ComparisonReport:
     """Run naive and bilateral side by side under identical crash injection.
 
     Runs execute one after another on the calling thread. Run i is

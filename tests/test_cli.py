@@ -5,7 +5,11 @@ from __future__ import annotations
 import ast
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -222,6 +226,24 @@ def test_outputs_byte_identical_across_reruns(argv):
     assert a == b
 
 
+def test_adamw_skew_distance_ignores_blas_threads():
+    # A BLAS dot product splits its sum across threads, so its last digits
+    # follow the host's thread count; numpy's pairwise sum does not. BLAS
+    # reads the thread count when numpy loads, hence one process per setting.
+    src = str(Path(epochsim.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "epochsim.cli", "adamw-skew", "--dim", "131072",
+            "--noise", "0.1", "--horizon", "6", "--format", "csv"]
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 8
+
+
 def test_seed_changes_monte_carlo_output():
     _, a = run_cli("lattice-table", "--trials", "500", "--seed", "1",
                    "--format", "json")
@@ -368,6 +390,9 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("adamw-skew", "--g-skip", "nan"),
     ("adamw-skew", "--lr", "1e308", "--format", "json"),
     ("adamw-skew", "--dim", "3", "--noise", "1e308"),
+    # Large enough that the noise is drawn ahead on a helper thread.
+    ("adamw-skew", "--dim", "100000", "--noise", "1e300"),
+    ("adamw-skew", "--dim", "100000", "--noise", "0.1", "--lr", "1e308"),
     ("adamw-skew", "--g-skip", "1e200"),
     # numpy seeds the noise and refuses a negative seed; the task refuses it
     # first, with or without noise.
@@ -396,7 +421,9 @@ def test_config_booleans_toggle_switches(tmp_path):
 ], ids="_".join)
 @pytest.mark.filterwarnings("error")
 def test_invalid_value_is_usage_error(argv, capsys):
+    threads = threading.active_count()
     assert_refused(*run_cli(*argv), capsys.readouterr().err)
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------

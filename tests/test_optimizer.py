@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import io
+import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from epochsim import optimizer
 from epochsim.cli import EXIT_OK, main
 from epochsim.optimizer import (
+    _DRAW_AHEAD_MIN_DIM,
     AdamWHyperparams,
     DivergenceRow,
     EpochTags,
@@ -369,8 +374,13 @@ def test_divergence_first_step_closed_form():
     v_hat = v_new / (1 - hyper.beta2 ** t)
     dw = hyper.lr * (m_ref - m_lag) / (1 - hyper.beta1 ** t) \
         / (np.sqrt(v_hat) + hyper.eps)
-    want = float(np.linalg.norm(dw))
+    want = _l2(dw)
     assert series.rows[k + 1].distance == pytest.approx(want, abs=1e-10)
+
+
+def _l2(x) -> float:
+    """The distance's reduction: squares summed pairwise by numpy, not by BLAS."""
+    return math.sqrt(float(np.sum(np.square(x))))
 
 
 def _two_run_divergence(task, hyper, skew_epoch, horizon, w0):
@@ -385,7 +395,7 @@ def _two_run_divergence(task, hyper, skew_epoch, horizon, w0):
     for k in range(skew_epoch, horizon):
         state = adamw_step(state, task.gradient(state.w, task.noise(k)), hyper, StepMode.COERCE)
         mixed.append(state)
-    return [DivergenceRow(step=k, distance=float(np.linalg.norm(r.w - x.w)),
+    return [DivergenceRow(step=k, distance=_l2(r.w - x.w),
                           ref_loss=task.loss(r.w), mixed_loss=task.loss(x.w))
             for k, (r, x) in enumerate(zip(ref, mixed))]
 
@@ -401,9 +411,12 @@ def _noisy_task(dim):
 
 
 # The dim-3 cases without weight decay are named by their skew epoch alone.
+# At _DRAW_AHEAD_MIN_DIM the series reads noise drawn ahead on a helper
+# thread, and the reference reads task.noise.
 @pytest.mark.parametrize("dim,weight_decay,skew_epoch", [
     pytest.param(dim, wd, k, id=str(k) if (dim, wd) == (3, 0.0) else f"{dim}-{wd}-{k}")
-    for dim in (3, 257) for wd in (0.0, 0.01) for k in (1, 4, 11)])
+    for dim in (3, 257, _DRAW_AHEAD_MIN_DIM)
+    for wd in (0.0, 0.01) for k in (1, 4, 11)])
 def test_divergence_matches_two_run_reference(dim, weight_decay, skew_epoch):
     task, w0 = _noisy_task(dim)
     hyper = AdamWHyperparams(lr=0.05, weight_decay=weight_decay)
@@ -423,6 +436,66 @@ def test_divergence_writes_no_input_and_no_noise_draw(noise_draws):
     assert [step for step, _ in draws] == list(range(12))
     for step, xi in draws:
         assert np.array_equal(xi, task.noise(step))
+
+
+def test_divergence_draws_ahead_under_contention():
+    # Four callers on a short switch interval, each with its own helper: a
+    # buffer refilled before its step had read it would change the rows.
+    task, w0 = _noisy_task(_DRAW_AHEAD_MIN_DIM)
+    hyper = AdamWHyperparams(lr=0.05)
+    want = _two_run_divergence(task, hyper, 4, 12, w0)
+    results = []
+
+    def call():
+        for _ in range(5):
+            series = trajectory_divergence(task, hyper, skew_epoch=4, horizon=12, w0=w0)
+            results.append(list(series.rows) == want)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [True] * 20
+
+
+def test_divergence_reraises_a_failed_draw_and_joins_the_helper(monkeypatch):
+    draw = optimizer._standard_normal
+    drawn = []
+
+    def failing_at_step_2(seed, step, out):
+        drawn.append((step, threading.current_thread()))
+        if step == 2:
+            raise RuntimeError("draw 2 failed")
+        return draw(seed, step, out)
+
+    monkeypatch.setattr(optimizer, "_standard_normal", failing_at_step_2)
+    task, w0 = _noisy_task(_DRAW_AHEAD_MIN_DIM)
+    raised = []
+
+    def call():
+        try:
+            trajectory_divergence(task, AdamWHyperparams(lr=0.05), skew_epoch=4,
+                                  horizon=12, w0=w0)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    threads = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert threading.active_count() == threads
+    assert [str(exc) for exc in raised] == ["draw 2 failed"]
+    # The series stops at the failed draw, which ran on the helper thread.
+    assert [step for step, _ in drawn] == [0, 1, 2]
+    assert all(t not in (caller, threading.current_thread()) for _, t in drawn)
 
 
 @pytest.mark.parametrize("w0", [[1.0, -0.5], [[1.0, -0.5, 2.0]]],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ import pytest
 
 from epochsim import protocols
 from epochsim.adversary import search_schedules
+from epochsim.cli import build_parser
 from epochsim.kernel import (AdversarialSchedule, ConfigError, FixedDelay, Simulation,
                              UniformDelay, new_simulation)
 from epochsim.lattice import AtomicityClass, EpochSymbol
@@ -240,6 +242,17 @@ def test_reported_mixed_seed_replays_as_a_battery_case():
                for case in (battery_case(4, s) for s in seeds[:first + 1])]
     assert classes[-1] is AtomicityClass.MIXED
     assert AtomicityClass.MIXED not in classes[:-1]
+
+
+def test_battery_crash_probability_has_one_default():
+    # The CLI's default, the battery's and a replayed case's must agree, or
+    # a reported sample_mixed_seed would replay a different crash schedule.
+    defaults = [
+        inspect.signature(battery_case).parameters["crash_prob"].default,
+        inspect.signature(compare_protocols).parameters["crash_prob"].default,
+        build_parser().parse_args(["bilateral-vs-naive"]).crash_prob,
+    ]
+    assert defaults == [protocols.BATTERY_CRASH_PROB] * 3
 
 
 def _simulated_tallies(n: int, runs: int, seed: int,
