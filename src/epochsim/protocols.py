@@ -293,20 +293,31 @@ BATTERY_CRASH_PROB = 0.15
 # Draws on the path to a bilateral ack: the checkpoint message, one duration
 # per active stage, and the ack message.
 SLOWEST_ACK = 2 + len(ACTIVE_STAGES)
+# The tick by which every battery persist has ended: the checkpoint message
+# and one duration per active stage, each at most BATTERY_DELAY.hi ticks.
+LATEST_DONE = (1 + len(ACTIVE_STAGES)) * BATTERY_DELAY.hi
 
 
-def crash_free_commits(ack_timeout: int) -> bool:
-    """Whether every crash-free battery run ends Top under both protocols.
+def settles_top(crashes: Sequence[tuple[str, int]], ack_timeout: int) -> bool:
+    """Whether a battery run with this crash schedule ends Top under both
+    protocols, so that a caller may count it without simulating it.
 
-    Naive always decides Committed, and with no crash every component ends
-    at E. A bilateral ack arrives after SLOWEST_ACK draws of at most
-    BATTERY_DELAY.hi ticks each, so by tick SLOWEST_ACK * hi = 21. The ack
-    timer is scheduled before any ack and wins a tie, so only a timeout
-    above that tick lets every ack win and the run commit. Such a run
-    crashes no stage and ends neither protocol Mixed, so a caller may count
-    it as Top for both without simulating it.
+    True when ack_timeout > SLOWEST_ACK * BATTERY_DELAY.hi = 21 and every
+    crash lands after LATEST_DONE = 18; a run with no crash qualifies.
+    Every checkpoint arrives by tick 3 and every persist ends by tick 18, so
+    a later crash finds its component at Done under both protocols, and a
+    crash at Done changes nothing durable. Naive always decides Committed
+    and every component ends at E. A bilateral ack is sent by tick 18 and
+    arrives by tick 21. The ack timer is scheduled before any ack and wins
+    a tie, so only a timeout above 21 lets every ack win and the run
+    commit; a component down when the directive lands re-reads it on
+    recovery. Neither protocol ends Mixed, and each crash is logged once,
+    at stage DONE with its ack sent. Both bounds are sharp: a timeout of 21
+    can roll back a crash-free run, and a crash at tick 18 can cut the last
+    stage short and withhold its ack.
     """
-    return ack_timeout > SLOWEST_ACK * BATTERY_DELAY.hi
+    return (ack_timeout > SLOWEST_ACK * BATTERY_DELAY.hi
+            and all(t > LATEST_DONE for _, t in crashes))
 
 
 def crash_schedule(names: Sequence[str], rng: random.Random,
@@ -403,15 +414,16 @@ def compare_protocols(n: int, runs: int, seed: int, *,
     Runs execute one after another on the calling thread. Run i is
     battery_case(n, derive_seed(seed, i), crash_prob), so it does not
     depend on any other run, and sample_mixed_seed names the first run
-    seed whose case ends naive Mixed. A run that draws no crash is
-    counted Top for both protocols without being simulated when
-    crash_free_commits(ack_timeout), i.e. ack_timeout > 21; at or below
-    that bound it is simulated like any other. `workers` is accepted and
-    ignored: the report is the same for every value.
+    seed whose case ends naive Mixed. A run for which
+    settles_top(case.crashes, ack_timeout) holds (ack_timeout > 21 and no
+    crash before tick 19) is counted Top for both protocols without being
+    simulated, and each of its crashes is counted at DONE and post_ack, as
+    a simulation logs it; any other run is simulated. `workers` is accepted
+    and ignored: the report is the same for every value.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    # Checked here, not left to new_simulation: a battery of crash-free
+    # Checked here, not left to new_simulation: a battery of settled
     # runs may build no simulation at all.
     if n < 1:
         raise ConfigError("cluster size must be at least one component")
@@ -419,16 +431,19 @@ def compare_protocols(n: int, runs: int, seed: int, *,
         raise ValueError("crash probability must lie in [0, 1]")
     bilateral_config = BilateralConfig(ack_timeout=ack_timeout)
     naive_config = NaiveCheckpointConfig(boundary_time=boundary_time)
-    settle = crash_free_commits(ack_timeout)
     naive_t = ClassTallies()
     bilat_t = ClassTallies()
     coverage: dict[str, int] = {}
     sample: int | None = None
     for i in range(runs):
         case = battery_case(n, derive_seed(seed, i), crash_prob)
-        if settle and not case.crashes:
+        if settles_top(case.crashes, ack_timeout):
             naive_t.top += 1
             bilat_t.top += 1
+            if case.crashes:  # a crash-free run adds no coverage key
+                late = len(case.crashes)
+                coverage["DONE"] = coverage.get("DONE", 0) + late
+                coverage["post_ack"] = coverage.get("post_ack", 0) + late
             continue
 
         sim_b = case.simulation()

@@ -10,7 +10,8 @@ cap (at alpha 4) and exhausts its attempt budget.
 
 Each case runs one CLI invocation in process and compares its stdout byte
 for byte with a file under tests/golden/. A mismatch fails with a unified
-diff. After a change that is meant to alter output, regenerate the files
+diff. Each `$ epochsim` block in README.md must equal its EXAMPLES case's
+text file. After a change that is meant to alter output, regenerate the files
 from the repository root with
 
     PYTHONPATH=src:tests python -c "import test_golden as g; [(g.GOLDEN / f).write_text(g.render(a)) for f, a in g.CASES]"
@@ -23,6 +24,8 @@ from __future__ import annotations
 import difflib
 import io
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,7 @@ import pytest
 from epochsim.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).with_name("golden")
+README = Path(__file__).parent.parent / "README.md"
 
 EXAMPLES = {
     "lattice-table": ["lattice-table"],
@@ -87,3 +91,15 @@ JSON_CASES = [(f, argv) for f, argv in CASES if f.endswith(".json")]
 @pytest.mark.parametrize("filename,argv", JSON_CASES, ids=[f for f, _ in JSON_CASES])
 def test_json_output_is_strict_json(filename, argv):
     json.loads(render(argv), parse_constant=_reject_constant)
+
+
+def test_readme_examples_match_golden():
+    # Each `$ epochsim` block in the README shows one EXAMPLES case's text
+    # output; the golden file pins it, so the README must show the same bytes.
+    blocks = re.findall(r"^```text\n\$ epochsim ([^\n]*)\n(.*?)^```$", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    names = {tuple(argv): name for name, argv in EXAMPLES.items()}
+    shown = {names[tuple(shlex.split(args))]: body for args, body in blocks}
+    assert len(shown) == len(blocks) == 6
+    for name, body in shown.items():
+        assert body == (GOLDEN / f"{name}.text").read_text(), name

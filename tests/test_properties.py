@@ -4,7 +4,9 @@ Fixed-seed batteries only sample the schedules a seed happens to draw;
 these properties let Hypothesis search for a counterexample instead. The
 bilateral protocol must never end Mixed, a decided run must converge to
 the decision, and a component that has applied its directive does no
-further work: it sends nothing and its durable state stays put. The
+further work: it sends nothing and its durable state stays put. A battery
+run whose crashes all land after tick 18, when every persist has ended,
+ends Top under both protocols with each crash logged at Done. The
 consensus deploy never runs a collective whose
 correct participants hold two firmware versions, whatever the crashes,
 register outage and fence policy.
@@ -18,8 +20,9 @@ from hypothesis import strategies as st
 from epochsim.deploy import CollectiveSpec, FencePolicy, run_consensus_deploy
 from epochsim.kernel import DelayPolicy, Simulation, UniformDelay
 from epochsim.lattice import AtomicityClass, EpochSymbol
-from epochsim.persistence import PersistenceProcess
-from epochsim.protocols import BilateralConfig, Decision, conv_holds, run_bilateral
+from epochsim.persistence import CrashRecord, PersistenceProcess
+from epochsim.protocols import (CRASH_WINDOW, BatteryCase, BilateralConfig, Decision,
+                                NaiveCheckpointConfig, conv_holds, run_bilateral, run_naive)
 
 EPOCH = 1
 
@@ -123,6 +126,35 @@ def test_watch_sees_sends_and_broadcasts():
     sim.send("c0", "c0", {"type": "ack"})
     sim.broadcast("c0", ["c0"], {"type": "ready"})
     assert violations == ["c0 sent ack at t=0", "c0 sent ready at t=0"]
+
+
+@st.composite
+def late_crash_battery_runs(draw):
+    # Each component crashes at most once, as in the battery, and only at a
+    # tick after the slowest persist has ended.
+    n = draw(st.integers(1, 8))
+    ticks = draw(st.lists(st.none() | st.integers(19, CRASH_WINDOW), min_size=n, max_size=n))
+    crashes = tuple((f"c{i}", t) for i, t in enumerate(ticks) if t is not None)
+    return dict(case=BatteryCase(n, draw(st.integers(0, 2**64 - 1)), crashes),
+                ack_timeout=draw(st.integers(22, 60)), t_c=draw(st.integers(1, 40)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(late_crash_battery_runs())
+def test_battery_crash_after_every_persist_changes_nothing(run):
+    case = run["case"]
+    sim_b = case.simulation()
+    out_b = run_bilateral(sim_b, BilateralConfig(ack_timeout=run["ack_timeout"]),
+                          crashes=case.crashes)
+    sim_n = case.simulation()
+    out_n = run_naive(sim_n, NaiveCheckpointConfig(boundary_time=run["t_c"]),
+                      crashes=case.crashes)
+    assert out_b.decision is Decision.COMMITTED
+    assert out_b.vector_class is AtomicityClass.TOP
+    assert out_n.vector_class is AtomicityClass.TOP
+    for name, _ in case.crashes:
+        assert sim_b.components[name].crash_log == [CrashRecord("DONE", True)]
+        assert sim_n.components[name].crash_log == [CrashRecord("DONE", False)]
 
 
 @st.composite

@@ -15,10 +15,14 @@ from epochsim.cli import build_parser
 from epochsim.kernel import (AdversarialSchedule, ConfigError, FixedDelay, Simulation,
                              UniformDelay, new_simulation)
 from epochsim.lattice import AtomicityClass, EpochSymbol
-from epochsim.persistence import PersistenceProcess, PersistenceStage
+from epochsim.persistence import CrashRecord, PersistenceProcess, PersistenceStage
 from epochsim.protocols import (
+    BATTERY_DELAY,
+    LATEST_DONE,
+    BatteryCase,
     BilateralConfig,
     ClassTallies,
+    ComparisonReport,
     Decision,
     DecisionRecord,
     NaiveCheckpointConfig,
@@ -27,13 +31,13 @@ from epochsim.protocols import (
     battery_case,
     compare_protocols,
     conv_holds,
-    crash_free_commits,
     derive_seed,
     geometric_baseline,
     retry_sweep,
     run_bilateral,
     run_naive,
     run_retry_loop,
+    settles_top,
     snap_holds,
 )
 
@@ -255,33 +259,92 @@ def test_battery_crash_probability_has_one_default():
     assert defaults == [protocols.BATTERY_CRASH_PROB] * 3
 
 
-def _simulated_tallies(n: int, runs: int, seed: int,
-                       ack_timeouts: range) -> tuple[ClassTallies, dict[int, ClassTallies]]:
-    """Naive tallies, and bilateral tallies per ack timeout, of runs 0..runs-1
-    of a battery, every run simulated in full with no crash."""
+def _simulated_reports(n: int, runs: int, seed: int, crash_prob: float,
+                       ack_timeouts) -> dict[int, ComparisonReport]:
+    """The battery's report at each ack timeout, with every one of its run
+    indices simulated in full under both protocols."""
     naive = ClassTallies()
+    sample = None
     bilateral = {t: ClassTallies() for t in ack_timeouts}
+    coverage: dict[int, dict[str, int]] = {t: {} for t in ack_timeouts}
     for i in range(runs):
-        case = battery_case(n, derive_seed(seed, i), 0.0)
-        naive.add(run_naive(case.simulation(), NaiveCheckpointConfig(boundary_time=10)))
-        for t, tallies in bilateral.items():
-            tallies.add(run_bilateral(case.simulation(), BilateralConfig(ack_timeout=t)))
-    return naive, bilateral
+        case = battery_case(n, derive_seed(seed, i), crash_prob)
+        out = run_naive(case.simulation(), NaiveCheckpointConfig(boundary_time=10),
+                        crashes=case.crashes)
+        naive.add(out)
+        if sample is None and out.vector_class is AtomicityClass.MIXED:
+            sample = case.seed
+        for t in ack_timeouts:
+            sim = case.simulation()
+            bilateral[t].add(run_bilateral(sim, BilateralConfig(ack_timeout=t),
+                                           crashes=case.crashes))
+            for name, _ in case.crashes:
+                for rec in sim.components[name].crash_log:
+                    stages = [rec.stage, "post_ack"] if rec.acked else [rec.stage]
+                    for stage in stages:
+                        coverage[t][stage] = coverage[t].get(stage, 0) + 1
+    return {t: ComparisonReport(runs=runs, n=n, seed=seed, naive=naive,
+                                bilateral=bilateral[t], crash_stage_coverage=coverage[t],
+                                sample_mixed_seed=sample)
+            for t in ack_timeouts}
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_settled_crash_free_runs_equal_full_simulation(n):
-    # crash_prob 0 makes every run crash-free, so every run above the bound is
-    # settled without a simulation; both sides of the bound are compared.
-    timeouts = range(1, 41)
-    runs = 6
-    naive, bilateral = _simulated_tallies(n, runs, 4242, timeouts)
-    for t in timeouts:
-        report = compare_protocols(n, runs, 4242, crash_prob=0.0, ack_timeout=t)
-        assert report.naive == naive, t
-        assert report.bilateral == bilateral[t], t
-        assert report.crash_stage_coverage == {}
-        assert report.sample_mixed_seed is None
+    # The battery settles crash-free runs and runs whose crashes all land
+    # after LATEST_DONE, above the timeout bound of 21; every report must
+    # equal one that simulates every run index, on both sides of the bound.
+    runs, seed = 12, 4242
+    late = 0
+    for crash_prob, timeouts in ((0.0, range(1, 41)), (0.15, (1, 19, 21, 22, 23, 40)),
+                                 (0.5, (1, 21, 22, 30)), (1.0, (21, 22, 40))):
+        want = _simulated_reports(n, runs, seed, crash_prob, timeouts)
+        for t in timeouts:
+            report = compare_protocols(n, runs, seed, crash_prob=crash_prob, ack_timeout=t)
+            assert report == want[t], (crash_prob, t)
+        cases = [battery_case(n, derive_seed(seed, i), crash_prob) for i in range(runs)]
+        late += sum(bool(c.crashes) and min(t for _, t in c.crashes) > LATEST_DONE
+                    for c in cases)
+    assert late > 0  # some run with crashes is settled
+
+
+def test_late_crash_bound_is_sharp():
+    # Every delay at BATTERY_DELAY.hi: c0's persist ends at tick 18 exactly.
+    assert LATEST_DONE == 18
+    config = BilateralConfig(ack_timeout=30)
+    sim = new_simulation(2, FixedDelay(BATTERY_DELAY.hi), 0)
+    out = run_bilateral(sim, config, crashes=[("c0", 18)])
+    assert out.decision is Decision.ROLLED_BACK
+    assert sim.components["c0"].crash_log == [CrashRecord("METADATA_UPDATE", False)]
+    assert not settles_top([("c0", 18)], 30)
+
+    assert settles_top([("c0", 19)], 30)
+    sim = new_simulation(2, FixedDelay(BATTERY_DELAY.hi), 0)
+    out = run_bilateral(sim, config, crashes=[("c0", 19)])
+    assert out.decision is Decision.COMMITTED
+    assert out.vector_class is AtomicityClass.TOP
+    assert sim.components["c0"].crash_log == [CrashRecord("DONE", True)]
+    out = run_naive(new_simulation(2, FixedDelay(BATTERY_DELAY.hi), 0),
+                    NaiveCheckpointConfig(boundary_time=10), crashes=[("c0", 19)])
+    assert out.decision is Decision.COMMITTED
+    assert out.vector_class is AtomicityClass.TOP
+
+
+def test_default_battery_simulation_count(monkeypatch):
+    # Pins the settle's saving at criterion 4's config: of 10,000 runs,
+    # 3,291 are simulated, each under both protocols. Simulating every run
+    # with a crash would build 9,448.
+    built = 0
+    simulation = BatteryCase.simulation
+
+    def counted(case):
+        nonlocal built
+        built += 1
+        return simulation(case)
+
+    monkeypatch.setattr(BatteryCase, "simulation", counted)
+    compare_protocols(4, 10_000, 0)
+    assert built == 6_582
 
 
 def test_crash_free_bound_is_sharp():
@@ -297,8 +360,8 @@ def test_crash_free_bound_is_sharp():
                is Decision.ROLLED_BACK for case in free)
         for t in (21, 22)}
     assert rolled_back == {21: 5, 22: 0}
-    assert not crash_free_commits(21)
-    assert crash_free_commits(22)
+    assert not settles_top((), 21)
+    assert settles_top((), 22)
 
 
 # ---------------------------------------------------------------------------
