@@ -1,18 +1,23 @@
-"""Fleet firmware transitions: broadcast-and-hope vs a decision register.
+"""Fleet firmware transitions: broadcast-and-hope vs a decision log.
 
 Nodes run firmware F0 and participate in scheduled collective operations.
 A naive deploy broadcasts "switch to F1" and lets each node flip on
 receipt, so a collective that executes inside the delivery window can
 observe both versions among its live participants: a mixed collective.
 
-The consensus deploy routes the transition through a once-writable
-linearized decision register. Reading the register before participating
-is mandatory, so a live node always observes the committed decision
-before it joins a collective; nodes that cannot observe (crashed, or the
-register is unavailable) are fenced out, and the collective either
+The consensus deploy routes the transition through a write-once
+protocols.DecisionLog, the register. Reading the register before
+participating is mandatory, so a live node always observes the committed
+decision before it joins a collective; nodes that cannot observe (crashed,
+or the register is unavailable) are fenced out, and the collective either
 proceeds without them or aborts, per policy. Under this discipline no
 collective ever executes with two firmware versions among its correct
 participants.
+
+Each collective reads the register at its own tick, at zero latency: no
+message carries the decision, so every live node learns it at once. The
+read is an oracle. Nothing models what reaching the log costs, and the
+ROADMAP plans to replace it with a request and a reply per node.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .kernel import (AdversarialSchedule, Component, ConfigError, DelayPolicy, Event,
                      EventKind, Simulation, Trace, UniformDelay)
-from .protocols import crash_schedule, derive_seed
+from .protocols import DecisionLog, crash_schedule, derive_seed
 
 
 class FirmwareEpoch(IntEnum):
@@ -116,30 +121,6 @@ class CollectiveInstance:
         }
 
 
-class DecisionRegister:
-    """Once-writable linearized register holding the committed firmware epoch."""
-
-    def __init__(self, outage: tuple[int, int] | None = None):
-        self.committed: FirmwareEpoch | None = None
-        self.decision_time: int | None = None
-        self.outage = outage  # [lo, hi] window in which reads fail
-
-    def commit(self, epoch: FirmwareEpoch, time: int) -> None:
-        if self.committed is not None:
-            raise ValueError("decision register is write-once")
-        self.committed = epoch
-        self.decision_time = time
-
-    def read(self, now: int) -> tuple[bool, FirmwareEpoch | None]:
-        if self.outage is not None and self.outage[0] <= now <= self.outage[1]:
-            return False, None
-        return True, self.committed
-
-    def to_json_obj(self) -> dict:
-        return {"committed": None if self.committed is None else int(self.committed),
-                "decision_time": self.decision_time}
-
-
 class FirmwareNode(Component):
     def __init__(self, name: str):
         self.name = name
@@ -159,7 +140,7 @@ class _CollectiveRunner(Component):
     set and its nodes' fields directly, with no call per participant.
     """
 
-    def __init__(self, register: DecisionRegister | None, fence_policy: FencePolicy):
+    def __init__(self, register: DecisionLog | None, fence_policy: FencePolicy):
         self.name = "collective_runner"
         self.register = register
         self.fence_policy = fence_policy
@@ -209,7 +190,7 @@ class DeployReport:
     n: int
     seed: int
     collectives: tuple[CollectiveInstance, ...]
-    register: DecisionRegister | None
+    register: DecisionLog | None
     trace: Trace
 
     @property
@@ -279,13 +260,13 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
     collective runs F0 uniformly.
     """
     sim = _build_sim(n, delay, seed)
-    register = DecisionRegister(outage=register_outage)
+    register = DecisionLog(outage=register_outage)
     runner = _CollectiveRunner(register, fence_policy)
     _schedule_collectives(sim, runner, collectives)
     for component, time in crashes:
         sim.inject_crash(component, time)
     if propose_time is not None:
-        # The register linearizes the write at the propose time; model it as
+        # The write lands in the register at the propose time; model it as
         # a timer on propose_hook so it lands in trace order.
         sim.register(_ProposeHook(register))
         sim.schedule(max(propose_time, 1), "propose_hook", _TIMER_FIRE,
@@ -297,14 +278,13 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
 
 
 class _ProposeHook(Component):
-    def __init__(self, register: DecisionRegister):
+    def __init__(self, register: DecisionLog):
         self.name = "propose_hook"
         self.register = register
 
     def on_event(self, sim: Simulation, event: Event) -> None:
         if event.payload.get("type") == "propose":
-            if self.register.committed is None:
-                self.register.commit(_FIRMWARE_BY_VALUE[event.payload["version"]], sim.now)
+            self.register.write(_FIRMWARE_BY_VALUE[event.payload["version"]], sim.now)
 
 
 # ---------------------------------------------------------------------------

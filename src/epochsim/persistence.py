@@ -114,8 +114,8 @@ class PersistenceProcess(Component):
     once the run quiesces. staged_ready is derived: a tentative attempt at Done.
 
     Protocol wiring is optional: ack_to names a coordinator to notify when
-    a tentative persist completes, and decision_record is that
-    coordinator's durable directive log, re-read on recovery.
+    a tentative persist completes, and decision_log is that coordinator's
+    protocols.DecisionLog, read on recovery as a collective reads it.
     """
 
     def __init__(self, name: str, epoch: int):
@@ -129,8 +129,7 @@ class PersistenceProcess(Component):
         self.attempt = 0            # staleness guard for the queued completion
         self._stage_ends: tuple[int, ...] = ()  # end tick of each active stage
         self.ack_to: str | None = None
-        self.decision_record = None  # protocols.DecisionRecord, wired externally
-        self.corrupt_ack = False
+        self.decision_log = None  # protocols.DecisionLog, wired externally
         self.crash_log: list[CrashRecord] = []
 
     @property
@@ -187,12 +186,9 @@ class PersistenceProcess(Component):
         if not self.tentative:
             self.state = _E
         elif self.ack_to is not None:
-            digest = ack_digest(self.name, self.epoch)
-            if self.corrupt_ack:
-                digest = digest64(digest + ":corrupt")
             sim.send(self.name, self.ack_to,
-                     {"type": "ready", "epoch": self.epoch,
-                      "component": self.name, "digest": digest})
+                     {"type": "ready", "epoch": self.epoch, "component": self.name,
+                      "digest": ack_digest(self.name, self.epoch)})
             self.acked = True
 
     # -- directives (tentative mode) ------------------------------------------
@@ -235,9 +231,10 @@ class PersistenceProcess(Component):
         # persist is stable, and durable staged data survives.
 
     def on_recover(self, sim: Simulation, event: Event) -> None:
-        # Re-read the durable directive log; a decision made while this
+        # Re-read the durable decision log; a decision made while this
         # component was down is re-delivered by the coordinator.
-        record = self.decision_record
-        if record is not None and record.decision is not None and not self.resolved:
-            kind, epoch = record.decision
-            sim.send(self.ack_to, self.name, {"type": kind, "epoch": epoch})
+        log = self.decision_log
+        if log is not None and not self.resolved:
+            readable, kind = log.read(sim.now)
+            if readable and kind is not None:
+                sim.send(self.ack_to, self.name, {"type": kind, "epoch": self.epoch})

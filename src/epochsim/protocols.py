@@ -11,12 +11,13 @@ Two protocols drive an n-component epoch transition:
 
 * run_bilateral: two-phase transition. Components persist tentatively and
   ack readiness (with a content digest); if all n acks arrive before the
-  timeout the coordinator logs commit, otherwise rollback, and broadcasts
-  the directive. Recovering components re-read the durable directive log,
-  so every decided run converges to all-committed or all-prior. If the
-  coordinator dies before deciding, the outcome is NoDecision with the
-  still-blocked components listed (the classic blocking cost of the
-  guarantee).
+  timeout the coordinator logs commit, otherwise rollback, in a write-once
+  DecisionLog (the consensus deploy's register too) and broadcasts the
+  directive. A recovering component reads that log directly and is sent
+  its decision, so every decided run converges to all-committed or
+  all-prior. If the coordinator dies before deciding, the outcome is
+  NoDecision with the still-blocked components listed (the classic
+  blocking cost of the guarantee).
 
 run_retry_loop models re-running a failed transition where each retry can
 raise the per-component failure probability (load amplification): attempt
@@ -59,7 +60,6 @@ class NaiveCheckpointConfig:
 @dataclass(frozen=True)
 class BilateralConfig:
     ack_timeout: int = 30
-    corrupt_acks: frozenset[str] = frozenset()  # fault injection: bad digests
 
     def __post_init__(self) -> None:
         if self.ack_timeout < 1:
@@ -84,20 +84,36 @@ class ProtocolOutcome:
                 and self.vector_class is not AtomicityClass.TOP)
 
 
-@dataclass
-class DecisionRecord:
-    """Write-once durable decision log, readable after any crash."""
+class DecisionLog:
+    """Write-once durable decision log, readable after any crash.
 
-    decision: tuple[str, int] | None = None
-    time: int | None = None
+    The bilateral coordinator logs "commit" or "rollback"; the consensus
+    deploy logs the firmware epoch it commits. Reads fail inside the
+    outage window [lo, hi].
+    """
 
-    def write(self, kind: str, epoch: int, time: int) -> None:
+    def __init__(self, outage: tuple[int, int] | None = None):
+        self.decision: str | int | None = None
+        self.time: int | None = None
+        self.outage = outage
+
+    def write(self, decision: str | int, time: int) -> None:
+        """Log decision at time; logging the same value again is a no-op."""
         if self.decision is not None:
-            if self.decision != (kind, epoch):
+            if self.decision != decision:
                 raise ValueError("decision log is write-once")
             return
-        self.decision = (kind, epoch)
+        self.decision = decision
         self.time = time
+
+    def read(self, now: int) -> tuple[bool, str | int | None]:
+        """(readable, decision) at tick now; None while nothing is logged."""
+        if self.outage is not None and self.outage[0] <= now <= self.outage[1]:
+            return False, None
+        return True, self.decision
+
+    def to_json_obj(self) -> dict:
+        return {"committed": self.decision, "decision_time": self.time}
 
 
 def _participants(sim: Simulation) -> tuple[list[PersistenceProcess], int]:
@@ -196,12 +212,12 @@ def run_naive(sim: Simulation, config: NaiveCheckpointConfig,
 
 class BilateralCoordinator(Component):
     def __init__(self, participant_names: Sequence[str], epoch: int,
-                 config: BilateralConfig, record: DecisionRecord):
+                 config: BilateralConfig, log: DecisionLog):
         self.name = "coord"
         self.participant_names = tuple(participant_names)
         self.epoch = epoch
         self.config = config
-        self.record = record
+        self.log = log
         self.acks: set[str] = set()
 
     def start(self, sim: Simulation) -> None:
@@ -213,7 +229,7 @@ class BilateralCoordinator(Component):
     def on_event(self, sim: Simulation, event: Event) -> None:
         payload = event.payload
         if event.kind is _DELIVER and payload.get("type") == "ready":
-            if self.record.decision is not None:
+            if self.log.decision is not None:
                 return
             component = payload["component"]
             if payload.get("digest") != ack_digest(component, self.epoch):
@@ -222,11 +238,11 @@ class BilateralCoordinator(Component):
             if len(self.acks) == len(self.participant_names):
                 self._decide(sim, "commit")
         elif event.kind is _TIMER_FIRE and payload.get("type") == "ack_timeout":
-            if self.record.decision is None:
+            if self.log.decision is None:
                 self._decide(sim, "rollback")
 
     def _decide(self, sim: Simulation, kind: str) -> None:
-        self.record.write(kind, self.epoch, sim.now)
+        self.log.write(kind, sim.now)
         sim.broadcast(self.name, self.participant_names,
                       {"type": kind, "epoch": self.epoch})
 
@@ -236,12 +252,11 @@ def run_bilateral(sim: Simulation, config: BilateralConfig,
                   coordinator_crash_at: int | None = None) -> ProtocolOutcome:
     """Tentative persists plus acks; commit only on unanimous readiness."""
     parts, epoch = _participants(sim)
-    record = DecisionRecord()
-    coord = BilateralCoordinator([p.name for p in parts], epoch, config, record)
+    log = DecisionLog()
+    coord = BilateralCoordinator([p.name for p in parts], epoch, config, log)
     for p in parts:
         p.ack_to = coord.name
-        p.decision_record = record
-        p.corrupt_ack = p.name in config.corrupt_acks
+        p.decision_log = log
     sim.register(coord)
     coord.start(sim)
     for component, time in crashes:
@@ -250,9 +265,9 @@ def run_bilateral(sim: Simulation, config: BilateralConfig,
         # a halting failure: the classic blocking case for this protocol
         sim.inject_crash(coord.name, coordinator_crash_at, permanent=True)
     trace = sim.run_until_quiescent()
-    if record.decision is None:
+    if log.decision is None:
         decision = Decision.NO_DECISION
-    elif record.decision[0] == "commit":
+    elif log.decision == "commit":
         decision = Decision.COMMITTED
     else:
         decision = Decision.ROLLED_BACK
@@ -265,7 +280,7 @@ def run_bilateral(sim: Simulation, config: BilateralConfig,
         final_vector=final,
         vector_class=final.classify(),
         trace=trace,
-        decision_time=record.time,
+        decision_time=log.time,
         blocked=blocked,
     )
 
@@ -323,6 +338,8 @@ def settles_top(crashes: Sequence[tuple[str, int]], ack_timeout: int) -> bool:
 def crash_schedule(names: Sequence[str], rng: random.Random,
                    crash_prob: float, window: int) -> list[tuple[str, int]]:
     """Each component independently crashes once, at a uniform time."""
+    if not 0.0 <= crash_prob <= 1.0:
+        raise ValueError("crash probability must lie in [0, 1]")
     out = []
     for name in names:
         if rng.random() < crash_prob:
@@ -427,8 +444,6 @@ def compare_protocols(n: int, runs: int, seed: int, *,
     # runs may build no simulation at all.
     if n < 1:
         raise ConfigError("cluster size must be at least one component")
-    if not 0.0 <= crash_prob <= 1.0:
-        raise ValueError("crash probability must lie in [0, 1]")
     bilateral_config = BilateralConfig(ack_timeout=ack_timeout)
     naive_config = NaiveCheckpointConfig(boundary_time=boundary_time)
     naive_t = ClassTallies()

@@ -6,7 +6,6 @@ import pytest
 
 from epochsim.deploy import (
     CollectiveSpec,
-    DecisionRegister,
     FencePolicy,
     FirmwareEpoch,
     FirmwareNode,
@@ -23,7 +22,7 @@ from epochsim.deploy import (
 )
 from epochsim.kernel import (AdversarialSchedule, ConfigError, FixedDelay, Simulation,
                              UniformDelay)
-from epochsim.protocols import derive_seed
+from epochsim.protocols import DecisionLog, derive_seed
 
 
 def _spec(cid, time, names):
@@ -171,17 +170,17 @@ def test_consensus_all_fenced_aborts_even_when_proceeding():
 
 
 def test_register_write_once():
-    reg = DecisionRegister()
-    reg.commit(FirmwareEpoch.F1, 4)
-    with pytest.raises(ValueError):
-        reg.commit(FirmwareEpoch.F0, 9)
+    reg = DecisionLog()
+    reg.write(FirmwareEpoch.F1, 4)
+    with pytest.raises(ValueError, match="^decision log is write-once$"):
+        reg.write(FirmwareEpoch.F0, 9)
     ok, value = reg.read(now=10)
     assert ok and value is FirmwareEpoch.F1
 
 
 def test_register_outage_window():
-    reg = DecisionRegister(outage=(5, 8))
-    reg.commit(FirmwareEpoch.F1, 2)
+    reg = DecisionLog(outage=(5, 8))
+    reg.write(FirmwareEpoch.F1, 2)
     assert reg.read(3) == (True, FirmwareEpoch.F1)
     assert reg.read(5)[0] is False
     assert reg.read(8)[0] is False
@@ -254,8 +253,8 @@ def test_register_outage_fences_crashed_nodes_then_aborts_at_first_live_one():
     nodes = [FirmwareNode(f"n{i}") for i in range(3)]
     for node in nodes:
         sim.register(node)
-    register = DecisionRegister(outage=(15, 25))
-    register.commit(FirmwareEpoch.F1, 5)
+    register = DecisionLog(outage=(15, 25))
+    register.write(FirmwareEpoch.F1, 5)
     runner = _CollectiveRunner(register, FencePolicy.PROCEED)
     _schedule_collectives(sim, runner, [_spec(0, 20, ["n0", "n1", "n2"])])
     sim.inject_crash("n0", 10)

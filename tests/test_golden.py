@@ -24,12 +24,16 @@ from __future__ import annotations
 import difflib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import epochsim
 from epochsim.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -79,6 +83,37 @@ def test_stdout_matches_golden(filename, argv):
                                     got.splitlines(keepends=True),
                                     fromfile=f"golden/{filename}", tofile="stdout")
         pytest.fail("".join(diff), pytrace=False)
+
+
+# (PYTHONHASHSEED, OPENBLAS_NUM_THREADS) of each fresh interpreter.
+ENVIRONMENTS = [("0", "1"), ("1", "2"), ("4242", "2")]
+
+
+def test_golden_cases_match_in_fresh_interpreters():
+    # The determinism contract: a case's output depends on its argv alone,
+    # not on string hashing or BLAS threads. BLAS reads its thread count
+    # when numpy loads, hence one interpreter per environment; they run
+    # side by side, each rendering every case.
+    path = os.pathsep.join(filter(None, [str(Path(epochsim.__file__).resolve().parents[1]),
+                                         str(Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH")]))
+    script = ("import json, test_golden as g; "
+              "print(json.dumps({f: g.render(argv) for f, argv in g.CASES}))")
+    procs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed,
+                                   "OPENBLAS_NUM_THREADS": threads})
+             for seed, threads in ENVIRONMENTS]
+    try:
+        outs = [proc.communicate(timeout=120)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    for env, proc, out in zip(ENVIRONMENTS, procs, outs):
+        assert proc.returncode == 0, env
+        got = json.loads(out)
+        assert list(got) == [f for f, _ in CASES], env
+        for filename, text in got.items():
+            assert text == (GOLDEN / filename).read_text(), (env, filename)
 
 
 def _reject_constant(name: str) -> None:

@@ -24,7 +24,7 @@ from epochsim.protocols import (
     ClassTallies,
     ComparisonReport,
     Decision,
-    DecisionRecord,
+    DecisionLog,
     NaiveCheckpointConfig,
     RetryModel,
     RetryStats,
@@ -134,6 +134,30 @@ def test_bilateral_crash_after_ack_still_commits_uniformly():
     assert out.vector_class is AtomicityClass.TOP
 
 
+def test_participant_down_when_commit_lands_reads_the_log_on_recovery(monkeypatch):
+    # Both acks land at t=7 and the coordinator commits. The commit reaches
+    # c1 at t=10, while c1 is down (crash at t=9, back at t=15), so only
+    # the decision log can bring c1 to E.
+    policy = AdversarialSchedule(message_delays={("c1", "commit"): 3},
+                                 default_recovery_delay=6)
+
+    def run():
+        sim = new_simulation(2, policy, seed=0)
+        return sim, run_bilateral(sim, BilateralConfig(ack_timeout=30), crashes=[("c1", 9)])
+
+    sim, out = run()
+    assert out.decision is Decision.COMMITTED and out.decision_time == 7
+    assert [(r.time, r.dropped) for r in out.trace.records
+            if r.target == "c1" and r.payload.get("type") == "commit"] == [(10, True), (18, False)]
+    assert sim.handler("c1").state is EpochSymbol.E
+    assert out.vector_class is AtomicityClass.TOP
+    # A recovery that skips the log leaves c1 at its prior epoch.
+    monkeypatch.setattr(PersistenceProcess, "on_recover", lambda self, sim, event: None)
+    sim, out = run()
+    assert sim.handler("c1").state is EpochSymbol.E_MINUS_1
+    assert out.vector_class is AtomicityClass.MIXED
+
+
 def test_bilateral_rollback_ends_inflight_persists():
     # Fixed(2): checkpoints land at t=2, the timeout rolls back at t=3 and
     # the directives land at t=5, mid-attempt. The rolled-back attempts must
@@ -188,19 +212,23 @@ def test_bilateral_never_mixed_over_random_crashes():
         assert not out.disagreement
 
 
-def test_verify_acks_rejects_corrupt_digest():
+def test_verify_acks_rejects_corrupt_digest(monkeypatch):
+    # The coordinator expects another digest from c1 than c1 sends.
+    digest = protocols.ack_digest
+    monkeypatch.setattr(protocols, "ack_digest", lambda component, epoch:
+                        digest(component, epoch) + ("x" if component == "c1" else ""))
     sim = new_simulation(2, FixedDelay(1), seed=0)
-    out = run_bilateral(sim, BilateralConfig(ack_timeout=30,
-                                             corrupt_acks=frozenset({"c1"})))
+    out = run_bilateral(sim, BilateralConfig(ack_timeout=30))
     assert out.decision is Decision.ROLLED_BACK
 
 
-def test_decision_record_write_once():
-    rec = DecisionRecord()
-    rec.write("commit", 1, time=5)
-    rec.write("commit", 1, time=5)  # same value is fine
-    with pytest.raises(ValueError):
-        rec.write("rollback", 1, time=6)
+def test_decision_log_write_once():
+    rec = DecisionLog()
+    rec.write("commit", time=5)
+    rec.write("commit", time=7)  # the logged value again is a no-op
+    assert (rec.decision, rec.time) == ("commit", 5)
+    with pytest.raises(ValueError, match="^decision log is write-once$"):
+        rec.write("rollback", time=6)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +261,16 @@ def test_battery_rejects_empty_cluster():
     # A run with no components draws no crash, so the battery checks n itself.
     with pytest.raises(ConfigError, match="^cluster size must be at least one component$"):
         compare_protocols(0, 1, 0)
+
+
+@pytest.mark.parametrize("crash_prob", [1.5, -0.1, math.nan])
+def test_battery_refuses_a_crash_probability_outside_the_unit_interval(crash_prob):
+    # Each would otherwise give the case of a valid probability: 1.5 that
+    # of 1.0, and -0.1 and nan a crash-free one.
+    with pytest.raises(ValueError, match=r"^crash probability must lie in \[0, 1\]$"):
+        battery_case(4, 1, crash_prob)
+    with pytest.raises(ValueError, match=r"^crash probability must lie in \[0, 1\]$"):
+        compare_protocols(4, 1, 0, crash_prob=crash_prob)
 
 
 def test_reported_mixed_seed_replays_as_a_battery_case():
