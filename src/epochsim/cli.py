@@ -266,9 +266,10 @@ def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Size bounds, checked while parsing. A run holds a few dozen float64
-# arrays of --dim entries (its peak RSS is about 230 MB at the largest
-# --dim) and one row per step up to --horizon.
+# Size bounds, checked while parsing. A run holds about twenty float64
+# arrays of --dim entries at its peak (at the largest --dim its peak RSS
+# is about 180 MB, 190 MB with --noise 0.1) and one row per step up to
+# --horizon.
 ADAMW_MAX_DIM = 1_000_000
 ADAMW_MAX_HORIZON = 10_000
 

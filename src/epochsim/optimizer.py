@@ -15,8 +15,9 @@ a diagonal quadratic task; validation_checkpoint shows a loss-only gate
 accepts such states because the weights are untouched.
 
 The AdamW arithmetic lives in one routine, _adamw_update. adamw_step runs
-it into fresh arrays and returns a new state; trajectory_divergence owns
-its buffers and steps both runs' weights and moments in place with it.
+it into fresh arrays and returns a new state; trajectory_divergence steps
+both runs' weights and moments in place with it, in the rows of one block
+per call, so that repeated calls find their pages still mapped.
 
 trajectory_divergence reports the weight distance as an L2 norm whose sum
 of squares is numpy's pairwise sum, not a BLAS dot product, so the printed
@@ -245,7 +246,8 @@ def skew_consistency_check(pair: tuple[EpochTypedOptimizerState, EpochTypedOptim
     """One Coerce step on each state of the pair; returns the m difference.
 
     The pair must differ only in the first moment (value and tag); anything
-    else differing is a malformed pair, not a moment skew.
+    else differing is a malformed pair, not a moment skew. Only each stepped
+    state's m is kept, so the check never holds two stepped states at once.
     """
     ref, lag = pair
     if ref.tags.m == lag.tags.m:
@@ -257,9 +259,9 @@ def skew_consistency_check(pair: tuple[EpochTypedOptimizerState, EpochTypedOptim
                    and ref.data_pos == lag.data_pos)
     if not (same_tags and same_fields):
         raise ValueError("pair differs in fields other than m")
-    stepped_ref = adamw_step(ref, gradient, hyper, StepMode.COERCE)
-    stepped_lag = adamw_step(lag, gradient, hyper, StepMode.COERCE)
-    return stepped_ref.m - stepped_lag.m
+    m_ref = adamw_step(ref, gradient, hyper, StepMode.COERCE).m
+    m_lag = adamw_step(lag, gradient, hyper, StepMode.COERCE).m
+    return m_ref - m_lag
 
 
 # ---------------------------------------------------------------------------
@@ -378,22 +380,21 @@ _DRAW_AHEAD_MIN_DIM = 16_384
 
 
 @contextmanager
-def _noise_stream(task: QuadraticTask, steps: int):
+def _noise_stream(task: QuadraticTask, steps: int, bufs: np.ndarray):
     """An iterator over task.noise(0), ..., task.noise(steps - 1).
 
-    A noisy task of at least _DRAW_AHEAD_MIN_DIM dimensions gets its draws
-    from one helper thread, which fills draw k + 1 while the caller steps
-    on draw k. The draws alternate between two buffers owned here, so a
-    draw holds until the next one is asked for. The helper runs
+    bufs holds the caller's rows for draws made ahead: two rows of
+    task.dim, or none. With two, one helper thread fills draw k + 1 while
+    the caller steps on draw k. The draws alternate between the two rows,
+    so a draw holds until the next one is asked for. The helper runs
     _standard_normal alone, the bits task.noise gives, and calls no public
     entry point. Its exception reaches the caller at next(), and it is
-    joined before the with block is left, however it is left. Other tasks
-    draw inline through task.noise.
+    joined before the with block is left, however it is left. With no rows
+    the draws are made inline through task.noise.
     """
-    if task.noise_scale == 0.0 or task.dim < _DRAW_AHEAD_MIN_DIM:
+    if not len(bufs):
         yield map(task.noise, range(steps))
         return
-    bufs = (np.empty(task.dim), np.empty(task.dim))
     go, drawn = SimpleQueue(), SimpleQueue()
 
     def helper():
@@ -454,27 +455,45 @@ def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
     norm of the weight difference with its squares summed by numpy's
     pairwise sum, and both losses.
 
-    The call owns its buffers: each run's w, m and v step in place through
-    _adamw_update, the arithmetic of adamw_step, and one update and one
-    scratch array serve every step of both runs. Neither w0 nor the task's
-    arrays nor a noise draw is written. _noise_stream supplies the draws,
-    on a large noisy task from a helper thread that is joined before the
-    call returns or raises.
+    The call takes its whole working set as the rows of one block: the
+    reference's w, m and v, the mixed run's w, m and v, one update and one
+    scratch row that serve every step of both runs, and on a noisy task of
+    at least _DRAW_AHEAD_MIN_DIM dimensions the two rows _noise_stream
+    draws ahead into from a helper thread, joined before the call returns
+    or raises. Each run's w, m and v step in place through _adamw_update,
+    the arithmetic of adamw_step. Neither w0 nor the task's arrays nor a
+    noise draw is written.
+
+    One block rather than a dozen arrays keeps repeated calls from
+    faulting their pages in again. glibc maps the first block with mmap;
+    freeing it raises the mmap threshold to the block's size and the trim
+    threshold to twice that (mallopt(3)). Later blocks then come from the
+    heap, which is no longer trimmed between calls while what the caller
+    frees at once stays under twice the block: 16 MB at dim 1e5. The
+    saving depends on the block's size, so a change that splits it must
+    measure the faults again.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not (1 <= skew_epoch < horizon):
         raise ValueError("skew epoch must satisfy 1 <= skew_epoch < horizon")
-    with _noise_stream(task, horizon) as draws:
-        ref = initial_state(task.dim, w0=w0, rng_seed=task.seed)
-        w, m, v = ref.w, ref.m, ref.v       # fresh arrays the call may write
-        update, scratch = np.empty_like(w), np.empty_like(w)
+    if w0 is not None:
+        w0 = np.asarray(w0, dtype=np.float64)
+        if w0.shape != (task.dim,):
+            raise ValueError("state arrays must share one shape")
+    ahead = task.noise_scale != 0.0 and task.dim >= _DRAW_AHEAD_MIN_DIM
+    block = np.empty((10 if ahead else 8, task.dim))
+    w, m, v, mixed_w, mixed_m, mixed_v, update, scratch = block[:8]
+    w[...] = 0.0 if w0 is None else w0
+    m.fill(0.0)
+    v.fill(0.0)
+    with _noise_stream(task, horizon, block[8:]) as draws:
         rows = []
         for k in range(horizon + 1):
             if k > 0:
                 xi = next(draws)
                 if k == skew_epoch:
-                    mixed_m = m.copy()
+                    mixed_m[...] = m
                 # Both runs correct bias with t = k, as adamw_step's tags give:
                 # a strict step k tags the reference's W with k, the mixed state
                 # takes the reference's W tag at skew_epoch, and a Coerce step
@@ -486,7 +505,8 @@ def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
                                   hyper, k, w_out=mixed_w, m_out=mixed_m,
                                   v_out=mixed_v, update=update, scratch=scratch)
             if k == skew_epoch:
-                mixed_w, mixed_v = w.copy(), v.copy()
+                mixed_w[...] = w
+                mixed_v[...] = v
             ref_loss = task.loss(w)
             if k < skew_epoch:
                 rows.append(DivergenceRow(step=k, distance=0.0, ref_loss=ref_loss,

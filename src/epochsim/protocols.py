@@ -89,10 +89,12 @@ class DecisionLog:
 
     The bilateral coordinator logs "commit" or "rollback"; the consensus
     deploy logs the firmware epoch it commits. Reads fail inside the
-    outage window [lo, hi].
+    outage window [lo, hi], which needs 0 <= lo <= hi.
     """
 
     def __init__(self, outage: tuple[int, int] | None = None):
+        if outage is not None and not 0 <= outage[0] <= outage[1]:
+            raise ValueError(f"outage window must satisfy 0 <= lo <= hi, got {outage}")
         self.decision: str | int | None = None
         self.time: int | None = None
         self.outage = outage

@@ -5,7 +5,9 @@ as it is, so an API change in epochsim (a removed function, method or
 keyword argument) would first show as a failed benchmark run. These
 checks catch it in the test suite instead: every entry point the tracer
 wraps still exists, and op 0 of every workload runs through
-inputs -> run -> check with no problems.
+inputs -> run -> check with no problems. The digest the benchmark keeps
+of adamw's op 0 at seed 1 is pinned too, so a change that moves that
+output fails here rather than only in a benchmark run.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.append(str(BENCH))
 
+import run as bench_run  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
@@ -46,3 +49,5 @@ def test_workload_op_runs_clean(name):
     checked = _run_op(wl, **wl.serial_kwargs)
     if name == "battery":
         assert _run_op(wl, workers=wl.WORKERS).output == checked.output
+    if name == "adamw":
+        assert bench_run.digest(checked.output) == "2435701a516f9727a9422c5f2d0021b3"

@@ -187,6 +187,18 @@ def test_register_outage_window():
     assert reg.read(9) == (True, FirmwareEpoch.F1)
 
 
+@pytest.mark.parametrize("outage", [(25, 15), (-5, 3)], ids=["inverted", "negative"])
+def test_decision_log_refuses_an_inverted_or_negative_outage(outage):
+    # (25, 15) once meant no outage at all, so the collective at tick 20 ran
+    # as if register_outage were None.
+    message = "^outage window must satisfy 0 <= lo <= hi"
+    with pytest.raises(ValueError, match=message):
+        DecisionLog(outage=outage)
+    with pytest.raises(ValueError, match=message):
+        run_consensus_deploy(2, [_spec(0, 20, ["n0", "n1"])], propose_time=5,
+                             delay=FixedDelay(1), register_outage=outage)
+
+
 # ---------------------------------------------------------------------------
 # case streams
 # ---------------------------------------------------------------------------

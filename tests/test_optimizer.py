@@ -506,6 +506,34 @@ def test_divergence_refuses_a_misshapen_w0(w0):
         trajectory_divergence(task, AdamWHyperparams(), skew_epoch=1, horizon=3, w0=w0)
 
 
+def _read_only(w):
+    w = w.copy()
+    w.flags.writeable = False
+    return w
+
+
+# Each form of w0 the call takes, from a float64 start point: the form
+# passed and the float64 array whose series it must give.
+_W0_FORMS = {
+    "list": lambda w: (w.tolist(), w),
+    "tuple": lambda w: (tuple(w.tolist()), w),
+    "int-list": lambda w: (np.rint(w).astype(int).tolist(), np.rint(w)),
+    "read-only": lambda w: (_read_only(w), w),
+    "float32": lambda w: (w.astype(np.float32), w.astype(np.float32).astype(np.float64)),
+}
+
+
+@pytest.mark.parametrize("form", list(_W0_FORMS))
+@pytest.mark.parametrize("dim", [3, _DRAW_AHEAD_MIN_DIM], ids=["inline", "draw-ahead"])
+def test_divergence_takes_each_w0_form_as_float64(dim, form):
+    task, w0 = _noisy_task(dim)
+    given, want = _W0_FORMS[form](np.array(w0, dtype=np.float64))
+    hyper = AdamWHyperparams(lr=0.05)
+    series = trajectory_divergence(task, hyper, skew_epoch=4, horizon=12, w0=given)
+    assert series == trajectory_divergence(task, hyper, skew_epoch=4, horizon=12,
+                                           w0=want)
+
+
 @pytest.mark.parametrize("horizon,skew_epoch", [(10, 3), (12, 1), (12, 11)])
 def test_divergence_draws_each_steps_noise_once(noise_draws, horizon, skew_epoch):
     # both trajectories read one draw per step

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from epochsim.optimizer import (
+    _DRAW_AHEAD_MIN_DIM,
     AdamWHyperparams,
     QuadraticTask,
     StepMode,
@@ -67,6 +68,14 @@ def test_divergence_rows_dim1000_noisy():
     series = trajectory_divergence(task, AdamWHyperparams(lr=0.05), skew_epoch=4,
                                    horizon=15, w0=w0)
     assert _digest(_rows(series)) == "e4a69b8b2a413ad774bec54069c876f4"
+
+
+def test_divergence_rows_draw_ahead():
+    # A noisy task this large draws its noise on the helper thread.
+    task, w0 = _random_task(_DRAW_AHEAD_MIN_DIM, 0.1, seed=17)
+    series = trajectory_divergence(task, AdamWHyperparams(lr=0.05), skew_epoch=2,
+                                   horizon=6, w0=w0)
+    assert _digest(_rows(series)) == "e3ade40c1970b8a51fd0aff48fc275db"
 
 
 @pytest.mark.parametrize("weight_decay,mode,expected", [
