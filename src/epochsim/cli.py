@@ -523,7 +523,7 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
         if args.config:
             try:
                 flags = _config_flags(args.config)
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 raise _Refusal(f"--config {args.config}: {exc}") from None
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + flags + argv[at:])

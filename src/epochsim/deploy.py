@@ -221,7 +221,12 @@ def _build_sim(n: int, delay: DelayPolicy, seed: int) -> Simulation:
 
 
 def _schedule_collectives(sim: Simulation, runner: _CollectiveRunner,
-                          collectives: Iterable[CollectiveSpec]) -> None:
+                          collectives: Sequence[CollectiveSpec]) -> None:
+    nodes = sim.components
+    for spec in collectives:
+        for name in spec.participants:
+            if name not in nodes:
+                raise ConfigError(f"unknown component {name!r}")
     sim.register(runner)
     for spec in collectives:
         sim.schedule(spec.time, runner.name, _TIMER_FIRE,
@@ -259,6 +264,8 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
     With propose_time None no transition is ever proposed and every
     collective runs F0 uniformly.
     """
+    if propose_time is not None and propose_time < 0:
+        raise ValueError("propose time must be non-negative")
     sim = _build_sim(n, delay, seed)
     register = DecisionLog(outage=register_outage)
     runner = _CollectiveRunner(register, fence_policy)

@@ -31,11 +31,10 @@ draw inline.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -369,13 +368,17 @@ def run_trajectory(task: QuadraticTask, hyper: AdamWHyperparams, steps: int, *,
 
 
 # A noisy task of at least this many dimensions draws its batch noise one
-# step ahead on a helper thread. Below it, starting and joining the helper
-# (about 95 us) and one handoff per step (about 15 us) cost more than the
-# draw they hide (about 13 ns per element). On a 2-core x86-64 host
-# (Python 3.11, numpy 2.4), trajectory_divergence at horizon 10 took,
-# inline vs ahead, best of three in each of two sessions: 0.8 vs 1.5-1.6 ms
-# at dim 1024, 3.0-3.3 vs 3.0-3.8 ms at 8192, 4.6-5.5 vs 3.9-4.8 ms at
-# 12288, 5.9-6.9 vs 4.6-5.2 ms at 16384 and 44-47 vs 30-31 ms at 100000.
+# step ahead on a one-worker executor. Below it, starting and joining the
+# worker (about 100 us) and one handoff per step (about 18 us) cost more
+# than the draw they hide (about 13 ns per element). On a 2-core x86-64
+# host (Python 3.11, numpy 2.4), with a helper thread that handed off
+# through two queues (95 us to start and join, 15 us a step),
+# trajectory_divergence at horizon 10 took, inline vs ahead, best of three
+# in each of two sessions: 0.8 vs 1.5-1.6 ms at dim 1024, 3.0-3.3 vs
+# 3.0-3.8 ms at 8192, 4.6-5.5 vs 3.9-4.8 ms at 12288, 5.9-6.9 vs 4.6-5.2 ms
+# at 16384 and 44-47 vs 30-31 ms at 100000. The gain needs an idle second
+# core: with the host's other core busy, ahead was no faster than inline at
+# any of those dims, and 3-20% slower from 8192 up.
 _DRAW_AHEAD_MIN_DIM = 16_384
 
 
@@ -384,48 +387,29 @@ def _noise_stream(task: QuadraticTask, steps: int, bufs: np.ndarray):
     """An iterator over task.noise(0), ..., task.noise(steps - 1).
 
     bufs holds the caller's rows for draws made ahead: two rows of
-    task.dim, or none. With two, one helper thread fills draw k + 1 while
-    the caller steps on draw k. The draws alternate between the two rows,
-    so a draw holds until the next one is asked for. The helper runs
+    task.dim, or none. With two, a one-worker executor fills draw k + 1
+    while the caller steps on draw k. The draws alternate between the two
+    rows, so a draw holds until the next one is asked for. The worker runs
     _standard_normal alone, the bits task.noise gives, and calls no public
-    entry point. Its exception reaches the caller at next(), and it is
-    joined before the with block is left, however it is left. With no rows
-    the draws are made inline through task.noise.
+    entry point. Its exception reaches the caller at next(), and the
+    executor's with block joins the worker however the stream is left.
+    With no rows the draws are made inline through task.noise.
     """
     if not len(bufs):
         yield map(task.noise, range(steps))
         return
-    go, drawn = SimpleQueue(), SimpleQueue()
+    with ThreadPoolExecutor(1, thread_name_prefix="epochsim-noise") as pool:
+        def drawn_ahead(pending):
+            for k in range(steps):
+                xi = pending.result()
+                # Draw k + 1 overwrites draw k - 1, whose step has finished
+                # once the caller asks for draw k.
+                if k + 1 < steps:
+                    pending = pool.submit(_standard_normal, task.seed, k + 1,
+                                          bufs[(k + 1) % 2])
+                yield xi
 
-    def helper():
-        for k in range(steps):
-            if not go.get():
-                return
-            try:
-                drawn.put(_standard_normal(task.seed, k, bufs[k % 2]))
-            except Exception as exc:
-                drawn.put(exc)
-                return
-
-    def drawn_ahead():
-        for k in range(steps):
-            # Draw k + 1 overwrites draw k - 1, whose step has finished
-            # once the caller asks for draw k.
-            if k + 1 < steps:
-                go.put(True)
-            xi = drawn.get()
-            if isinstance(xi, Exception):
-                raise xi
-            yield xi
-
-    thread = threading.Thread(target=helper, name="epochsim-noise")
-    go.put(True)
-    thread.start()
-    try:
-        yield drawn_ahead()
-    finally:
-        go.put(False)
-        thread.join()
+        yield drawn_ahead(pool.submit(_standard_normal, task.seed, 0, bufs[0]))
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,16 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert err.startswith(f"epochsim: error: --config {tmp_path / 'missing.json'}: ")
 
 
+def test_deeply_nested_config_is_usage_error(tmp_path, capsys):
+    # json.load gives up on this nesting with RecursionError, not ValueError.
+    conf = tmp_path / "deep.json"
+    conf.write_text("[" * 100_000)
+    code, out = run_cli("retry", "--runs", "1", "--config", str(conf))
+    err = capsys.readouterr().err
+    assert_refused(code, out, err)
+    assert err.startswith(f"epochsim: error: --config {conf}: ")
+
+
 def test_config_string_value_is_parsed_like_a_flag(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"grid": "3"}))

@@ -257,6 +257,24 @@ def test_deploy_refuses_an_empty_fleet(run):
         run()
 
 
+@pytest.mark.parametrize("run", [
+    lambda specs: run_naive_deploy(2, 5, specs, delay=FixedDelay(1)),
+    lambda specs: run_consensus_deploy(2, specs, propose_time=5, delay=FixedDelay(1)),
+], ids=["naive", "consensus"])
+def test_deploy_refuses_a_participant_outside_the_fleet(run):
+    # Refused with the kernel's message, not as a KeyError mid-run at t=20.
+    specs = [_spec(0, 10, ["n0", "n1"]), _spec(1, 20, ["n0", "n9"])]
+    with pytest.raises(ConfigError, match="^unknown component 'n9'$"):
+        run(specs)
+
+
+@pytest.mark.parametrize("propose_time", [-1, -7])
+def test_consensus_deploy_refuses_a_negative_propose_time(propose_time):
+    with pytest.raises(ValueError, match="^propose time must be non-negative$"):
+        run_consensus_deploy(2, [_spec(0, 10, ["n0", "n1"])],
+                             propose_time=propose_time, delay=FixedDelay(1))
+
+
 def test_register_outage_fences_crashed_nodes_then_aborts_at_first_live_one():
     # n0 is down and the register is unavailable when the collective runs:
     # n0 is fenced, n1 cannot observe and aborts the collective, and n2 is

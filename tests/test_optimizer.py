@@ -465,6 +465,35 @@ def test_divergence_draws_ahead_under_contention():
     assert results == [True] * 20
 
 
+def test_divergence_keeps_each_draw_while_the_next_one_lands(monkeypatch):
+    # Each step's reference gradient waits until the next draw has landed,
+    # so a draw made into the row being read changes the rows every time,
+    # not only when the helper happens to win the race.
+    task, w0 = _noisy_task(_DRAW_AHEAD_MIN_DIM)
+    hyper = AdamWHyperparams(lr=0.05)
+    want = _two_run_divergence(task, hyper, 11, 12, w0)
+    draw, gradient = optimizer._standard_normal, QuadraticTask.gradient
+    landed = [threading.Event() for _ in range(12)]
+    calls = []
+
+    def signalling(seed, step, out):
+        draw(seed, step, out)
+        landed[step].set()
+        return out
+
+    def waiting(self, w, xi):
+        # Before the skew epoch (11) call c is the reference's, on draw c - 1.
+        calls.append(w)
+        if len(calls) < 12:
+            assert landed[len(calls)].wait(timeout=30)
+        return gradient(self, w, xi)
+
+    monkeypatch.setattr(optimizer, "_standard_normal", signalling)
+    monkeypatch.setattr(QuadraticTask, "gradient", waiting)
+    series = trajectory_divergence(task, hyper, skew_epoch=11, horizon=12, w0=w0)
+    assert list(series.rows) == want
+
+
 def test_divergence_reraises_a_failed_draw_and_joins_the_helper(monkeypatch):
     draw = optimizer._standard_normal
     drawn = []
@@ -495,6 +524,46 @@ def test_divergence_reraises_a_failed_draw_and_joins_the_helper(monkeypatch):
     assert [str(exc) for exc in raised] == ["draw 2 failed"]
     # The series stops at the failed draw, which ran on the helper thread.
     assert [step for step, _ in drawn] == [0, 1, 2]
+    assert all(t not in (caller, threading.current_thread()) for _, t in drawn)
+
+
+def test_divergence_joins_the_draw_in_flight_when_the_caller_raises(monkeypatch):
+    draw, loss = optimizer._standard_normal, QuadraticTask.loss
+    drawn, losses = [], []
+
+    def recording(seed, step, out):
+        drawn.append((step, threading.current_thread()))
+        return draw(seed, step, out)
+
+    def failing_at_step_5(self, w):
+        # Before the skew epoch (8) the call takes one loss per step, the
+        # reference's; step 5's comes while draw 5 is in flight.
+        losses.append(w)
+        if len(losses) == 6:
+            raise RuntimeError("loss at step 5 failed")
+        return loss(self, w)
+
+    monkeypatch.setattr(optimizer, "_standard_normal", recording)
+    monkeypatch.setattr(QuadraticTask, "loss", failing_at_step_5)
+    task, w0 = _noisy_task(_DRAW_AHEAD_MIN_DIM)
+    raised = []
+
+    def call():
+        try:
+            trajectory_divergence(task, AdamWHyperparams(lr=0.05), skew_epoch=8,
+                                  horizon=12, w0=w0)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    threads = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert threading.active_count() == threads
+    assert [str(exc) for exc in raised] == ["loss at step 5 failed"]
+    # The draw in flight finished and was joined, and none started after it.
+    assert [step for step, _ in drawn] == [0, 1, 2, 3, 4, 5]
     assert all(t not in (caller, threading.current_thread()) for _, t in drawn)
 
 
