@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -310,6 +310,13 @@ class DeployCase:
     delay: DelayPolicy
     seed: int
 
+    @cached_property
+    def _delays(self) -> DelayPolicy:
+        """delay as the case's runs draw it: every run reads one stream
+        from its first value, so a UniformDelay case seeds its generator
+        once. Built on first use, kept by the case."""
+        return self.delay._shared()
+
 
 def directed_straddle_case(n: int, *, seed: int = 0) -> DeployCase:
     """Collective timed exactly inside the firmware delivery window."""
@@ -352,12 +359,12 @@ def deploy_candidates(n: int, seed: int):
 
 def run_case_naive(case: DeployCase) -> DeployReport:
     return run_naive_deploy(case.n, case.deploy_time, case.collectives,
-                            delay=case.delay, seed=case.seed, crashes=case.crashes)
+                            delay=case._delays, seed=case.seed, crashes=case.crashes)
 
 
 def run_case_consensus(case: DeployCase,
                        fence_policy: FencePolicy = FencePolicy.PROCEED) -> DeployReport:
     return run_consensus_deploy(case.n, case.collectives,
-                                propose_time=case.deploy_time, delay=case.delay,
+                                propose_time=case.deploy_time, delay=case._delays,
                                 seed=case.seed, crashes=case.crashes,
                                 fence_policy=fence_policy)

@@ -16,8 +16,10 @@ only a tick's first event pushes onto the heap. The loop pops the
 earliest tick, takes its list out and runs it in order. An event
 scheduled for the tick being run lands in a fresh list for that tick,
 which runs next, so the (time, seq) order is the same as one heap entry
-per event would give. A run that raised (StepLimitExceeded, or an error
-in a handler) may have lost the rest of its tick and cannot be resumed.
+per event would give. A tick's list joins the records in one step, once
+all of it has run. A run that raised (StepLimitExceeded, or an error in a
+handler) may have lost the rest of its tick, has not recorded that tick,
+and cannot be resumed.
 
 Delay draws: a DelayPolicy has one method, draws(new_rng), which returns a
 run's three draw callables; a Simulation calls it once, at construction.
@@ -30,8 +32,13 @@ draw, and every FixedDelay and AdversarialSchedule run, seeds no Mersenne
 Twister. A UniformDelay (hi <= 255) takes its values from whole blocks of MT
 words, one C-level pass per block; the values are exactly those successive
 Random(seed).randint(lo, hi) calls would return, in the same order. The
-generator may run up to one block ahead of the last value used, and only
-the policy holds it.
+values are buffered in a stream that any number of runs of one seed may
+read, each from value 0 with its own cursor: a lone Simulation is its
+stream's only reader, and a battery or deploy case builds one stream that
+all of its simulations read, so the generator is seeded once per case, by
+the first run that reads past the buffer, and each value is drawn once.
+The stream holds one byte per value drawn. The generator may run up to one
+block ahead of the last value read, and only the stream holds it.
 
 Crash semantics: a CRASH event marks the target down and schedules a
 RECOVER after a policy-drawn delay. While a component is down, DELIVER,
@@ -62,7 +69,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from types import MappingProxyType
-from typing import AbstractSet, Any, Callable, Mapping, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Sequence
 
 VirtualTime = int  # non-negative tick count
 
@@ -180,6 +187,20 @@ class DelayPolicy(ABC):
         generator ahead of its values.
         """
 
+    def _shared(self) -> DelayPolicy:
+        """The policy one case builds once and hands to all of its runs,
+        which share one seed: each run draws what it would draw from this
+        policy, and a policy with a random stream lets them share it. The
+        default is the policy itself, so each run draws on its own."""
+        return self
+
+
+def _check_ticks(values: Iterable[Any]) -> None:
+    """Refuse a tick value that is not an int; a bool is not a tick count."""
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"delay ticks must be int, got {value!r}")
+
 
 # A FixedDelay or UniformDelay delay does not depend on what it is drawn
 # for, so one function serves as both message_delays(src, dsts, msg) and
@@ -202,6 +223,7 @@ class FixedDelay(DelayPolicy):
     ticks: int = 1
 
     def __post_init__(self) -> None:
+        _check_ticks((self.ticks,))
         if self.ticks < 1:
             raise ConfigError("delay must be at least one tick")
 
@@ -230,40 +252,60 @@ _FIRST_BLOCK_WORDS = 16
 _MAX_BLOCK_WORDS = 2048
 
 
-def _block_values(new_rng: Callable[[], random.Random], table: bytes,
-                  delete: bytes) -> _Take:
-    """take: the next randint(lo, hi) values, drawn in blocks of words.
+class _UniformStream(DelayPolicy):
+    """The values of a UniformDelay for one seed, buffered for every run
+    that reads them.
 
-    The generator is built on the first take, so a run that draws nothing
-    seeds nothing.
+    Each draws(new_rng) is one reader, starting at value 0 with its own
+    cursor, and every reader must be a run of the same seed. The first
+    reader to run past the buffer seeds the generator through its new_rng;
+    blocks are then appended to the buffer in place, so no value is drawn
+    twice and the buffer is never copied. It holds one byte per value.
     """
-    buffered = b""
-    used = size = 0
-    words = _FIRST_BLOCK_WORDS
-    getrandbits = None
 
-    def refill(k):
-        """Draw blocks until k values are buffered past the used ones."""
-        nonlocal buffered, used, size, words, getrandbits
-        if getrandbits is None:
-            getrandbits = new_rng().getrandbits
-        buffered = buffered[used:]
-        while len(buffered) < k:
-            buffered += getrandbits(32 * words).to_bytes(4 * words, "little")[3::4] \
-                .translate(table, delete)
-            if words < _MAX_BLOCK_WORDS:
-                words *= 2
-        used, size = 0, len(buffered)
+    def __init__(self, table: bytes, delete: bytes) -> None:
+        self.values = bytearray()
+        self._table, self._delete = table, delete
+        self._words = _FIRST_BLOCK_WORDS
+        self._getrandbits: Callable[[int], int] | None = None
+
+    def fill(self, k: int, new_rng: Callable[[], random.Random]) -> int:
+        """Draw blocks until at least k values are buffered; how many are."""
+        values = self.values
+        if len(values) < k:
+            if self._getrandbits is None:
+                self._getrandbits = new_rng().getrandbits
+            getrandbits, table, delete = self._getrandbits, self._table, self._delete
+            words = self._words
+            while len(values) < k:
+                values += getrandbits(32 * words).to_bytes(4 * words, "little")[3::4] \
+                    .translate(table, delete)
+                if words < _MAX_BLOCK_WORDS:
+                    words *= 2
+            self._words = words
+        return len(values)
+
+    def draws(self, new_rng):
+        return _keyless(_block_values(self, new_rng))
+
+
+def _block_values(stream: _UniformStream, new_rng: Callable[[], random.Random]) -> _Take:
+    """take: stream's values from the first, the next len(items) per call.
+
+    new_rng is called only if this reader is the first to need a value the
+    stream has not drawn, so a run that draws nothing seeds nothing.
+    """
+    values, fill = stream.values, stream.fill
+    used = size = 0
 
     def take(_key, items, _msg=None):
-        nonlocal used
+        nonlocal used, size
         end = used + len(items)
         if end > size:
-            refill(len(items))
-            end = len(items)
-        values = buffered[used:end]
+            size = fill(end, new_rng)
+        out = values[used:end]
         used = end
-        return values
+        return out
 
     return take
 
@@ -274,6 +316,7 @@ class UniformDelay(DelayPolicy):
     hi: int = 3
 
     def __post_init__(self) -> None:
+        _check_ticks((self.lo, self.hi))
         if self.lo < 1 or self.hi < self.lo:
             raise ConfigError("uniform delay bounds must satisfy 1 <= lo <= hi")
         if self.hi > _BYTE_MAX:
@@ -290,7 +333,10 @@ class UniformDelay(DelayPolicy):
         return table, delete
 
     def draws(self, new_rng):
-        return _keyless(_block_values(new_rng, *self._byte_tables))
+        return self._shared().draws(new_rng)
+
+    def _shared(self) -> _UniformStream:
+        return _UniformStream(*self._byte_tables)
 
 
 @dataclass(frozen=True)
@@ -310,6 +356,7 @@ class AdversarialSchedule(DelayPolicy):
     def __post_init__(self) -> None:
         values = list(self.message_delays.values()) + list(self.stage_durations.values())
         values += [self.default_message_delay, self.default_stage_duration, self.default_recovery_delay]
+        _check_ticks(values)
         if any(v < 1 for v in values):
             raise ConfigError("all scheduled delays must be at least one tick")
 
@@ -427,8 +474,34 @@ class Simulation:
         return ev
 
     def send(self, src: str, dst: str, msg: Mapping[str, Any]) -> Event:
-        """Schedule a message delivery after a policy-drawn positive delay."""
-        return self.broadcast(src, (dst,), msg)[0]
+        """Schedule a message delivery after a policy-drawn positive delay.
+
+        The event a one-destination broadcast would queue, with its checks
+        in the same order: msg copied once with "src" added, then the
+        draw's length, the delay and the destination checked before the
+        event is queued.
+        """
+        payload = dict(msg)
+        payload["src"] = src
+        delays = self.message_delays(src, (dst,), msg)
+        if len(delays) != 1:
+            raise ConfigError(f"delay policy gave {len(delays)} delays for 1 destinations")
+        delay = delays[0]
+        if delay < 1:
+            raise ConfigError("message delay must be at least one tick")
+        if dst not in self._handlers:
+            raise ConfigError(f"unknown component {dst!r}")
+        # schedule's steps inline: a delivery is never in the past.
+        time = self.now + delay
+        self._seq = seq = self._seq + 1
+        ev = Event(time, seq, dst, _DELIVER, payload)
+        bucket = self._pending.get(time)
+        if bucket is None:
+            self._pending[time] = [ev]
+            heappush(self._ticks, time)
+        else:
+            bucket.append(ev)
+        return ev
 
     def broadcast(self, src: str, dsts: Sequence[str], msg: Mapping[str, Any], *,
                   at: VirtualTime | None = None) -> list[Event]:
@@ -494,7 +567,7 @@ class Simulation:
     def run_until_quiescent(self) -> Trace:
         pending, ticks = self._pending, self._ticks
         handlers, crashed = self._handlers, self._crashed
-        record = self._records.append
+        records = self._records
         limit = self.step_limit
         recovery_delay = self.recovery_delay
         pop = heappop
@@ -503,7 +576,8 @@ class Simulation:
         while ticks:
             self.now = now = pop(ticks)
             # Events scheduled for now from here on go to a fresh list.
-            for ev in pending.pop(now):
+            batch = pending.pop(now)
+            for ev in batch:
                 steps += 1
                 if steps > limit:
                     raise StepLimitExceeded(f"exceeded {limit} events; likely livelock")
@@ -528,7 +602,9 @@ class Simulation:
                     ev.dropped = True
                 else:
                     handler.on_event(self, ev)
-                record(ev)
+            # The tick's events are recorded once they all ran; the step
+            # limit still counts event by event.
+            records += batch
         return Trace(seed=self.seed, records=tuple(self._records))
 
 

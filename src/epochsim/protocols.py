@@ -33,8 +33,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .kernel import (Component, ConfigError, Event, EventKind, Simulation, Trace,
-                     UniformDelay, _component_names, new_simulation)
+from .kernel import (Component, ConfigError, DelayPolicy, Event, EventKind, Simulation,
+                     Trace, UniformDelay, _component_names, new_simulation)
 from .lattice import AtomicityClass, EpochVector
 from .persistence import ACTIVE_STAGES, PersistenceProcess, ack_digest
 
@@ -360,9 +360,22 @@ class BatteryCase:
     seed: int
     crashes: tuple[tuple[str, int], ...]
 
+    @cached_property
+    def _delays(self) -> DelayPolicy:
+        """BATTERY_DELAY's values for this run's seed, one stream for all
+        of the case's simulations; built on first use, kept by the case."""
+        return BATTERY_DELAY._shared()
+
     def simulation(self) -> Simulation:
-        """A fresh simulation of this run; each protocol needs its own."""
-        return new_simulation(self.n, BATTERY_DELAY, self.seed)
+        """A fresh simulation of this run; each protocol needs its own.
+
+        Every simulation of one case reads one delay stream from its first
+        value, so each draws exactly what a simulation seeded alone with
+        `seed` would, and the case's Mersenne Twister is seeded once, by
+        the first simulation that draws. The case holds one byte per delay
+        value drawn.
+        """
+        return new_simulation(self.n, self._delays, self.seed)
 
 
 def battery_case(n: int, run_seed: int,

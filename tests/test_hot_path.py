@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import inspect
 import itertools
 import random
 import types
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,8 @@ HOT_FUNCTIONS = [
     kernel.Simulation.inject_crash,
     kernel.Simulation.run_until_quiescent,
     kernel._block_values,
+    kernel._UniformStream.fill,
+    kernel._UniformStream.draws,
     kernel._keyless,
     kernel.FixedDelay.draws,
     kernel.UniformDelay.draws,
@@ -177,6 +181,76 @@ def test_a_run_that_draws_nothing_seeds_nothing(monkeypatch):
     built.clear()
     deploy.run_case_naive(quiet)
     assert built == [quiet.seed]
+
+
+@contextlib.contextmanager
+def _counting_generators() -> Iterator[list[int]]:
+    """Patch random.Random to record the seed of each generator built."""
+    built: list[int] = []
+    original = random.Random
+
+    class CountingRandom(original):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    random.Random = CountingRandom
+    try:
+        yield built
+    finally:
+        random.Random = original
+
+
+# (simulation index, which draw callable, batch size) steps.
+_stream_steps = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.sampled_from(BATCH_SIZES)), max_size=40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 16), sims=st.integers(2, 3),
+       steps=_stream_steps)
+def test_a_case_seeds_one_stream_that_its_simulations_share(seed, n, sims, steps):
+    # Every simulation of a battery or deploy case reads the case's one delay
+    # stream from its first value, in whatever order their draws interleave:
+    # each gets the values a generator seeded alone with the case's seed
+    # gives, and the case builds one generator, on the first draw.
+    battery = protocols.battery_case(n, seed)
+    fleet = deploy.random_deploy_case(n, seed)
+    for case, build, policy in (
+            (battery, battery.simulation, protocols.BATTERY_DELAY),
+            (fleet, lambda: deploy._build_sim(fleet.n, fleet._delays, fleet.seed),
+             fleet.delay)):
+        with _counting_generators() as built:
+            runs = [build() for _ in range(sims)]
+            got: list[list[int]] = [[] for _ in runs]
+            for index, which, k in steps:
+                if index < sims:
+                    sim = runs[index]
+                    got[index] += _batch((sim.message_delays, sim.stage_durations,
+                                          sim.recovery_delay), which, k)
+        assert built == ([case.seed] if any(got) else [])
+        for values in got:
+            reference = random.Random(case.seed)
+            assert values == [reference.randint(policy.lo, policy.hi) for _ in values]
+
+
+def test_each_case_seeds_its_delay_stream_once():
+    # A battery run index builds one generator for its crash schedule and,
+    # when it is simulated, one for both protocols' delays; a deploy case's
+    # two runs build one for their delays. Each simulation seeded its own
+    # before: 320, 24 and 29.
+    cases = list(itertools.islice(deploy.deploy_candidates(16, 1), 17))[1:]
+    with _counting_generators() as built:
+        protocols.compare_protocols(4, 200, 0)
+        assert len(built) == 260  # 200 crash schedules, 60 simulated run indices
+        built.clear()
+        protocols.compare_protocols(64, 8, 1)
+        assert len(built) == 16
+        built.clear()
+        for case in cases:
+            deploy.run_case_naive(case)
+            deploy.run_case_consensus(case)
+        assert built == [case.seed for case in cases]
 
 
 def test_src_reads_no_private_random_attribute():

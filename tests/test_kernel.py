@@ -240,6 +240,23 @@ def test_delay_policies_reject_nonpositive_ticks():
         AdversarialSchedule(default_message_delay=0)
 
 
+@pytest.mark.parametrize("tick", [1.5, 3.0, True], ids=repr)
+def test_delay_policies_reject_non_integer_ticks(tick):
+    # Virtual time is an integer tick count: a float would queue events at
+    # fractional times, and a bool is not a count.
+    message = f"^delay ticks must be int, got {tick!r}$"
+    for build in (lambda: FixedDelay(tick),
+                  lambda: UniformDelay(tick, 3),
+                  lambda: UniformDelay(1, tick),
+                  lambda: AdversarialSchedule(default_message_delay=tick),
+                  lambda: AdversarialSchedule(default_stage_duration=tick),
+                  lambda: AdversarialSchedule(default_recovery_delay=tick),
+                  lambda: AdversarialSchedule(message_delays={("r0", "ping"): tick}),
+                  lambda: AdversarialSchedule(stage_durations={("r0", "FSYNC"): tick})):
+        with pytest.raises(ConfigError, match=message):
+            build()
+
+
 def test_every_scheduled_message_eventually_delivers():
     # no events are lost when targets stay up: scan trace for all tags
     sim, recs = _sim(n=4, seed=5)
@@ -272,7 +289,9 @@ FANOUT_POLICIES = [
 def test_broadcast_equals_one_send_per_destination(policy):
     # A fan-out to k destinations queues the events k sends would, in the
     # same order, and leaves the draw stream where they would: the next
-    # message and stage draws agree too.
+    # message and stage draws agree too. send queues its own delivery, so
+    # k = 1 checks its time, seq and payload against a one-destination
+    # broadcast.
     names = [f"r{i}" for i in range(64)]
     for k in range(1, 65):
         dsts = [names[(j * j + k) % 64] for j in range(k)]  # some repeat
@@ -309,6 +328,33 @@ def test_broadcast_refuses_a_draw_of_the_wrong_length():
     with pytest.raises(ConfigError, match="^delay policy gave 0 delays for 1 destinations$"):
         sim.send("src", "r0", {})
     assert sim.run_until_quiescent().records == ()
+
+
+class _ZeroDraws(FixedDelay):
+    """Gives every message a delay of zero ticks."""
+
+    def draws(self, new_rng):
+        _, stage_durations, recovery_delay = super().draws(new_rng)
+        return (lambda src, dsts, msg: [0] * len(dsts), stage_durations, recovery_delay)
+
+
+@pytest.mark.parametrize("policy,dst,message", [
+    (FixedDelay(2), "nobody", "^unknown component 'nobody'$"),
+    (_ShortDraws(2), "r0", "^delay policy gave 0 delays for 1 destinations$"),
+    (_ZeroDraws(2), "r0", "^message delay must be at least one tick$"),
+    # The draw is checked before the destination, as broadcast checks it.
+    (_ShortDraws(2), "nobody", "^delay policy gave 0 delays for 1 destinations$"),
+    (_ZeroDraws(2), "nobody", "^message delay must be at least one tick$"),
+], ids=["unknown", "short draw", "zero delay", "short draw first", "zero delay first"])
+def test_send_refuses_what_broadcast_refuses(policy, dst, message):
+    for queue in (lambda sim: sim.send("src", dst, {"tag": "x"}),
+                  lambda sim: sim.broadcast("src", [dst], {"tag": "x"})):
+        sim = Simulation(policy, 0, components=[Recorder("r0")])
+        with pytest.raises(ConfigError, match=message):
+            queue(sim)
+        # Nothing was queued and no seq was spent.
+        assert sim.schedule(1, "r0", EventKind.LOCAL_STEP, {}).seq == 1
+        assert [r.seq for r in sim.run_until_quiescent().records] == [1]
 
 
 def test_broadcast_leaves_at_its_departure_tick():

@@ -57,11 +57,18 @@ class WatchedSimulation(Simulation):
         super().__init__(delay_policy, seed)
         self.violations = violations
 
-    def broadcast(self, src, dsts, msg, **kw):
-        # send is a one-destination broadcast, so this sees every message.
+    def _watch(self, src, msg) -> None:
         sender = self.components.get(src)
         if isinstance(sender, PersistenceProcess) and sender.resolved:
             self.violations.append(f"{src} sent {msg.get('type')} at t={self.now}")
+
+    # send queues its delivery itself, so both are watched.
+    def send(self, src, dst, msg):
+        self._watch(src, msg)
+        return super().send(src, dst, msg)
+
+    def broadcast(self, src, dsts, msg, **kw):
+        self._watch(src, msg)
         return super().broadcast(src, dsts, msg, **kw)
 
 
