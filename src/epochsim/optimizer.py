@@ -22,16 +22,15 @@ per call, so that repeated calls find their pages still mapped.
 trajectory_divergence reports the weight distance as an L2 norm whose sum
 of squares is numpy's pairwise sum, not a BLAS dot product, so the printed
 digits do not depend on how many threads BLAS runs. On a noisy task of at
-least _DRAW_AHEAD_MIN_DIM dimensions it draws each step's batch noise one
-step ahead on a helper thread while the caller steps on the current batch;
-the draws are the bits task.noise gives, and smaller or noiseless tasks
-draw inline.
+least _DRAW_AHEAD_MIN_DIM (100,000) dimensions _noise_stream draws each
+step's batch noise one step ahead on a helper thread while the caller
+steps on the current batch; the draws are the bits task.noise gives, and
+smaller or noiseless tasks draw inline, on the caller's thread alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -328,9 +327,7 @@ class QuadraticTask:
         return _standard_normal(self.seed, step, np.empty(self.dim))
 
     def held_out_noise(self) -> np.ndarray:
-        if self.noise_scale == 0.0:
-            return np.zeros(self.dim)
-        return _standard_normal(self.seed, 0x5EED, np.empty(self.dim))
+        return self.noise(0x5EED)
 
     def loss(self, w) -> float:
         sq = np.subtract(np.asarray(w, dtype=np.float64), self.target)
@@ -367,49 +364,47 @@ def run_trajectory(task: QuadraticTask, hyper: AdamWHyperparams, steps: int, *,
     return states
 
 
-# A noisy task of at least this many dimensions draws its batch noise one
-# step ahead on a one-worker executor. Below it, starting and joining the
-# worker (about 100 us) and one handoff per step (about 18 us) cost more
-# than the draw they hide (about 13 ns per element). On a 2-core x86-64
-# host (Python 3.11, numpy 2.4), with a helper thread that handed off
-# through two queues (95 us to start and join, 15 us a step),
-# trajectory_divergence at horizon 10 took, inline vs ahead, best of three
-# in each of two sessions: 0.8 vs 1.5-1.6 ms at dim 1024, 3.0-3.3 vs
-# 3.0-3.8 ms at 8192, 4.6-5.5 vs 3.9-4.8 ms at 12288, 5.9-6.9 vs 4.6-5.2 ms
-# at 16384 and 44-47 vs 30-31 ms at 100000. The gain needs an idle second
-# core: with the host's other core busy, ahead was no faster than inline at
-# any of those dims, and 3-20% slower from 8192 up.
-_DRAW_AHEAD_MIN_DIM = 16_384
+# A noisy task of at least this many dimensions draws its noise one step
+# ahead on a one-worker executor. That pays only while the second core takes
+# the worker up at once, and on a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4)
+# that held for a minute or two at a time. trajectory_divergence at horizon
+# 50, 10 alternating pairs: while it held, ahead won 10 of 10 from dim 8,192
+# up (1.4-1.5x at 100,000); while it did not, or with the other core busy,
+# ahead lost by more than inline's quartile spread somewhere in 16,384 to
+# 65,536 and stayed within that spread from 100,000 up.
+_DRAW_AHEAD_MIN_DIM = 100_000
 
 
 @contextmanager
-def _noise_stream(task: QuadraticTask, steps: int, bufs: np.ndarray):
+def _noise_stream(task: QuadraticTask, steps: int):
     """An iterator over task.noise(0), ..., task.noise(steps - 1).
 
-    bufs holds the caller's rows for draws made ahead: two rows of
-    task.dim, or none. With two, a one-worker executor fills draw k + 1
-    while the caller steps on draw k. The draws alternate between the two
-    rows, so a draw holds until the next one is asked for. The worker runs
+    A noiseless task, or one of fewer than _DRAW_AHEAD_MIN_DIM dimensions,
+    draws inline through task.noise. A wider noisy task draws ahead: a
+    one-worker executor fills draw k + 1 while the caller steps on draw k.
+    Like task.noise, each draw is a fresh array, allocated by the caller's
+    thread, so no draw is written after it is handed over. The worker runs
     _standard_normal alone, the bits task.noise gives, and calls no public
     entry point. Its exception reaches the caller at next(), and the
     executor's with block joins the worker however the stream is left.
-    With no rows the draws are made inline through task.noise.
     """
-    if not len(bufs):
+    if task.noise_scale == 0.0 or task.dim < _DRAW_AHEAD_MIN_DIM:
         yield map(task.noise, range(steps))
         return
+    # Imported here, so that a process that never draws ahead never loads it.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(1, thread_name_prefix="epochsim-noise") as pool:
+        def draw(k):
+            return pool.submit(_standard_normal, task.seed, k, np.empty(task.dim))
+
         def drawn_ahead(pending):
-            for k in range(steps):
+            for k in range(1, steps + 1):
                 xi = pending.result()
-                # Draw k + 1 overwrites draw k - 1, whose step has finished
-                # once the caller asks for draw k.
-                if k + 1 < steps:
-                    pending = pool.submit(_standard_normal, task.seed, k + 1,
-                                          bufs[(k + 1) % 2])
+                if k < steps:
+                    pending = draw(k)
                 yield xi
 
-        yield drawn_ahead(pool.submit(_standard_normal, task.seed, 0, bufs[0]))
+        yield drawn_ahead(draw(0))
 
 
 @dataclass(frozen=True)
@@ -439,22 +434,22 @@ def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
     norm of the weight difference with its squares summed by numpy's
     pairwise sum, and both losses.
 
-    The call takes its whole working set as the rows of one block: the
-    reference's w, m and v, the mixed run's w, m and v, one update and one
-    scratch row that serve every step of both runs, and on a noisy task of
-    at least _DRAW_AHEAD_MIN_DIM dimensions the two rows _noise_stream
-    draws ahead into from a helper thread, joined before the call returns
-    or raises. Each run's w, m and v step in place through _adamw_update,
-    the arithmetic of adamw_step. Neither w0 nor the task's arrays nor a
-    noise draw is written.
+    The call takes its whole working set as the eight rows of one block:
+    the reference's w, m and v, the mixed run's w, m and v, and one update
+    and one scratch row that serve every step of both runs. The noise comes
+    from _noise_stream, which on a noisy task of at least
+    _DRAW_AHEAD_MIN_DIM dimensions draws it ahead on a helper thread,
+    joined before the call returns or raises. Each run's w, m and v step in
+    place through _adamw_update, the arithmetic of adamw_step. Neither w0
+    nor the task's arrays nor a noise draw is written.
 
     One block rather than a dozen arrays keeps repeated calls from
     faulting their pages in again. glibc maps the first block with mmap;
     freeing it raises the mmap threshold to the block's size and the trim
     threshold to twice that (mallopt(3)). Later blocks then come from the
     heap, which is no longer trimmed between calls while what the caller
-    frees at once stays under twice the block: 16 MB at dim 1e5. The
-    saving depends on the block's size, so a change that splits it must
+    frees at once stays under twice the block: 12.8 MB at dim 1e5. The
+    saving depends on the block's size, so a change that resizes it must
     measure the faults again.
     """
     if horizon < 1:
@@ -465,13 +460,11 @@ def trajectory_divergence(task: QuadraticTask, hyper: AdamWHyperparams,
         w0 = np.asarray(w0, dtype=np.float64)
         if w0.shape != (task.dim,):
             raise ValueError("state arrays must share one shape")
-    ahead = task.noise_scale != 0.0 and task.dim >= _DRAW_AHEAD_MIN_DIM
-    block = np.empty((10 if ahead else 8, task.dim))
-    w, m, v, mixed_w, mixed_m, mixed_v, update, scratch = block[:8]
+    w, m, v, mixed_w, mixed_m, mixed_v, update, scratch = np.empty((8, task.dim))
     w[...] = 0.0 if w0 is None else w0
     m.fill(0.0)
     v.fill(0.0)
-    with _noise_stream(task, horizon, block[8:]) as draws:
+    with _noise_stream(task, horizon) as draws:
         rows = []
         for k in range(horizon + 1):
             if k > 0:

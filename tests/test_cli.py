@@ -400,7 +400,8 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("adamw-skew", "--g-skip", "nan"),
     ("adamw-skew", "--lr", "1e308", "--format", "json"),
     ("adamw-skew", "--dim", "3", "--noise", "1e308"),
-    # Large enough that the noise is drawn ahead on a helper thread.
+    # With the threshold lowered to 16,384, large enough that the noise is
+    # drawn ahead on a helper thread.
     ("adamw-skew", "--dim", "100000", "--noise", "1e300"),
     ("adamw-skew", "--dim", "100000", "--noise", "0.1", "--lr", "1e308"),
     ("adamw-skew", "--g-skip", "1e200"),
@@ -430,7 +431,7 @@ def test_config_booleans_toggle_switches(tmp_path):
     ("retry", "--runs", "1", "--alphas", ",".join(["1"] * (RETRY_MAX_ALPHAS + 1))),
 ], ids="_".join)
 @pytest.mark.filterwarnings("error")
-def test_invalid_value_is_usage_error(argv, capsys):
+def test_invalid_value_is_usage_error(draw_ahead_from_16384, argv, capsys):
     threads = threading.active_count()
     assert_refused(*run_cli(*argv), capsys.readouterr().err)
     assert threading.active_count() == threads

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import io
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epochsim
 from epochsim import optimizer
 from epochsim.cli import EXIT_OK, main
 from epochsim.optimizer import (
-    _DRAW_AHEAD_MIN_DIM,
     AdamWHyperparams,
     DivergenceRow,
     EpochTags,
@@ -411,13 +415,14 @@ def _noisy_task(dim):
 
 
 # The dim-3 cases without weight decay are named by their skew epoch alone.
-# At _DRAW_AHEAD_MIN_DIM the series reads noise drawn ahead on a helper
-# thread, and the reference reads task.noise.
+# At 16,384 the series reads noise drawn ahead on a helper thread, and the
+# reference reads task.noise.
 @pytest.mark.parametrize("dim,weight_decay,skew_epoch", [
     pytest.param(dim, wd, k, id=str(k) if (dim, wd) == (3, 0.0) else f"{dim}-{wd}-{k}")
-    for dim in (3, 257, _DRAW_AHEAD_MIN_DIM)
+    for dim in (3, 257, 16_384)
     for wd in (0.0, 0.01) for k in (1, 4, 11)])
-def test_divergence_matches_two_run_reference(dim, weight_decay, skew_epoch):
+def test_divergence_matches_two_run_reference(draw_ahead_from_16384, dim, weight_decay,
+                                              skew_epoch):
     task, w0 = _noisy_task(dim)
     hyper = AdamWHyperparams(lr=0.05, weight_decay=weight_decay)
     series = trajectory_divergence(task, hyper, skew_epoch=skew_epoch,
@@ -438,10 +443,48 @@ def test_divergence_writes_no_input_and_no_noise_draw(noise_draws):
         assert np.array_equal(xi, task.noise(step))
 
 
-def test_divergence_draws_ahead_under_contention():
+# Runs in a fresh interpreter, where no other test has imported the executor
+# or started a thread. Prints, for a noisy call one dimension below the
+# threshold and one at it, whether concurrent.futures is imported and the
+# names of the threads started so far.
+_THREADS_BY_DIM = """
+import json, sys, threading
+started = []
+start = threading.Thread.start
+def recording(self):
+    started.append(self.name)
+    start(self)
+threading.Thread.start = recording
+import numpy as np
+import epochsim
+from epochsim import optimizer
+def run(dim):
+    rng = np.random.default_rng(0)
+    task = epochsim.QuadraticTask.of(rng.uniform(0.5, 4.0, dim), rng.standard_normal(dim),
+                                     noise_scale=0.1, seed=1)
+    epochsim.trajectory_divergence(task, epochsim.AdamWHyperparams(), skew_epoch=1,
+                                   horizon=3)
+    return ["concurrent.futures" in sys.modules, list(started)]
+at = optimizer._DRAW_AHEAD_MIN_DIM
+print(json.dumps([run(at - 1), run(at)]))
+"""
+
+
+def test_divergence_below_the_threshold_imports_no_executor_and_starts_no_thread():
+    src = str(Path(epochsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _THREADS_BY_DIM], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+                          check=True)
+    below, at = json.loads(done.stdout)
+    assert below == [False, []]
+    assert at == [True, ["epochsim-noise_0"]]
+
+
+def test_divergence_draws_ahead_under_contention(draw_ahead_from_16384):
     # Four callers on a short switch interval, each with its own helper: a
     # buffer refilled before its step had read it would change the rows.
-    task, w0 = _noisy_task(_DRAW_AHEAD_MIN_DIM)
+    task, w0 = _noisy_task(16_384)
     hyper = AdamWHyperparams(lr=0.05)
     want = _two_run_divergence(task, hyper, 4, 12, w0)
     results = []
@@ -465,11 +508,12 @@ def test_divergence_draws_ahead_under_contention():
     assert results == [True] * 20
 
 
-def test_divergence_keeps_each_draw_while_the_next_one_lands(monkeypatch):
+def test_divergence_keeps_each_draw_while_the_next_one_lands(draw_ahead_from_16384,
+                                                             monkeypatch):
     # Each step's reference gradient waits until the next draw has landed,
     # so a draw made into the row being read changes the rows every time,
     # not only when the helper happens to win the race.
-    task, w0 = _noisy_task(_DRAW_AHEAD_MIN_DIM)
+    task, w0 = _noisy_task(16_384)
     hyper = AdamWHyperparams(lr=0.05)
     want = _two_run_divergence(task, hyper, 11, 12, w0)
     draw, gradient = optimizer._standard_normal, QuadraticTask.gradient
@@ -494,7 +538,8 @@ def test_divergence_keeps_each_draw_while_the_next_one_lands(monkeypatch):
     assert list(series.rows) == want
 
 
-def test_divergence_reraises_a_failed_draw_and_joins_the_helper(monkeypatch):
+def test_divergence_reraises_a_failed_draw_and_joins_the_helper(draw_ahead_from_16384,
+                                                                monkeypatch):
     draw = optimizer._standard_normal
     drawn = []
 
@@ -505,7 +550,7 @@ def test_divergence_reraises_a_failed_draw_and_joins_the_helper(monkeypatch):
         return draw(seed, step, out)
 
     monkeypatch.setattr(optimizer, "_standard_normal", failing_at_step_2)
-    task, w0 = _noisy_task(_DRAW_AHEAD_MIN_DIM)
+    task, w0 = _noisy_task(16_384)
     raised = []
 
     def call():
@@ -527,7 +572,8 @@ def test_divergence_reraises_a_failed_draw_and_joins_the_helper(monkeypatch):
     assert all(t not in (caller, threading.current_thread()) for _, t in drawn)
 
 
-def test_divergence_joins_the_draw_in_flight_when_the_caller_raises(monkeypatch):
+def test_divergence_joins_the_draw_in_flight_when_the_caller_raises(draw_ahead_from_16384,
+                                                                    monkeypatch):
     draw, loss = optimizer._standard_normal, QuadraticTask.loss
     drawn, losses = [], []
 
@@ -545,7 +591,7 @@ def test_divergence_joins_the_draw_in_flight_when_the_caller_raises(monkeypatch)
 
     monkeypatch.setattr(optimizer, "_standard_normal", recording)
     monkeypatch.setattr(QuadraticTask, "loss", failing_at_step_5)
-    task, w0 = _noisy_task(_DRAW_AHEAD_MIN_DIM)
+    task, w0 = _noisy_task(16_384)
     raised = []
 
     def call():
@@ -593,8 +639,8 @@ _W0_FORMS = {
 
 
 @pytest.mark.parametrize("form", list(_W0_FORMS))
-@pytest.mark.parametrize("dim", [3, _DRAW_AHEAD_MIN_DIM], ids=["inline", "draw-ahead"])
-def test_divergence_takes_each_w0_form_as_float64(dim, form):
+@pytest.mark.parametrize("dim", [3, 16_384], ids=["inline", "draw-ahead"])
+def test_divergence_takes_each_w0_form_as_float64(draw_ahead_from_16384, dim, form):
     task, w0 = _noisy_task(dim)
     given, want = _W0_FORMS[form](np.array(w0, dtype=np.float64))
     hyper = AdamWHyperparams(lr=0.05)

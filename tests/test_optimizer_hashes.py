@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from epochsim.optimizer import (
-    _DRAW_AHEAD_MIN_DIM,
     AdamWHyperparams,
     QuadraticTask,
     StepMode,
@@ -70,9 +69,10 @@ def test_divergence_rows_dim1000_noisy():
     assert _digest(_rows(series)) == "e4a69b8b2a413ad774bec54069c876f4"
 
 
-def test_divergence_rows_draw_ahead():
-    # A noisy task this large draws its noise on the helper thread.
-    task, w0 = _random_task(_DRAW_AHEAD_MIN_DIM, 0.1, seed=17)
+def test_divergence_rows_draw_ahead(draw_ahead_from_16384):
+    # With the threshold lowered to 16,384, the noise is drawn on the helper
+    # thread. Inline draws give the same digest.
+    task, w0 = _random_task(16_384, 0.1, seed=17)
     series = trajectory_divergence(task, AdamWHyperparams(lr=0.05), skew_epoch=2,
                                    horizon=6, w0=w0)
     assert _digest(_rows(series)) == "e3ade40c1970b8a51fd0aff48fc275db"
