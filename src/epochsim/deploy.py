@@ -45,19 +45,17 @@ class FencePolicy(str, Enum):
 
 
 # Bound once for the per-delivery, per-node and per-collective paths: a
-# global name is about ten times cheaper to read than EventKind.DELIVER,
-# and a dict lookup than the call FirmwareEpoch(value).
+# global name is about ten times cheaper to read than EventKind.DELIVER.
 _DELIVER = EventKind.DELIVER
 _TIMER_FIRE = EventKind.TIMER_FIRE
 _F0 = FirmwareEpoch.F0
-_F1_VALUE = int(FirmwareEpoch.F1)
-_FIRMWARE_BY_VALUE = {int(e): e for e in FirmwareEpoch}
-_VALUE_OF_FIRMWARE = {e: int(e) for e in FirmwareEpoch}
+_F1 = FirmwareEpoch.F1
 _PROCEED = FencePolicy.PROCEED
 _ABORT = FencePolicy.ABORT
 # The naive deploy's broadcast message; read-only, so one instance serves
-# every case.
-_FIRMWARE_MSG = MappingProxyType({"type": "firmware", "version": _F1_VALUE})
+# every case. A version is a FirmwareEpoch from here to the report, which
+# JSON writes as its integer.
+_FIRMWARE_MSG = MappingProxyType({"type": "firmware", "version": _F1})
 # Delay policy of every random case; frozen, so one instance serves them all.
 _CASE_DELAY = UniformDelay(1, 40)
 # The rest of a random case's fixed design.
@@ -88,7 +86,7 @@ class CollectiveInstance:
     cid: int
     time: int
     participants: tuple[str, ...]
-    versions: dict[str, int]      # node -> firmware at execution (live nodes)
+    versions: dict[str, FirmwareEpoch]  # node -> firmware at execution (live nodes)
     fenced: tuple[str, ...]
     abort_reason: str | None = None
 
@@ -100,7 +98,7 @@ class CollectiveInstance:
     def aborted(self) -> bool:
         return self.abort_reason is not None
 
-    def correct_versions(self) -> set[int]:
+    def correct_versions(self) -> set[FirmwareEpoch]:
         return set(self.versions.values())
 
     @property
@@ -128,7 +126,7 @@ class FirmwareNode(Component):
 
     def on_event(self, sim: Simulation, event: Event) -> None:
         if event.kind is _DELIVER and event.payload.get("type") == "firmware":
-            self.version = _FIRMWARE_BY_VALUE[event.payload["version"]]
+            self.version = event.payload["version"]
 
 
 class _CollectiveRunner(Component):
@@ -155,8 +153,8 @@ class _CollectiveRunner(Component):
         # Nothing writes the register while a collective runs, so one read
         # serves every participant.
         readable, decision = self.register.read(sim.now) if consensus else (True, None)
-        crashed, nodes, value_of = sim.crashed, sim.components, _VALUE_OF_FIRMWARE
-        versions: dict[str, int] = {}
+        crashed, nodes = sim.crashed, sim.components
+        versions: dict[str, FirmwareEpoch] = {}
         fenced: list[str] = []
         reason = None
         for name in participants:
@@ -173,7 +171,7 @@ class _CollectiveRunner(Component):
                 # The node adopts the decision read (None: nothing committed).
                 if decision is not None and node.version < decision:
                     node.version = decision
-            versions[name] = value_of[node.version]
+            versions[name] = node.version
         if reason is None:
             if consensus and fenced:
                 if self.fence_policy is _ABORT or not versions:
@@ -277,7 +275,7 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
         # a timer on propose_hook so it lands in trace order.
         sim.register(_ProposeHook(register))
         sim.schedule(max(propose_time, 1), "propose_hook", _TIMER_FIRE,
-                     {"type": "propose", "version": _F1_VALUE})
+                     {"type": "propose", "version": _F1})
     trace = sim.run_until_quiescent()
     return DeployReport(mode="consensus", n=n, seed=seed,
                         collectives=tuple(runner.instances), register=register,
@@ -291,7 +289,7 @@ class _ProposeHook(Component):
 
     def on_event(self, sim: Simulation, event: Event) -> None:
         if event.payload.get("type") == "propose":
-            self.register.write(_FIRMWARE_BY_VALUE[event.payload["version"]], sim.now)
+            self.register.write(event.payload["version"], sim.now)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +310,11 @@ class DeployCase:
 
     @cached_property
     def _delays(self) -> DelayPolicy:
-        """delay as the case's runs draw it: every run reads one stream
-        from its first value, so a UniformDelay case seeds its generator
-        once. Built on first use, kept by the case."""
-        return self.delay._shared()
+        """delay as the case's runs draw it: every run reads one stream,
+        seeded here with the case's seed, from its first value, so a
+        UniformDelay case seeds its generator once; a run of any other
+        seed is refused. Built on first use, kept by the case."""
+        return self.delay._shared(self.seed)
 
 
 def directed_straddle_case(n: int, *, seed: int = 0) -> DeployCase:

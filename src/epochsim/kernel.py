@@ -21,22 +21,23 @@ all of it has run. A run that raised (StepLimitExceeded, or an error in a
 handler) may have lost the rest of its tick, has not recorded that tick,
 and cannot be resumed.
 
-Delay draws: a DelayPolicy has one method, draws(new_rng), which returns a
-run's three draw callables; a Simulation calls it once, at construction.
-Draws are batched: message_delays(src, dsts, msg) gives one delay per
-destination and stage_durations(component, stages) one duration per stage,
-in order, each value the one a single draw would give at that point of the
-stream; recovery_delay(component) gives one delay. A policy that reads
-random numbers calls new_rng() on its first draw, so a run that makes no
-draw, and every FixedDelay and AdversarialSchedule run, seeds no Mersenne
-Twister. A UniformDelay (hi <= 255) takes its values from whole blocks of MT
-words, one C-level pass per block; the values are exactly those successive
-Random(seed).randint(lo, hi) calls would return, in the same order. The
-values are buffered in a stream that any number of runs of one seed may
-read, each from value 0 with its own cursor: a lone Simulation is its
-stream's only reader, and a battery or deploy case builds one stream that
-all of its simulations read, so the generator is seeded once per case, by
-the first run that reads past the buffer, and each value is drawn once.
+Delay draws: a DelayPolicy has one method, draws(seed), which returns a
+run's three draw callables; a Simulation calls it once, at construction,
+with its seed. Draws are batched: message_delays(src, dsts, msg) gives one
+delay per destination and stage_durations(component, stages) one duration
+per stage, in order, each value the one a single draw would give at that
+point of the stream; recovery_delay(component) gives one delay. A policy
+that reads random numbers builds Random(seed) on its first draw, so a run
+that makes no draw, and every FixedDelay and AdversarialSchedule run, seeds
+no Mersenne Twister. A UniformDelay (hi <= 255) takes its values from whole
+blocks of MT words, one C-level pass per block; the values are exactly
+those successive Random(seed).randint(lo, hi) calls would return, in the
+same order. The values are buffered in a stream that owns its seed: runs of
+that seed read it, each from value 0 with its own cursor, and a run of any
+other seed is refused with ConfigError. A lone Simulation is its stream's
+only reader, and a battery or deploy case builds one stream, for its seed,
+that all of its simulations read, so the generator is seeded once per case,
+by the first run that reads past the buffer, and each value is drawn once.
 The stream holds one byte per value drawn. The generator may run up to one
 block ahead of the last value read, and only the stream holds it.
 
@@ -176,22 +177,22 @@ class DelayPolicy(ABC):
     """
 
     @abstractmethod
-    def draws(self, new_rng: Callable[[], random.Random]) -> tuple[
+    def draws(self, seed: int) -> tuple[
             Callable[..., Sequence[int]], Callable[..., Sequence[int]], Callable[[str], int]]:
         """One run's draw callables: message_delays(src, dsts, msg), exactly
         one delay per destination; stage_durations(component, stages),
         exactly one duration per stage; and recovery_delay(component).
 
-        new_rng() builds the run's generator; a policy that draws random
-        numbers calls it once, on its first draw, and may pull from the
-        generator ahead of its values.
+        seed is the run's: a policy that draws random numbers builds
+        Random(seed) on its first draw and may pull ahead of its values,
+        and one that holds a stream of one seed refuses any other seed.
         """
 
-    def _shared(self) -> DelayPolicy:
-        """The policy one case builds once and hands to all of its runs,
-        which share one seed: each run draws what it would draw from this
-        policy, and a policy with a random stream lets them share it. The
-        default is the policy itself, so each run draws on its own."""
+    def _shared(self, seed: int) -> DelayPolicy:
+        """The policy one case builds once for its seed and hands to all of
+        its runs of that seed: each draws what it would draw from this
+        policy, and a random stream, which refuses any other seed, is shared.
+        The default is the policy itself, so each run draws on its own."""
         return self
 
 
@@ -227,7 +228,7 @@ class FixedDelay(DelayPolicy):
         if self.ticks < 1:
             raise ConfigError("delay must be at least one tick")
 
-    def draws(self, new_rng):
+    def draws(self, seed):
         one = (self.ticks,)
 
         def take(_key, items, _msg=None):
@@ -253,28 +254,29 @@ _MAX_BLOCK_WORDS = 2048
 
 
 class _UniformStream(DelayPolicy):
-    """The values of a UniformDelay for one seed, buffered for every run
-    that reads them.
+    """The values of a UniformDelay for one seed, which the stream owns,
+    buffered for every run of that seed.
 
-    Each draws(new_rng) is one reader, starting at value 0 with its own
-    cursor, and every reader must be a run of the same seed. The first
-    reader to run past the buffer seeds the generator through its new_rng;
-    blocks are then appended to the buffer in place, so no value is drawn
-    twice and the buffer is never copied. It holds one byte per value.
+    Each draws(seed) is one reader, starting at value 0 with its own
+    cursor; a run of any other seed is refused with ConfigError. The first
+    reader to run past the buffer seeds Random(self.seed); blocks are then
+    appended to the buffer in place, so no value is drawn twice and the
+    buffer is never copied. It holds one byte per value.
     """
 
-    def __init__(self, table: bytes, delete: bytes) -> None:
+    def __init__(self, seed: int, table: bytes, delete: bytes) -> None:
+        self.seed = seed
         self.values = bytearray()
         self._table, self._delete = table, delete
         self._words = _FIRST_BLOCK_WORDS
         self._getrandbits: Callable[[int], int] | None = None
 
-    def fill(self, k: int, new_rng: Callable[[], random.Random]) -> int:
+    def fill(self, k: int) -> int:
         """Draw blocks until at least k values are buffered; how many are."""
         values = self.values
         if len(values) < k:
             if self._getrandbits is None:
-                self._getrandbits = new_rng().getrandbits
+                self._getrandbits = random.Random(self.seed).getrandbits
             getrandbits, table, delete = self._getrandbits, self._table, self._delete
             words = self._words
             while len(values) < k:
@@ -285,15 +287,17 @@ class _UniformStream(DelayPolicy):
             self._words = words
         return len(values)
 
-    def draws(self, new_rng):
-        return _keyless(_block_values(self, new_rng))
+    def draws(self, seed):
+        if seed != self.seed:
+            raise ConfigError(f"delay stream of seed {self.seed} refuses a run of seed {seed}")
+        return _keyless(_block_values(self))
 
 
-def _block_values(stream: _UniformStream, new_rng: Callable[[], random.Random]) -> _Take:
+def _block_values(stream: _UniformStream) -> _Take:
     """take: stream's values from the first, the next len(items) per call.
 
-    new_rng is called only if this reader is the first to need a value the
-    stream has not drawn, so a run that draws nothing seeds nothing.
+    The stream seeds Random(stream.seed) only if this reader is the first
+    to need a value it has not drawn, so a run that draws nothing seeds nothing.
     """
     values, fill = stream.values, stream.fill
     used = size = 0
@@ -302,7 +306,7 @@ def _block_values(stream: _UniformStream, new_rng: Callable[[], random.Random]) 
         nonlocal used, size
         end = used + len(items)
         if end > size:
-            size = fill(end, new_rng)
+            size = fill(end)
         out = values[used:end]
         used = end
         return out
@@ -332,11 +336,11 @@ class UniformDelay(DelayPolicy):
         delete = bytes(b for b in range(256) if (b >> shift) >= span)
         return table, delete
 
-    def draws(self, new_rng):
-        return self._shared().draws(new_rng)
+    def draws(self, seed):
+        return self._shared(seed).draws(seed)
 
-    def _shared(self) -> _UniformStream:
-        return _UniformStream(*self._byte_tables)
+    def _shared(self, seed: int) -> _UniformStream:
+        return _UniformStream(seed, *self._byte_tables)
 
 
 @dataclass(frozen=True)
@@ -360,7 +364,7 @@ class AdversarialSchedule(DelayPolicy):
         if any(v < 1 for v in values):
             raise ConfigError("all scheduled delays must be at least one tick")
 
-    def draws(self, new_rng):
+    def draws(self, seed):
         by_message, by_stage = self.message_delays.get, self.stage_durations.get
         message_default, stage_default = self.default_message_delay, self.default_stage_duration
 
@@ -412,7 +416,7 @@ class Simulation:
         # Bound once: every delay of the run comes from these three callables,
         # and the generator is seeded on the first draw that needs it.
         self.message_delays, self.stage_durations, self.recovery_delay = (
-            delay_policy.draws(lambda: random.Random(seed)))
+            delay_policy.draws(seed))
         self.now: VirtualTime = 0
         # Pending events by tick, each list in seq order, and a heap of
         # the ticks that have a list.
@@ -477,9 +481,10 @@ class Simulation:
         """Schedule a message delivery after a policy-drawn positive delay.
 
         The event a one-destination broadcast would queue, with its checks
-        in the same order: msg copied once with "src" added, then the
-        draw's length, the delay and the destination checked before the
-        event is queued.
+        in the same order: msg copied once with "src" added, the delay drawn
+        from the run's stream, which serves the run's seed and no other, the
+        draw's length and the delay checked; then schedule checks the
+        destination and queues the event.
         """
         payload = dict(msg)
         payload["src"] = src
@@ -489,19 +494,7 @@ class Simulation:
         delay = delays[0]
         if delay < 1:
             raise ConfigError("message delay must be at least one tick")
-        if dst not in self._handlers:
-            raise ConfigError(f"unknown component {dst!r}")
-        # schedule's steps inline: a delivery is never in the past.
-        time = self.now + delay
-        self._seq = seq = self._seq + 1
-        ev = Event(time, seq, dst, _DELIVER, payload)
-        bucket = self._pending.get(time)
-        if bucket is None:
-            self._pending[time] = [ev]
-            heappush(self._ticks, time)
-        else:
-            bucket.append(ev)
-        return ev
+        return self.schedule(self.now + delay, dst, _DELIVER, payload)
 
     def broadcast(self, src: str, dsts: Sequence[str], msg: Mapping[str, Any], *,
                   at: VirtualTime | None = None) -> list[Event]:

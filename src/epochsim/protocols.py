@@ -364,25 +364,25 @@ class BatteryCase:
     def _delays(self) -> DelayPolicy:
         """BATTERY_DELAY's values for this run's seed, one stream for all
         of the case's simulations; built on first use, kept by the case."""
-        return BATTERY_DELAY._shared()
+        return BATTERY_DELAY._shared(self.seed)
 
     def simulation(self) -> Simulation:
         """A fresh simulation of this run; each protocol needs its own.
 
-        Every simulation of one case reads one delay stream from its first
-        value, so each draws exactly what a simulation seeded alone with
-        `seed` would, and the case's Mersenne Twister is seeded once, by
-        the first simulation that draws. The case holds one byte per delay
-        value drawn.
+        Every simulation of one case reads one delay stream, which owns
+        `seed` and refuses any other, from its first value, so each draws
+        exactly what a simulation seeded alone with `seed` would, and the
+        case's Mersenne Twister is seeded once, by the first simulation
+        that draws. The case holds one byte per delay value drawn.
         """
         return new_simulation(self.n, self._delays, self.seed)
 
 
 def battery_case(n: int, run_seed: int,
                  crash_prob: float = BATTERY_CRASH_PROB) -> BatteryCase:
-    """The battery's run for run_seed. Random(run_seed) draws the crash
-    schedule over 1..CRASH_WINDOW, and the simulation seeds from run_seed
-    too: this function is where the run's stream layout lives."""
+    """The battery's run for run_seed: Random(run_seed) draws the crash
+    schedule over 1..CRASH_WINDOW here, and BatteryCase._delays seeds the
+    case's one delay stream with run_seed too."""
     rng = random.Random(run_seed)
     crashes = crash_schedule(_component_names(n), rng, crash_prob, CRASH_WINDOW)
     return BatteryCase(n, run_seed, tuple(crashes))

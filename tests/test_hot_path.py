@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import epochsim
 from epochsim import deploy, kernel, lattice, persistence, protocols
 from epochsim.deploy import FencePolicy, FirmwareEpoch
-from epochsim.kernel import AdversarialSchedule, EventKind, FixedDelay, Simulation, UniformDelay
+from epochsim.kernel import (AdversarialSchedule, ConfigError, EventKind, FixedDelay, Simulation,
+                             UniformDelay)
 from epochsim.lattice import EpochSymbol
 from epochsim.persistence import ACTIVE_STAGE_NAMES, PersistenceStage
 
@@ -96,26 +97,20 @@ def test_uniform_draws_equal_randint(lo, hi):
     # Each of the three callables, drawn on its own in batches of 1 to 64,
     # gives the values that successive randint(lo, hi) calls give.
     for i in range(3):
-        ours, reference = random.Random(i), random.Random(i)
-        draws = UniformDelay(lo, hi).draws(lambda: ours)
+        reference = random.Random(i)
+        draws = UniformDelay(lo, hi).draws(i)
         got: list[int] = []
         for k in itertools.cycle(BATCH_SIZES):
             if len(got) >= 35_000:
                 break
             got += _batch(draws, i, k)
         assert got == [reference.randint(lo, hi) for _ in range(len(got))]
-        if hi > 255:  # one randint call per value, so the streams end level
-            assert ours.getstate() == reference.getstate()
     # A persist's one batched stage draw equals five single-stage draws.
-    batched = UniformDelay(lo, hi).draws(lambda: random.Random(7))[1]
-    single = UniformDelay(lo, hi).draws(lambda: random.Random(7))[1]
+    batched = UniformDelay(lo, hi).draws(7)[1]
+    single = UniformDelay(lo, hi).draws(7)[1]
     for _ in range(2_000):
         assert list(batched("a", ACTIVE_STAGE_NAMES)) == [
             value for stage in ACTIVE_STAGE_NAMES for value in single("a", (stage,))]
-
-
-def _no_rng():
-    raise AssertionError("the policy built a generator")
 
 
 @pytest.mark.parametrize("policy,expected", [
@@ -130,22 +125,24 @@ def test_policy_draws(policy, expected):
     # An AdversarialSchedule keys messages by (dst, type) and stages by
     # (component, stage); anything else gets the defaults. Neither policy
     # builds a generator.
-    message_delays, stage_durations, recovery_delay = policy.draws(_no_rng)
-    got = [*message_delays("a", ["b"], {"type": "ready"}),
-           *message_delays("b", ["a"], {"type": "ready"}),
-           *message_delays("a", ["b"], {"type": "ack"}),
-           *stage_durations("a", ["FSYNC"]),
-           *stage_durations("b", ["FSYNC"]),
-           recovery_delay("a")]
-    assert got == expected
-    # A batched draw gives each destination's and each stage's single draw.
-    dsts = ["b", "a", "b", "c"] * 16
-    assert list(message_delays("a", dsts, {"type": "ready"})) == [
-        value for dst in dsts for value in message_delays("a", [dst], {"type": "ready"})]
-    for component in ("a", "b"):
-        assert list(stage_durations(component, ACTIVE_STAGE_NAMES)) == [
-            value for stage in ACTIVE_STAGE_NAMES
-            for value in stage_durations(component, [stage])]
+    with _counting_generators() as built:
+        message_delays, stage_durations, recovery_delay = policy.draws(3)
+        got = [*message_delays("a", ["b"], {"type": "ready"}),
+               *message_delays("b", ["a"], {"type": "ready"}),
+               *message_delays("a", ["b"], {"type": "ack"}),
+               *stage_durations("a", ["FSYNC"]),
+               *stage_durations("b", ["FSYNC"]),
+               recovery_delay("a")]
+        assert got == expected
+        # A batched draw gives each destination's and each stage's single draw.
+        dsts = ["b", "a", "b", "c"] * 16
+        assert list(message_delays("a", dsts, {"type": "ready"})) == [
+            value for dst in dsts for value in message_delays("a", [dst], {"type": "ready"})]
+        for component in ("a", "b"):
+            assert list(stage_durations(component, ACTIVE_STAGE_NAMES)) == [
+                value for stage in ACTIVE_STAGE_NAMES
+                for value in stage_durations(component, [stage])]
+    assert built == []
 
 
 def test_a_run_that_draws_nothing_seeds_nothing(monkeypatch):
@@ -251,6 +248,26 @@ def test_each_case_seeds_its_delay_stream_once():
             deploy.run_case_naive(case)
             deploy.run_case_consensus(case)
         assert built == [case.seed for case in cases]
+
+
+def test_a_case_stream_refuses_a_run_of_another_seed():
+    # A case's delay stream owns the case's seed. A run of another seed is
+    # refused, not handed this seed's values, and the stream still serves
+    # the runs of its own seed from value 0.
+    case = protocols.battery_case(4, 5)
+    drawn = list(case.simulation().message_delays("c0", ["c1", "c2", "c3"] * 4, {}))
+    reference = random.Random(5)
+    assert drawn == [reference.randint(1, 3) for _ in drawn]
+    with pytest.raises(ConfigError, match="^delay stream of seed 5 refuses a run of seed 6$"):
+        kernel.new_simulation(4, case._delays, 6)
+    assert list(case.simulation().message_delays("c0", ["c1", "c2", "c3"] * 4, {})) == drawn
+
+    fleet = deploy.random_deploy_case(4, 5)
+    naive = deploy.run_case_naive(fleet).to_json_obj()
+    with pytest.raises(ConfigError, match="^delay stream of seed 5 refuses a run of seed 6$"):
+        deploy.run_naive_deploy(fleet.n, fleet.deploy_time, fleet.collectives,
+                                delay=fleet._delays, seed=6)
+    assert deploy.run_case_naive(fleet).to_json_obj() == naive
 
 
 def test_src_reads_no_private_random_attribute():

@@ -313,8 +313,8 @@ def test_broadcast_equals_one_send_per_destination(policy):
 class _ShortDraws(FixedDelay):
     """Gives one delay fewer than a fan-out has destinations."""
 
-    def draws(self, new_rng):
-        message_delays, stage_durations, recovery_delay = super().draws(new_rng)
+    def draws(self, seed):
+        message_delays, stage_durations, recovery_delay = super().draws(seed)
         return (lambda src, dsts, msg: message_delays(src, dsts, msg)[1:],
                 stage_durations, recovery_delay)
 
@@ -333,8 +333,8 @@ def test_broadcast_refuses_a_draw_of_the_wrong_length():
 class _ZeroDraws(FixedDelay):
     """Gives every message a delay of zero ticks."""
 
-    def draws(self, new_rng):
-        _, stage_durations, recovery_delay = super().draws(new_rng)
+    def draws(self, seed):
+        _, stage_durations, recovery_delay = super().draws(seed)
         return (lambda src, dsts, msg: [0] * len(dsts), stage_durations, recovery_delay)
 
 
