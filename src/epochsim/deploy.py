@@ -14,6 +14,11 @@ proceeds without them or aborts, per policy. Under this discipline no
 collective ever executes with two firmware versions among its correct
 participants.
 
+Tie rule: a naive run queues its collectives before the firmware broadcast,
+and events of one tick run in the order they were queued, so a delivery
+that lands on a collective's own tick is not seen by that collective; the
+node switches just after it.
+
 Each collective reads the register at its own tick, at zero latency: no
 message carries the decision, so every live node learns it at once. The
 read is an oracle. Nothing models what reaching the log costs, and the

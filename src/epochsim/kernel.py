@@ -16,10 +16,12 @@ only a tick's first event pushes onto the heap. The loop pops the
 earliest tick, takes its list out and runs it in order. An event
 scheduled for the tick being run lands in a fresh list for that tick,
 which runs next, so the (time, seq) order is the same as one heap entry
-per event would give. A tick's list joins the records in one step, once
-all of it has run. A run that raised (StepLimitExceeded, or an error in a
-handler) may have lost the rest of its tick, has not recorded that tick,
-and cannot be resumed.
+per event would give. schedule and broadcast build each queued Event in
+place, storing its seven fields without the dataclass's __init__, so it
+equals Event(time, seq, target, kind, payload). A tick's list joins the
+records in one step, once all of it has run. A run that raised
+(StepLimitExceeded, or an error in a handler) may have lost the rest of
+its tick, has not recorded that tick, and cannot be resumed.
 
 Delay draws: a DelayPolicy has one method, draws(seed), which returns a
 run's three draw callables; a Simulation calls it once, at construction,
@@ -115,6 +117,10 @@ class Event:
 
     The loop sets dropped or note once, when it processes the event, and
     never changes it again. Not hashable: payloads are dicts.
+
+    Simulation.schedule and Simulation.broadcast build the events they
+    queue in place, without __init__: a field added here must be set in
+    both (tests/test_kernel.py compares their events with Event(...)).
     """
 
     time: VirtualTime
@@ -138,6 +144,10 @@ class Event:
         if self.note:
             obj["note"] = self.note
         return obj
+
+
+# _new(Event) and seven slot stores cost about 2/3 of Event(...)'s __init__.
+_new = object.__new__
 
 
 def digest64(text: str) -> str:
@@ -468,7 +478,14 @@ class Simulation:
         if target not in self._handlers:
             raise ConfigError(f"unknown component {target!r}")
         self._seq = seq = self._seq + 1
-        ev = Event(time, seq, target, kind, {} if payload is None else payload)
+        ev = _new(Event)  # built in place: Event(...) without its __init__ call
+        ev.time = time
+        ev.seq = seq
+        ev.target = target
+        ev.kind = kind
+        ev.payload = {} if payload is None else payload
+        ev.dropped = False
+        ev.note = None
         bucket = self._pending.get(time)
         if bucket is None:
             self._pending[time] = [ev]
@@ -531,7 +548,14 @@ class Simulation:
                     raise ConfigError(f"unknown component {dst!r}")
                 time = at + delay
                 seq += 1
-                ev = Event(time, seq, dst, _DELIVER, payload)
+                ev = _new(Event)  # in place, as schedule builds it
+                ev.time = time
+                ev.seq = seq
+                ev.target = dst
+                ev.kind = _DELIVER
+                ev.payload = payload
+                ev.dropped = False
+                ev.note = None
                 bucket = pending.get(time)
                 if bucket is None:
                     pending[time] = [ev]

@@ -68,6 +68,9 @@ ACTIVE_STAGES: tuple[PersistenceStage, ...] = (
 )
 # Their names, as passed to the simulation's stage_durations draw.
 ACTIVE_STAGE_NAMES: tuple[str, ...] = tuple(s.name for s in ACTIVE_STAGES)
+# Every stage's name, indexed by its value: a tuple read is cheaper than the
+# enum's Python-level name property, which on_crash would read per crash.
+_STAGE_NAMES: tuple[str, ...] = tuple(s.name for s in PersistenceStage)
 
 
 # Members the per-event methods use, bound once: a global name is about ten
@@ -217,7 +220,7 @@ class PersistenceProcess(Component):
         if self.stage in ACTIVE_STAGES:
             # Crashes are injected at setup, so one at stage k's end tick sees stage k.
             self.stage = ACTIVE_STAGES[bisect_left(self._stage_ends, sim.now)]
-        self.crash_log.append(CrashRecord(self.stage.name, self.acked))
+        self.crash_log.append(CrashRecord(_STAGE_NAMES[self.stage], self.acked))
         if self.stage in ACTIVE_STAGES:
             symbol = DURABILITY[self.stage]
             # Staging writes never touch the stable copy: a tentative attempt

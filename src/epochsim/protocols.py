@@ -130,7 +130,7 @@ def _participants(sim: Simulation) -> tuple[list[PersistenceProcess], int]:
 
 
 def _vector(parts: Sequence[PersistenceProcess]) -> EpochVector:
-    return EpochVector.of(p.state for p in parts)
+    return EpochVector.of([p.state for p in parts])
 
 
 def snap_holds(vector: EpochVector | None) -> bool:
@@ -173,7 +173,7 @@ class BoundaryProbe(Component):
         if event.payload.get("type") == "boundary":
             components = sim.components
             self.vector = EpochVector.of(
-                components[n].state for n in self.participant_names)
+                [components[n].state for n in self.participant_names])
 
 
 def run_naive(sim: Simulation, config: NaiveCheckpointConfig,

@@ -45,7 +45,15 @@ def test_criterion_1_reference_table():
         assert round(row["pr_atomic"], 3) == ref, row
         assert row["matches"]
     assert elapsed < 1.0, f"table took {elapsed:.3f}s"
-    print(f"criterion 1: PASS table 5/5 at 3dp in {elapsed * 1000:.0f}ms")
+    # At every reference row (1-q)^n is below 1e-3000, so the table above is
+    # q^n alone. At q=0.6, n=2 the BottomAll term shows: 0.36 + 0.16.
+    code, out = _cli("lattice-table", "--q", "0.6", "--n", "2", "--trials", "0",
+                     "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert round(row["pr_atomic"], 3) == 0.520, row
+    print(f"criterion 1: PASS table 5/5 at 3dp in {elapsed * 1000:.0f}ms; "
+          f"q=0.6 n=2 reads {row['pr_atomic']:.3f}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +223,34 @@ def test_criterion_8_retry_amplification():
     rel = abs(flat.mean_attempts - closed) / closed
     assert rel < 0.05, (flat.mean_attempts, closed, rel)
     assert amplified.mean_attempts > flat.mean_attempts
+    # Both sweep means against the exact law, capped at 40 attempts.
+    assert _capped_attempts_law(p0, n, 1.5, 40) == pytest.approx((19.719, 19.257), abs=1e-3)
+    zs = []
+    for summary in summaries:
+        mean, sd = _capped_attempts_law(p0, n, summary.alpha, 40)
+        z = (summary.mean_attempts - mean) / (sd / runs ** 0.5)
+        assert abs(z) < 4.0, (summary.alpha, summary.mean_attempts, mean, z)
+        zs.append(z)
     print(f"criterion 8: PASS alpha=1 mean {flat.mean_attempts:.3f} vs "
           f"closed form {closed:.3f} ({100 * rel:.2f}%); alpha=1.5 mean "
-          f"{amplified.mean_attempts:.3f} exceeds")
+          f"{amplified.mean_attempts:.3f} exceeds; exact-law z = "
+          f"{zs[0]:+.2f}, {zs[1]:+.2f}")
+
+
+def _capped_attempts_law(p0: float, n: int, alpha: float, cap: int) -> tuple[float, float]:
+    """Mean and sd of the attempt count A of an amplified retry loop.
+
+    Attempt j succeeds with s_j = (1 - min(1, p0 alpha^(j-1)))^n, so
+    P(A >= k) = prod_{j<k} (1 - s_j) for k <= cap, and A never exceeds cap.
+    E[A] = sum_k P(A >= k) and E[A^2] = sum_k (2k - 1) P(A >= k).
+    """
+    tail = 1.0
+    mean = square = 0.0
+    for k in range(1, cap + 1):
+        mean += tail
+        square += (2 * k - 1) * tail
+        tail *= 1.0 - (1.0 - min(1.0, p0 * alpha ** (k - 1))) ** n
+    return mean, (square - mean * mean) ** 0.5
 
 
 # ---------------------------------------------------------------------------

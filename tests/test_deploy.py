@@ -80,6 +80,23 @@ def test_naive_node_crashed_through_delivery_stays_stale():
     assert inst.is_mixed
 
 
+def test_a_delivery_on_a_collectives_tick_is_not_seen_by_it():
+    # Collectives are queued before the firmware broadcast, so on a shared
+    # tick the collective runs first: n0's switch lands at t=15, one tick
+    # too late for the collective at t=15 and in time for the one at t=16.
+    delay = AdversarialSchedule(message_delays={("n0", "firmware"): 5,
+                                                ("n1", "firmware"): 1})
+    rep = run_naive_deploy(2, deploy_time=10,
+                           collectives=[_spec(0, 15, ["n0", "n1"]),
+                                        _spec(1, 16, ["n0", "n1"])],
+                           delay=delay, seed=0)
+    tie, after = rep.collectives
+    assert tie.versions == {"n0": FirmwareEpoch.F0, "n1": FirmwareEpoch.F1}
+    assert tie.is_mixed
+    assert after.versions == {"n0": FirmwareEpoch.F1, "n1": FirmwareEpoch.F1}
+    assert not after.is_mixed
+
+
 def test_crashed_participant_is_fenced_not_wrong():
     delay = AdversarialSchedule(default_message_delay=1,
                                 default_recovery_delay=100)

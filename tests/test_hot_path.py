@@ -26,6 +26,7 @@ from epochsim.persistence import ACTIVE_STAGE_NAMES, PersistenceStage
 # Functions run once per event, per delivery or per component. Each reads the
 # enum members it needs from module-level names bound at import.
 HOT_FUNCTIONS = [
+    kernel.Simulation.schedule,
     kernel.Simulation.send,
     kernel.Simulation.broadcast,
     kernel.Simulation.set_timer,
@@ -268,6 +269,34 @@ def test_a_case_stream_refuses_a_run_of_another_seed():
         deploy.run_naive_deploy(fleet.n, fleet.deploy_time, fleet.collectives,
                                 delay=fleet._delays, seed=6)
     assert deploy.run_case_naive(fleet).to_json_obj() == naive
+
+
+def test_battery_and_deploy_runs_call_no_event_constructor(monkeypatch):
+    # The kernel builds every event it queues in place. With Event.__init__
+    # raising, an n=64 battery run index and a deploy case still run, both
+    # protocols and both modes, and give what they gave before.
+    case = protocols.battery_case(64, protocols.derive_seed(9091, 1))  # 11 crashes
+    fleet = deploy.random_deploy_case(16, 7)  # 3 crashes
+    naive_config = protocols.NaiveCheckpointConfig(boundary_time=10)
+    bilateral_config = protocols.BilateralConfig(ack_timeout=30)
+
+    def runs():
+        naive = protocols.run_naive(case.simulation(), naive_config, crashes=case.crashes)
+        bilateral = protocols.run_bilateral(case.simulation(), bilateral_config,
+                                            crashes=case.crashes)
+        return ([out.trace.hash64() for out in (naive, bilateral)],
+                [deploy.run_case_naive(fleet).to_json_obj(),
+                 deploy.run_case_consensus(fleet).to_json_obj()])
+
+    before = runs()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Event.__init__ called")
+
+    monkeypatch.setattr(kernel.Event, "__init__", refuse)
+    with pytest.raises(AssertionError, match="Event.__init__ called"):
+        kernel.Event(0, 0, "c0", EventKind.CRASH, {})
+    assert runs() == before
 
 
 def test_src_reads_no_private_random_attribute():

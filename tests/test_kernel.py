@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from epochsim.kernel import (
     AdversarialSchedule,
     Component,
     ConfigError,
+    Event,
     EventKind,
     FixedDelay,
     SchedulePastError,
@@ -410,6 +412,47 @@ def test_processed_events_are_the_trace_records():
         assert type(kind) is str and kind == record.kind.value
         with pytest.raises(TypeError):
             hash(record)
+
+
+def _assert_built_as_constructed(event) -> None:
+    """event equals Event(...) of its first five fields, field by field."""
+    ref = Event(event.time, event.seq, event.target, event.kind, event.payload)
+    assert type(event) is Event
+    assert event.dropped is False and event.note is None
+    for f in fields(Event):
+        assert getattr(event, f.name) == getattr(ref, f.name), f.name
+    assert event == ref and repr(event) == repr(ref)
+    assert event.to_obj() == ref.to_obj()
+
+
+def test_every_queue_path_builds_the_event_its_constructor_would():
+    # schedule and broadcast build events in place, without Event.__init__;
+    # every other path queues through schedule. A field one of them misses
+    # shows here as an AttributeError or a mismatch.
+    sim, _ = _sim(n=2)
+    queued = [
+        sim.schedule(4, "r0", EventKind.LOCAL_STEP, {"tag": "a"}),
+        sim.schedule(4, "r1", EventKind.LOCAL_STEP),
+        sim.send("r0", "r1", {"tag": "m"}),
+        *sim.broadcast("r1", ["r0", "r1"], {"tag": "b"}, at=2),
+        sim.set_timer("r0", 3, {"tag": "t"}),
+        sim.inject_crash("r0", 5),
+        sim.inject_crash("r1", 6, permanent=True),
+    ]
+    assert [(e.time, e.seq, e.target, e.kind) for e in queued] == [
+        (4, 1, "r0", EventKind.LOCAL_STEP), (4, 2, "r1", EventKind.LOCAL_STEP),
+        (1, 3, "r1", EventKind.DELIVER), (3, 4, "r0", EventKind.DELIVER),
+        (3, 5, "r1", EventKind.DELIVER), (3, 6, "r0", EventKind.TIMER_FIRE),
+        (5, 7, "r0", EventKind.CRASH), (6, 8, "r1", EventKind.CRASH)]
+    assert [e.payload for e in queued] == [
+        {"tag": "a"}, {}, {"tag": "m", "src": "r0"}, {"tag": "b", "src": "r1"},
+        {"tag": "b", "src": "r1"}, {"tag": "t"}, {}, {"permanent": True}]
+    for event in queued:
+        _assert_built_as_constructed(event)
+    trace = sim.run_until_quiescent()
+    (recover,) = [e for e in trace.records if e.kind is EventKind.RECOVER]
+    assert (recover.time, recover.seq, recover.target, recover.payload) == (6, 9, "r0", {})
+    _assert_built_as_constructed(recover)
 
 
 # -- queue order under same-tick re-entry -----------------------------------

@@ -33,6 +33,11 @@ def _linearised_reliability(params):
     return 1.0 - params.n * (1.0 - params.q)
 
 
+def _bottom_all_term_dropped(params):
+    """pr_atomic_binary as q^n, without the BottomAll share (1 - q)^n."""
+    return params.q ** params.n
+
+
 def _monte_carlo_shifted(params, trials, seed):
     """monte_carlo_atomicity sampling each component at q - 1e-5."""
     return _monte_carlo(replace(params, q=params.q - 1e-5), trials, seed)
@@ -113,6 +118,8 @@ def _fill_unseeded(self, k):
 MUTANTS = [
     (acceptance.test_criterion_1_reference_table, "linearised-reliability",
      lattice, "pr_atomic_binary", _linearised_reliability),
+    (acceptance.test_criterion_1_reference_table, "bottom-all-term-dropped",
+     lattice, "pr_atomic_binary", _bottom_all_term_dropped),
     (acceptance.test_criterion_2_monte_carlo_agreement, "monte-carlo-shifted-q",
      epochsim, "monte_carlo_atomicity", _monte_carlo_shifted),
     (acceptance.test_criterion_3_witness_grid, "straddle-targets-wrong-component",
