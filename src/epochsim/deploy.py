@@ -35,7 +35,7 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .kernel import (AdversarialSchedule, Component, ConfigError, DelayPolicy, Event,
-                     EventKind, Simulation, Trace, UniformDelay)
+                     EventKind, Simulation, Trace, UniformDelay, _check_ticks)
 from .protocols import DecisionLog, crash_schedule, derive_seed
 
 
@@ -76,10 +76,13 @@ class CollectiveSpec:
     participants: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        _check_ticks((self.time,))
         if self.time < 1:
             raise ValueError("collective time must be positive")
         if not self.participants:
             raise ValueError("a collective needs at least one participant")
+        if len(set(self.participants)) != len(self.participants):
+            raise ValueError("a collective names each participant once")
 
 
 @dataclass
@@ -241,6 +244,7 @@ def run_naive_deploy(n: int, deploy_time: int, collectives: Sequence[CollectiveS
                      *, delay: DelayPolicy, seed: int = 0,
                      crashes: Iterable[tuple[str, int]] = ()) -> DeployReport:
     """Broadcast the new firmware; nodes switch whenever delivery lands."""
+    _check_ticks((deploy_time,))
     if deploy_time < 0:
         raise ValueError("deploy time must be non-negative")
     sim = _build_sim(n, delay, seed)
@@ -267,8 +271,10 @@ def run_consensus_deploy(n: int, collectives: Sequence[CollectiveSpec], *,
     With propose_time None no transition is ever proposed and every
     collective runs F0 uniformly.
     """
-    if propose_time is not None and propose_time < 0:
-        raise ValueError("propose time must be non-negative")
+    if propose_time is not None:
+        _check_ticks((propose_time,))
+        if propose_time < 0:
+            raise ValueError("propose time must be non-negative")
     sim = _build_sim(n, delay, seed)
     register = DecisionLog(outage=register_outage)
     runner = _CollectiveRunner(register, fence_policy)

@@ -16,12 +16,14 @@ only a tick's first event pushes onto the heap. The loop pops the
 earliest tick, takes its list out and runs it in order. An event
 scheduled for the tick being run lands in a fresh list for that tick,
 which runs next, so the (time, seq) order is the same as one heap entry
-per event would give. schedule and broadcast build each queued Event in
-place, storing its seven fields without the dataclass's __init__, so it
-equals Event(time, seq, target, kind, payload). A tick's list joins the
-records in one step, once all of it has run. A run that raised
-(StepLimitExceeded, or an error in a handler) may have lost the rest of
-its tick, has not recorded that tick, and cannot be resumed.
+per event would give. schedule is the one queue step: send, broadcast,
+set_timer, inject_crash and the loop's RECOVER all queue through it, and
+it builds each Event in place, storing its seven fields without the
+dataclass's __init__, so it equals Event(time, seq, target, kind,
+payload). A tick's list joins the records in one step, once all of it
+has run. A run that raised (StepLimitExceeded, or an error in a handler)
+may have lost the rest of its tick, has not recorded that tick, and
+cannot be resumed.
 
 Delay draws: a DelayPolicy has one method, draws(seed), which returns a
 run's three draw callables; a Simulation calls it once, at construction,
@@ -118,9 +120,9 @@ class Event:
     The loop sets dropped or note once, when it processes the event, and
     never changes it again. Not hashable: payloads are dicts.
 
-    Simulation.schedule and Simulation.broadcast build the events they
-    queue in place, without __init__: a field added here must be set in
-    both (tests/test_kernel.py compares their events with Event(...)).
+    Simulation.schedule, the one queue step, builds every queued event in
+    place, without __init__: a field added here must be set there
+    (tests/test_kernel.py compares each queue path's event with Event(...)).
     """
 
     time: VirtualTime
@@ -207,10 +209,11 @@ class DelayPolicy(ABC):
 
 
 def _check_ticks(values: Iterable[Any]) -> None:
-    """Refuse a tick value that is not an int; a bool is not a tick count."""
+    """Refuse a tick value that is not exactly an int: a float, a bool or a
+    numpy integer is not a tick count."""
     for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"delay ticks must be int, got {value!r}")
+        if type(value) is not int:
+            raise ConfigError(f"ticks must be int, got {value!r}")
 
 
 # A FixedDelay or UniformDelay delay does not depend on what it is drawn
@@ -472,7 +475,12 @@ class Simulation:
 
     def schedule(self, time: VirtualTime, target: str, kind: EventKind,
                  payload: Mapping[str, Any] | None = None) -> Event:
-        """Queue an event; the kernel takes ownership of payload (None is {})."""
+        """Queue an event; the kernel takes ownership of payload (None is {}).
+
+        The one queue step: every event the kernel queues is built here.
+        time is not type-checked, as a per-event test would cost about 1% of
+        a battery run; the kernel's callers pass ticks built from checked ones.
+        """
         if time < self.now:
             raise SchedulePastError(f"cannot schedule at t={time}, now is t={self.now}")
         if target not in self._handlers:
@@ -515,59 +523,40 @@ class Simulation:
 
     def broadcast(self, src: str, dsts: Sequence[str], msg: Mapping[str, Any], *,
                   at: VirtualTime | None = None) -> list[Event]:
-        """Send msg from src to each of dsts, leaving at tick `at` (default now).
+        """Send msg from src to each of dsts, leaving at tick `at` (default now;
+        a given `at` must be an int).
 
         The same events, seqs and delays as one send per destination in
         order, but the delays are one batched draw and every event shares
         one payload: msg copied once, with "src" added. A draw that does not
         give exactly one delay per destination raises ConfigError before
-        anything is queued. Each destination and delay is checked as its
-        event is queued, so a bad one fails after the ones before it were
-        queued, as a loop of sends would.
+        anything is queued. Each delivery is queued through schedule, which
+        checks its destination, once its delay is checked, so a bad delay or
+        destination fails after the deliveries before it were queued, as a
+        loop of sends would.
         """
         if at is None:
             at = self.now
-        elif at < self.now:
-            raise SchedulePastError(f"cannot send at t={at}, now is t={self.now}")
-        handlers = self._handlers
+        else:
+            _check_ticks((at,))
+            if at < self.now:
+                raise SchedulePastError(f"cannot send at t={at}, now is t={self.now}")
         payload = dict(msg)
         payload["src"] = src
-        # schedule's steps inline: a delivery is never in the past.
-        pending, ticks = self._pending, self._ticks
         delays = self.message_delays(src, dsts, msg)
         if len(delays) != len(dsts):
             raise ConfigError(
                 f"delay policy gave {len(delays)} delays for {len(dsts)} destinations")
-        seq = self._seq
+        schedule = self.schedule
         events = []
-        try:
-            for dst, delay in zip(dsts, delays):
-                if delay < 1:
-                    raise ConfigError("message delay must be at least one tick")
-                if dst not in handlers:
-                    raise ConfigError(f"unknown component {dst!r}")
-                time = at + delay
-                seq += 1
-                ev = _new(Event)  # in place, as schedule builds it
-                ev.time = time
-                ev.seq = seq
-                ev.target = dst
-                ev.kind = _DELIVER
-                ev.payload = payload
-                ev.dropped = False
-                ev.note = None
-                bucket = pending.get(time)
-                if bucket is None:
-                    pending[time] = [ev]
-                    heappush(ticks, time)
-                else:
-                    bucket.append(ev)
-                events.append(ev)
-        finally:
-            self._seq = seq  # the queued events keep their seqs
+        for dst, delay in zip(dsts, delays):
+            if delay < 1:
+                raise ConfigError("message delay must be at least one tick")
+            events.append(schedule(at + delay, dst, _DELIVER, payload))
         return events
 
     def set_timer(self, target: str, delay: int, payload: Mapping[str, Any]) -> Event:
+        _check_ticks((delay,))
         if delay < 1:
             raise ConfigError("timer delay must be at least one tick")
         return self.schedule(self.now + delay, target, _TIMER_FIRE, payload)
@@ -576,6 +565,8 @@ class Simulation:
                      permanent: bool = False) -> Event:
         """Crash at the given tick. Transient crashes recover after a
         policy-drawn delay; permanent ones halt for the rest of the run."""
+        if type(time) is not int:  # _check_ticks inline: about 10 crashes a battery run
+            raise ConfigError(f"ticks must be int, got {time!r}")
         payload = {"permanent": True} if permanent else {}
         return self.schedule(time, component, _CRASH, payload)
 

@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .kernel import (Component, ConfigError, DelayPolicy, Event, EventKind, Simulation,
-                     Trace, UniformDelay, _component_names, new_simulation)
+                     Trace, UniformDelay, _check_ticks, _component_names, new_simulation)
 from .lattice import AtomicityClass, EpochVector
 from .persistence import ACTIVE_STAGES, PersistenceProcess, ack_digest
 
@@ -53,6 +53,7 @@ class NaiveCheckpointConfig:
     boundary_time: int = 10  # t_c: when the transition is declared done
 
     def __post_init__(self) -> None:
+        _check_ticks((self.boundary_time,))
         if self.boundary_time < 1:
             raise ValueError("boundary time must be positive")
 
@@ -62,6 +63,7 @@ class BilateralConfig:
     ack_timeout: int = 30
 
     def __post_init__(self) -> None:
+        _check_ticks((self.ack_timeout,))
         if self.ack_timeout < 1:
             raise ValueError("ack timeout must be positive")
 

@@ -285,6 +285,12 @@ def test_deploy_refuses_a_participant_outside_the_fleet(run):
         run(specs)
 
 
+def test_collective_names_each_participant_once():
+    # A repeated name would be listed twice under the report's participants.
+    with pytest.raises(ValueError, match="^a collective names each participant once$"):
+        _spec(0, 9, ["n0", "n1", "n0"])
+
+
 @pytest.mark.parametrize("propose_time", [-1, -7])
 def test_consensus_deploy_refuses_a_negative_propose_time(propose_time):
     with pytest.raises(ValueError, match="^propose time must be non-negative$"):

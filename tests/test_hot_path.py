@@ -299,6 +299,38 @@ def test_battery_and_deploy_runs_call_no_event_constructor(monkeypatch):
     assert runs() == before
 
 
+def _new_callers(tree: ast.AST) -> list[str]:
+    """Qualified names of the functions that call _new or object.__new__."""
+    callers = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "_new") or (
+                        isinstance(func, ast.Attribute) and func.attr == "__new__"
+                        and isinstance(func.value, ast.Name) and func.value.id == "object"):
+                    callers.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return callers
+
+
+def test_only_schedule_builds_an_event():
+    # One queue step: every other queue path (send, broadcast, set_timer,
+    # inject_crash, the loop's RECOVER) goes through schedule, so a field
+    # added to Event is set in one place.
+    callers = []
+    for path in sorted(Path(epochsim.__file__).parent.rglob("*.py")):
+        callers += [f"{path.name}:{name}"
+                    for name in _new_callers(ast.parse(path.read_text(), str(path)))]
+    assert callers == ["kernel.py:Simulation.schedule"]
+
+
 def test_src_reads_no_private_random_attribute():
     # random.Random's _rand* names are CPython internals that may change
     # between releases; delay draws use only its public methods.

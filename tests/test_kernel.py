@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epochsim import deploy
+from epochsim import deploy, protocols
 from epochsim.kernel import (
     AdversarialSchedule,
     Component,
     ConfigError,
+    DelayPolicy,
     Event,
     EventKind,
     FixedDelay,
@@ -246,7 +247,7 @@ def test_delay_policies_reject_nonpositive_ticks():
 def test_delay_policies_reject_non_integer_ticks(tick):
     # Virtual time is an integer tick count: a float would queue events at
     # fractional times, and a bool is not a count.
-    message = f"^delay ticks must be int, got {tick!r}$"
+    message = f"^ticks must be int, got {tick!r}$"
     for build in (lambda: FixedDelay(tick),
                   lambda: UniformDelay(tick, 3),
                   lambda: UniformDelay(1, tick),
@@ -257,6 +258,32 @@ def test_delay_policies_reject_non_integer_ticks(tick):
                   lambda: AdversarialSchedule(stage_durations={("r0", "FSYNC"): tick})):
         with pytest.raises(ConfigError, match=message):
             build()
+
+
+# Every place a caller hands the kernel a tick, each given the bad tick.
+TICK_SITES = {
+    "NaiveCheckpointConfig": lambda t: protocols.NaiveCheckpointConfig(boundary_time=t),
+    "BilateralConfig": lambda t: protocols.BilateralConfig(ack_timeout=t),
+    "CollectiveSpec": lambda t: deploy.CollectiveSpec(0, t, ("n0",)),
+    "run_naive_deploy": lambda t: deploy.run_naive_deploy(2, t, [], delay=FixedDelay(3)),
+    "run_consensus_deploy": lambda t: deploy.run_consensus_deploy(
+        2, [], propose_time=t, delay=FixedDelay(1)),
+    "run_naive crashes": lambda t: protocols.run_naive(
+        new_simulation(2, FixedDelay(1), 0), protocols.NaiveCheckpointConfig(),
+        crashes=[("c1", t)]),
+    "set_timer": lambda t: _sim()[0].set_timer("r0", t, {}),
+    "broadcast at": lambda t: _sim()[0].broadcast("r0", ["r0"], {}, at=t),
+    "inject_crash": lambda t: _sim()[0].inject_crash("r0", t),
+}
+
+
+@pytest.mark.parametrize("tick", [10.5, 3.0, True], ids=repr)
+@pytest.mark.parametrize("site", TICK_SITES.values(), ids=TICK_SITES.keys())
+def test_every_tick_from_a_caller_must_be_an_int(site, tick):
+    # Each of these once queued events at fractional ticks (10.5, a crash
+    # at 7.5 recovering at 9.5) or took True as one tick.
+    with pytest.raises(ConfigError, match=f"^ticks must be int, got {tick!r}$"):
+        site(tick)
 
 
 def test_every_scheduled_message_eventually_delivers():
@@ -359,6 +386,52 @@ def test_send_refuses_what_broadcast_refuses(policy, dst, message):
         assert [r.seq for r in sim.run_until_quiescent().records] == [1]
 
 
+class _ZeroAt(DelayPolicy):
+    """Message delays of 1 to 3 ticks, except a zero at one position of the
+    run's stream of message delays (None: no zero)."""
+
+    def __init__(self, position: int | None) -> None:
+        self.position = position
+
+    def draws(self, seed):
+        drawn = 0
+
+        def message_delays(src, dsts, msg):
+            nonlocal drawn
+            first, drawn = drawn, drawn + len(dsts)
+            return [0 if i == self.position else 1 + i % 3 for i in range(first, drawn)]
+
+        return message_delays, lambda component, stages: [1] * len(stages), lambda c: 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(dsts=st.lists(st.sampled_from(["r0", "r1", "r2"]), min_size=1, max_size=8),
+       position=st.integers(0, 7), unknown=st.booleans())
+def test_broadcast_fails_where_a_loop_of_sends_would(dsts, position, unknown):
+    # A bad destination or a zero delay at any position fails with the
+    # error a loop of sends raises, after the same deliveries were queued
+    # with the same seqs, and the next event gets the same seq.
+    position %= len(dsts)
+    if unknown:
+        dsts[position] = "nobody"
+    policy = _ZeroAt(None if unknown else position)
+    fan, loop = (Simulation(policy, 0, components=[Recorder(f"r{i}") for i in range(3)])
+                 for _ in range(2))
+    for sim in (fan, loop):
+        sim.schedule(1, "r0", EventKind.LOCAL_STEP, {"tag": "before"})
+    msg = {"type": "ping", "tag": "fan"}
+    with pytest.raises(ConfigError) as fanned:
+        fan.broadcast("src", dsts, msg)
+    with pytest.raises(ConfigError) as looped:
+        for dst in dsts:
+            loop.send("src", dst, msg)
+    assert str(fanned.value) == str(looped.value) == (
+        "unknown component 'nobody'" if unknown else "message delay must be at least one tick")
+    after = [sim.schedule(9, "r1", EventKind.LOCAL_STEP, {"tag": "after"}) for sim in (fan, loop)]
+    assert after[0].seq == after[1].seq == position + 2
+    assert fan.run_until_quiescent().to_jsonl() == loop.run_until_quiescent().to_jsonl()
+
+
 def test_broadcast_leaves_at_its_departure_tick():
     sim, recs = _sim(n=3)
     events = sim.broadcast("deployer", ["r2", "r0"], {"tag": "late"}, at=10)
@@ -426,9 +499,9 @@ def _assert_built_as_constructed(event) -> None:
 
 
 def test_every_queue_path_builds_the_event_its_constructor_would():
-    # schedule and broadcast build events in place, without Event.__init__;
-    # every other path queues through schedule. A field one of them misses
-    # shows here as an AttributeError or a mismatch.
+    # schedule builds events in place, without Event.__init__, and every
+    # other path queues through it. A field it misses shows here as an
+    # AttributeError or a mismatch.
     sim, _ = _sim(n=2)
     queued = [
         sim.schedule(4, "r0", EventKind.LOCAL_STEP, {"tag": "a"}),
