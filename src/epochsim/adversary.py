@@ -23,14 +23,14 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .kernel import AdversarialSchedule, _component_names, new_simulation
+from .kernel import AdversarialSchedule, _cluster_names, new_simulation
 from .lattice import AtomicityClass, EpochVector
 from .persistence import ACTIVE_STAGE_NAMES
 from .protocols import NaiveCheckpointConfig, ProtocolOutcome, run_naive
 
 # Earliest boundary with room for a full early completer: delivery at t=1
-# plus five one-tick stages finishes at t=6, so t_c >= 7.
-FULL_STRADDLE_THRESHOLD = 7
+# plus one tick per active stage finishes at t=6, so t_c >= 7.
+FULL_STRADDLE_THRESHOLD = 2 + len(ACTIVE_STAGE_NAMES)
 # Earliest boundary any straddle fits: the target must begin at t_c - 1 >= 1.
 MIN_BOUNDARY = 2
 
@@ -57,7 +57,7 @@ class StraddlingSchedule:
 
     @property
     def target_name(self) -> str:
-        return _component_names(self.n)[self.target]
+        return _cluster_names("c", self.n)[self.target]
 
     @property
     def complete_target(self) -> int:
@@ -65,13 +65,13 @@ class StraddlingSchedule:
 
     @property
     def early_complete_time(self) -> int | None:
-        return 6 if 6 < self.boundary else None
+        return FULL_STRADDLE_THRESHOLD - 1 if self.boundary >= FULL_STRADDLE_THRESHOLD else None
 
     @property
     def early_completer(self) -> str | None:
         if self.early_complete_time is None:
             return None
-        return _component_names(self.n)[1 if self.target == 0 else 0]
+        return _cluster_names("c", self.n)[1 if self.target == 0 else 0]
 
     def delay_policy(self) -> AdversarialSchedule:
         name = self.target_name
@@ -145,7 +145,7 @@ class MixedWitness:
             f"t={self.crash[1]}: {s.target_name} crashes mid-persist; the declaration "
             f"at t_c={s.boundary} still claims committed")
         symbols = ", ".join(f"{name}={sym.value}"
-                            for name, sym in zip(_component_names(s.n), self.vector))
+                            for name, sym in zip(_cluster_names("c", s.n), self.vector))
         lines.append(f"stable vector after recovery: [{symbols}] -> "
                      f"{self.outcome.vector_class.value}")
         return "\n".join(lines)

@@ -87,17 +87,21 @@ def _cell(value: Any, spec: str) -> str:
     return format(value, spec)
 
 
-def _emit(out: TextIO, fmt: str, summary: dict[str, Any],
-          columns: Sequence[tuple[str, str]],
+def _emit(args: argparse.Namespace, out: TextIO, text: Sequence[str],
+          summary: dict[str, Any], columns: Sequence[tuple[str, str]],
           rows: Sequence[dict[str, Any]] | None = None, key: str | None = None) -> None:
-    """Write a subcommand's result as CSV or JSON.
+    """Write a subcommand's result in its --format: the one reader of it.
 
-    JSON is `summary`, plus `rows` under `key` when a key is given. CSV is
-    a header of the column names, then one line per row, a row's fields
-    read over the summary's; without rows the summary is the one line.
-    Each cell is format(value, spec), except that None gives an empty cell
-    and a bool gives true/false.
+    Text is the `text` lines. JSON is `summary`, plus `rows` under `key`
+    when a key is given. CSV is a header of the column names, then one line
+    per row, a row's fields read over the summary's; without rows the
+    summary is the one line. Each cell is format(value, spec), except that
+    None gives an empty cell and a bool gives true/false.
     """
+    fmt = args.format
+    if fmt == "text":
+        print("\n".join(text), file=out)
+        return
     if fmt == "json":
         obj = {**summary, key: rows} if key else summary
         print(json.dumps(obj, sort_keys=True, separators=(", ", ": "),
@@ -156,18 +160,15 @@ def cmd_lattice_table(args: argparse.Namespace, out: TextIO) -> int:
                   trials=args.trials,
                   seed=protocols.derive_seed(args.seed, i))
               for i, row in enumerate(rows)]
-    if args.format != "text":
-        table = [{**dataclasses.asdict(row), "matches": row.matches_reference} for row in rows]
-        columns = [("q", "g"), ("n", "d"), ("pr_atomic", ".12g"),
-                   ("reference_3dp", ".3f"), ("matches", "")]
-        if mc:
-            for entry, res in zip(table, mc):
-                entry.update(mc_pr_atomic=res.pr_atomic, mc_stderr_atomic=res.stderr_atomic)
-            columns += [("mc_pr_atomic", ".12g"), ("mc_stderr_atomic", ".6g")]
-        _emit(out, args.format, {"seed": args.seed}, columns, table, key="rows")
-    else:
-        print(f"seed: {args.seed}", file=out)
-        print(lattice.render_table_text(rows, mc), file=out)
+    table = [{**dataclasses.asdict(row), "matches": row.matches_reference} for row in rows]
+    columns = [("q", "g"), ("n", "d"), ("pr_atomic", ".12g"),
+               ("reference_3dp", ".3f"), ("matches", "")]
+    if mc:
+        for entry, res in zip(table, mc):
+            entry.update(mc_pr_atomic=res.pr_atomic, mc_stderr_atomic=res.stderr_atomic)
+        columns += [("mc_pr_atomic", ".12g"), ("mc_stderr_atomic", ".6g")]
+    _emit(args, out, [f"seed: {args.seed}", lattice.render_table_text(rows, mc)],
+          {"seed": args.seed}, columns, table, key="rows")
     if check and not all(r.matches_reference for r in rows):
         return EXIT_TABLE_MISMATCH
     return EXIT_OK
@@ -218,13 +219,10 @@ def cmd_straddle(args: argparse.Namespace, out: TextIO) -> int:
         "seed": args.seed, "n": args.n, "grid": len(grid),
         "mixed": witnesses, "label": label,
     }
-    if args.format != "text":
-        _emit(out, args.format, payload, [(name, "") for name in payload])
-    else:
-        print(f"seed: {args.seed}", file=out)
-        print(f"{label}: {witnesses}/{len(grid)} mixed (n={args.n})", file=out)
-        if first is not None and args.narrative:
-            print(first.narrative(), file=out)
+    text = [f"seed: {args.seed}", f"{label}: {witnesses}/{len(grid)} mixed (n={args.n})"]
+    if first is not None and args.narrative:
+        text.append(first.narrative())
+    _emit(args, out, text, payload, [(name, "") for name in payload])
     if args.no_crash:
         return EXIT_OK if witnesses == 0 else EXIT_NO_WITNESS
     return EXIT_OK if witnesses == len(grid) else EXIT_NO_WITNESS
@@ -247,17 +245,13 @@ def cmd_bilateral_vs_naive(args: argparse.Namespace, out: TextIO) -> int:
         n=args.n, runs=args.runs, seed=args.seed, crash_prob=args.crash_prob,
         boundary_time=args.t_c, ack_timeout=args.ack_timeout)
     obj = report.to_json_obj()
-    if args.format != "text":
-        tallies = [{"protocol": proto, **obj[proto]} for proto in ("naive", "bilateral")]
-        _emit(out, args.format, obj, [(name, "") for name in tallies[0]], tallies)
-    else:
-        print(f"seed: {args.seed}  runs: {args.runs}  n: {args.n}", file=out)
-        for proto in ("naive", "bilateral"):
-            t = obj[proto]
-            print(f"{proto:>10}: top={t['top']} bottom_all={t['bottom_all']} "
-                  f"mixed={t['mixed']} no_decision={t['no_decision']} "
-                  f"disagreements={t['disagreements']}", file=out)
-        print(f"naive disagreement rate: {report.naive_disagreement_rate:.4f}", file=out)
+    tallies = [{"protocol": proto, **obj[proto]} for proto in ("naive", "bilateral")]
+    text = [f"seed: {args.seed}  runs: {args.runs}  n: {args.n}"]
+    text += [f"{t['protocol']:>10}: top={t['top']} bottom_all={t['bottom_all']} "
+             f"mixed={t['mixed']} no_decision={t['no_decision']} "
+             f"disagreements={t['disagreements']}" for t in tallies]
+    text.append(f"naive disagreement rate: {report.naive_disagreement_rate:.4f}")
+    _emit(args, out, text, obj, [(name, "") for name in tallies[0]], tallies)
     return EXIT_OK if report.bilateral.mixed == 0 else EXIT_BILATERAL_MIXED
 
 
@@ -306,18 +300,13 @@ def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
         "skew_epoch": args.skew_epoch, "horizon": args.horizon,
         "final_distance": series.rows[-1].distance,
     }
-    if args.format != "text":
-        _emit(out, args.format, summary,
-              [("step", "d"), ("distance", ".17g"), ("ref_loss", ".17g"),
-               ("mixed_loss", ".17g")],
-              [dataclasses.asdict(r) for r in series.rows], key="series")
-    else:
-        print(f"seed: {args.seed}", file=out)
-        print(f"one-step moment shift per unit gradient at beta1={args.beta1}: "
-              f"{summary['skew_per_unit_gradient']:.6f} "
-              f"(closed-form error {err:.3e})", file=out)
-        print(f"weight distance at horizon {args.horizon}: "
-              f"{summary['final_distance']:.6e}", file=out)
+    text = [f"seed: {args.seed}",
+            f"one-step moment shift per unit gradient at beta1={args.beta1}: "
+            f"{summary['skew_per_unit_gradient']:.6f} (closed-form error {err:.3e})",
+            f"weight distance at horizon {args.horizon}: {summary['final_distance']:.6e}"]
+    _emit(args, out, text, summary,
+          [("step", "d"), ("distance", ".17g"), ("ref_loss", ".17g"), ("mixed_loss", ".17g")],
+          [dataclasses.asdict(r) for r in series.rows], key="series")
     # Rounding error grows with |g_skip|, so the tolerance is relative above 1.
     return EXIT_OK if err <= 1e-12 * max(1.0, abs(args.g_skip)) else EXIT_SKEW_MISMATCH
 
@@ -342,24 +331,21 @@ def cmd_retry(args: argparse.Namespace, out: TextIO) -> int:
         p0=args.p0, n=args.n, alphas=alphas, runs=args.runs, seed=args.seed,
         max_attempts=args.max_attempts)
     baseline = protocols.geometric_baseline(args.p0, args.n)
-    if args.format != "text":
-        # An infinite baseline (say --p0 1) has no JSON number: null, empty in CSV.
-        summary = {"seed": args.seed, "p0": args.p0, "n": args.n,
-                   "geometric_baseline": baseline if math.isfinite(baseline) else None}
-        sweep = [{"alpha": s.alpha, "mean_attempts": s.mean_attempts,
-                  "success_rate": s.success_rate, "mean_load": s.mean_load}
-                 for s in summaries]
-        _emit(out, args.format, summary,
-              [("alpha", "g"), ("mean_attempts", ".6f"), ("success_rate", ".6f"),
-               ("mean_load", ".6f"), ("geometric_baseline", ".6f")],
-              sweep, key="sweep")
-    else:
-        print(f"seed: {args.seed}  p0: {args.p0}  n: {args.n}  "
-              f"geometric baseline: {baseline:.4f}", file=out)
-        for s in summaries:
-            print(f"alpha={s.alpha:<6g} mean_attempts={s.mean_attempts:<9.4f} "
-                  f"success_rate={s.success_rate:<8.4f} mean_load={s.mean_load:.4f}",
-                  file=out)
+    # An infinite baseline (say --p0 1) has no JSON number: null, empty in CSV.
+    summary = {"seed": args.seed, "p0": args.p0, "n": args.n,
+               "geometric_baseline": baseline if math.isfinite(baseline) else None}
+    sweep = [{"alpha": s.alpha, "mean_attempts": s.mean_attempts,
+              "success_rate": s.success_rate, "mean_load": s.mean_load}
+             for s in summaries]
+    text = [f"seed: {args.seed}  p0: {args.p0}  n: {args.n}  "
+            f"geometric baseline: {baseline:.4f}"]
+    text += [f"alpha={s.alpha:<6g} mean_attempts={s.mean_attempts:<9.4f} "
+             f"success_rate={s.success_rate:<8.4f} mean_load={s.mean_load:.4f}"
+             for s in summaries]
+    _emit(args, out, text, summary,
+          [("alpha", "g"), ("mean_attempts", ".6f"), ("success_rate", ".6f"),
+           ("mean_load", ".6f"), ("geometric_baseline", ".6f")],
+          sweep, key="sweep")
     return EXIT_OK
 
 
@@ -392,15 +378,13 @@ def cmd_deploy(args: argparse.Namespace, out: TextIO) -> int:
         "naive_tries": search.tried,
         "consensus_mixed": consensus_mixed,
     }
-    if args.format != "text":
-        _emit(out, args.format, payload, [(name, "") for name in payload])
-    else:
-        print(f"seed: {args.seed}  n: {args.n}  budget: {args.budget}", file=out)
-        print(f"naive deploy: mixed collective witness "
-              f"{'found' if search.found else 'NOT found'} "
-              f"after {search.tried} schedules", file=out)
-        print(f"consensus deploy: {consensus_mixed} mixed collectives "
-              f"over {args.budget} schedules", file=out)
+    _emit(args, out, [f"seed: {args.seed}  n: {args.n}  budget: {args.budget}",
+                      f"naive deploy: mixed collective witness "
+                      f"{'found' if search.found else 'NOT found'} "
+                      f"after {search.tried} schedules",
+                      f"consensus deploy: {consensus_mixed} mixed collectives "
+                      f"over {args.budget} schedules"],
+          payload, [(name, "") for name in payload])
     if consensus_mixed > 0:
         return EXIT_DEPLOY_MIXED
     if not search.found:

@@ -30,12 +30,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .kernel import (AdversarialSchedule, Component, ConfigError, DelayPolicy, Event,
-                     EventKind, Simulation, Trace, UniformDelay, _check_ticks)
+                     Simulation, Trace, UniformDelay, _DELIVER, _TIMER_FIRE, _check_ticks,
+                     _cluster_names)
 from .protocols import DecisionLog, crash_schedule, derive_seed
 
 
@@ -49,10 +50,9 @@ class FencePolicy(str, Enum):
     ABORT = "abort"      # abort the collective if anyone had to be fenced
 
 
-# Bound once for the per-delivery, per-node and per-collective paths: a
-# global name is about ten times cheaper to read than EventKind.DELIVER.
-_DELIVER = EventKind.DELIVER
-_TIMER_FIRE = EventKind.TIMER_FIRE
+# Deploy's own members, bound once for the per-node and per-collective
+# paths: a global name is about ten times cheaper to read than a lookup
+# through the enum class. The event-kind aliases are the kernel's.
 _F0 = FirmwareEpoch.F0
 _F1 = FirmwareEpoch.F1
 _PROCEED = FencePolicy.PROCEED
@@ -214,16 +214,10 @@ class DeployReport:
         }
 
 
-@lru_cache(maxsize=64)
-def _node_names(n: int) -> tuple[str, ...]:
-    """Names n0..n{n-1} of an n-node fleet."""
-    return tuple(f"n{i}" for i in range(n))
-
-
 def _build_sim(n: int, delay: DelayPolicy, seed: int) -> Simulation:
-    if n < 1:
-        raise ConfigError("cluster size must be at least one component")
-    return Simulation(delay, seed, components=[FirmwareNode(name) for name in _node_names(n)])
+    """A simulation of the fleet n0..n{n-1}; naming it refuses n < 1."""
+    return Simulation(delay, seed, components=[
+        FirmwareNode(name) for name in _cluster_names("n", n)])
 
 
 def _schedule_collectives(sim: Simulation, runner: _CollectiveRunner,
@@ -254,7 +248,7 @@ def run_naive_deploy(n: int, deploy_time: int, collectives: Sequence[CollectiveS
         sim.inject_crash(component, time)
     # The broadcast leaves the deployer at deploy_time; per-node delivery
     # delay comes from the policy.
-    sim.broadcast("deployer", _node_names(n), _FIRMWARE_MSG, at=deploy_time)
+    sim.broadcast("deployer", _cluster_names("n", n), _FIRMWARE_MSG, at=deploy_time)
     trace = sim.run_until_quiescent()
     return DeployReport(mode="naive", n=n, seed=seed,
                         collectives=tuple(runner.instances), register=None,
@@ -334,7 +328,7 @@ def directed_straddle_case(n: int, *, seed: int = 0) -> DeployCase:
         raise ValueError("a straddle needs at least two nodes")
     # The first node switches at t=11, the second at t=31; the collective at
     # t=21 sees one of each.
-    participants = _node_names(n)[:2]
+    participants = _cluster_names("n", n)[:2]
     delays = {(participants[0], "firmware"): 1, (participants[1], "firmware"): 21}
     policy = AdversarialSchedule(message_delays=delays, default_message_delay=5)
     return DeployCase(
@@ -344,8 +338,8 @@ def directed_straddle_case(n: int, *, seed: int = 0) -> DeployCase:
 
 
 def random_deploy_case(n: int, case_seed: int) -> DeployCase:
+    names = _cluster_names("n", n)  # refuses n < 1 before anything is drawn
     rng = random.Random(case_seed)
-    names = _node_names(n)
     deploy_time = rng.randint(1, _CASE_HORIZON // 2)
     collectives = []
     for cid in range(_CASE_COLLECTIVES):

@@ -52,7 +52,12 @@ an already-crashed component is a no-op. The loop sets an event's dropped
 flag or note ("already crashed", "not crashed") once, when it processes
 the event; the processed Event is then its own trace record. Only the
 loop writes the set of crashed components; Simulation.crashed hands out
-that live set for reading.
+that live set for reading, and Simulation.components, built once, is a
+live read-only view of the registry.
+
+Shared facts: other modules import the kernel's EventKind member aliases,
+and name every cluster with _cluster_names, the one refusal of an empty
+cluster.
 
 Payload ownership: schedule and set_timer take ownership of the payload
 dict they are given and store it as is, without a copy; the caller must
@@ -105,9 +110,10 @@ class EventKind(str, Enum):
     TIMER_FIRE = "timer_fire"
 
 
-# Members bound once: reading a global name is about ten times cheaper than
-# EventKind.X, a lookup through the enum class, on the per-event path.
+# Members bound once, for every module's per-event path: reading a global
+# name is about ten times cheaper than EventKind.X, a lookup through the enum.
 _DELIVER = EventKind.DELIVER
+_LOCAL_STEP = EventKind.LOCAL_STEP
 _CRASH = EventKind.CRASH
 _RECOVER = EventKind.RECOVER
 _TIMER_FIRE = EventKind.TIMER_FIRE
@@ -440,6 +446,8 @@ class Simulation:
         self._handlers: dict[str, Component] = {c.name: c for c in components}
         if len(self._handlers) != len(components):
             raise ConfigError("component names must be distinct")
+        # Registered components by name, in registration order; a live read-only view.
+        self.components: Mapping[str, Component] = MappingProxyType(self._handlers)
         self._crashed: set[str] = set()
         self._records: list[Event] = []
 
@@ -455,11 +463,6 @@ class Simulation:
 
     def component_names(self) -> list[str]:
         return list(self._handlers)
-
-    @property
-    def components(self) -> Mapping[str, Component]:
-        """Registered components by name, in registration order; read-only."""
-        return MappingProxyType(self._handlers)
 
     @property
     def crashed(self) -> AbstractSet[str]:
@@ -623,17 +626,17 @@ def new_simulation(n: int, delay_policy: DelayPolicy, seed: int, *,
     Components start holding epoch - 1 durably; epoch is the transition
     target a protocol will drive them toward.
     """
-    if n < 1:
-        raise ConfigError("cluster size must be at least one component")
     process = _persistence.PersistenceProcess
     return Simulation(delay_policy, seed, components=[
-        process(name, epoch) for name in _component_names(n)])
+        process(name, epoch) for name in _cluster_names("c", n)])
 
 
-@lru_cache(maxsize=64)
-def _component_names(n: int) -> tuple[str, ...]:
-    """Names c0..c{n-1} of an n-component cluster."""
-    return tuple(f"c{i}" for i in range(n))
+@lru_cache(maxsize=128)
+def _cluster_names(prefix: str, n: int) -> tuple[str, ...]:
+    """Names {prefix}0..{prefix}{n-1} of an n-member cluster; refuses n < 1."""
+    if n < 1:
+        raise ConfigError("cluster size must be at least one component")
+    return tuple(f"{prefix}{i}" for i in range(n))
 
 
 # Last, because persistence imports this module. When persistence loads

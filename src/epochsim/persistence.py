@@ -37,8 +37,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from .kernel import Component, Event, EventKind, digest64
-from .lattice import EpochSymbol
+from .kernel import Component, Event, _DELIVER, _LOCAL_STEP, digest64
+from .lattice import EpochSymbol, _E, _E_MINUS_1
 
 if TYPE_CHECKING:
     from .kernel import Simulation
@@ -73,15 +73,12 @@ ACTIVE_STAGE_NAMES: tuple[str, ...] = tuple(s.name for s in ACTIVE_STAGES)
 _STAGE_NAMES: tuple[str, ...] = tuple(s.name for s in PersistenceStage)
 
 
-# Members the per-event methods use, bound once: a global name is about ten
-# times cheaper to read than a lookup through the enum class.
+# Stage members the per-event methods use, bound once: a global name is
+# about ten times cheaper to read than a lookup through the enum class. The
+# event-kind and symbol aliases are kernel's and lattice's.
 _IDLE = PersistenceStage.IDLE
 _BUFFER_FLUSH = PersistenceStage.BUFFER_FLUSH
 _DONE = PersistenceStage.DONE
-_DELIVER = EventKind.DELIVER
-_LOCAL_STEP = EventKind.LOCAL_STEP
-_E = EpochSymbol.E
-_E_MINUS_1 = EpochSymbol.E_MINUS_1
 
 # The crash table: stage in progress at crash time -> the symbol a direct
 # write leaves durable. Durability only accumulates, so the symbols' ranks
@@ -217,12 +214,11 @@ class PersistenceProcess(Component):
     # -- crash and recovery ----------------------------------------------------
 
     def on_crash(self, sim: Simulation, event: Event) -> None:
-        if self.stage in ACTIVE_STAGES:
+        stage = self.stage
+        if stage in ACTIVE_STAGES:
             # Crashes are injected at setup, so one at stage k's end tick sees stage k.
-            self.stage = ACTIVE_STAGES[bisect_left(self._stage_ends, sim.now)]
-        self.crash_log.append(CrashRecord(_STAGE_NAMES[self.stage], self.acked))
-        if self.stage in ACTIVE_STAGES:
-            symbol = DURABILITY[self.stage]
+            stage = ACTIVE_STAGES[bisect_left(self._stage_ends, sim.now)]
+            symbol = DURABILITY[stage]
             # Staging writes never touch the stable copy: a tentative attempt
             # either has its staged data durable already (Done) or is
             # discarded (Idle).
@@ -232,6 +228,7 @@ class PersistenceProcess(Component):
             self.attempt += 1  # invalidate the queued completion
         # A crash at Idle or Done changes nothing durable: a completed direct
         # persist is stable, and durable staged data survives.
+        self.crash_log.append(CrashRecord(_STAGE_NAMES[stage], self.acked))
 
     def on_recover(self, sim: Simulation, event: Event) -> None:
         # Re-read the durable decision log; a decision made while this

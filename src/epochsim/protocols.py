@@ -33,13 +33,10 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .kernel import (Component, ConfigError, DelayPolicy, Event, EventKind, Simulation,
-                     Trace, UniformDelay, _check_ticks, _component_names, new_simulation)
+from .kernel import (Component, DelayPolicy, Event, Simulation, Trace, UniformDelay,
+                     _DELIVER, _TIMER_FIRE, _check_ticks, _cluster_names, new_simulation)
 from .lattice import AtomicityClass, EpochVector
 from .persistence import ACTIVE_STAGES, PersistenceProcess, ack_digest
-
-_DELIVER = EventKind.DELIVER
-_TIMER_FIRE = EventKind.TIMER_FIRE
 
 
 class Decision(str, Enum):
@@ -384,9 +381,10 @@ def battery_case(n: int, run_seed: int,
                  crash_prob: float = BATTERY_CRASH_PROB) -> BatteryCase:
     """The battery's run for run_seed: Random(run_seed) draws the crash
     schedule over 1..CRASH_WINDOW here, and BatteryCase._delays seeds the
-    case's one delay stream with run_seed too."""
+    case's one delay stream with run_seed too. Naming the cluster refuses
+    n < 1 before anything is drawn, settled run or not."""
     rng = random.Random(run_seed)
-    crashes = crash_schedule(_component_names(n), rng, crash_prob, CRASH_WINDOW)
+    crashes = crash_schedule(_cluster_names("c", n), rng, crash_prob, CRASH_WINDOW)
     return BatteryCase(n, run_seed, tuple(crashes))
 
 
@@ -457,10 +455,6 @@ def compare_protocols(n: int, runs: int, seed: int, *,
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    # Checked here, not left to new_simulation: a battery of settled
-    # runs may build no simulation at all.
-    if n < 1:
-        raise ConfigError("cluster size must be at least one component")
     bilateral_config = BilateralConfig(ack_timeout=ack_timeout)
     naive_config = NaiveCheckpointConfig(boundary_time=boundary_time)
     naive_t = ClassTallies()

@@ -268,7 +268,8 @@ def test_single_node_fleet_never_mixes():
 @pytest.mark.parametrize("run", [
     lambda: run_naive_deploy(0, 5, [], delay=FixedDelay(1)),
     lambda: run_consensus_deploy(0, [], propose_time=5, delay=FixedDelay(1)),
-], ids=["naive", "consensus"])
+    lambda: random_deploy_case(0, 0),
+], ids=["naive", "consensus", "random_case"])
 def test_deploy_refuses_an_empty_fleet(run):
     with pytest.raises(ConfigError, match="^cluster size must be at least one component$"):
         run()

@@ -299,36 +299,132 @@ def test_battery_and_deploy_runs_call_no_event_constructor(monkeypatch):
     assert runs() == before
 
 
-def _new_callers(tree: ast.AST) -> list[str]:
-    """Qualified names of the functions that call _new or object.__new__."""
-    callers = []
+SOURCES = sorted(Path(epochsim.__file__).parent.rglob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def _scopes_with(tree: ast.AST, hit) -> list[str]:
+    """Qualified names of the functions holding a node for which hit(node)
+    is true, one entry per such node."""
+    scopes = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (isinstance(func, ast.Name) and func.id == "_new") or (
-                        isinstance(func, ast.Attribute) and func.attr == "__new__"
-                        and isinstance(func.value, ast.Name) and func.value.id == "object"):
-                    callers.append(".".join(scope))
+            if hit(child):
+                scopes.append(".".join(scope))
             visit(child, scope)
 
     visit(tree, ())
-    return callers
+    return scopes
+
+
+def _calls_new(node: ast.AST) -> bool:
+    """node calls _new or object.__new__."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "_new") or (
+        isinstance(func, ast.Attribute) and func.attr == "__new__"
+        and isinstance(func.value, ast.Name) and func.value.id == "object")
 
 
 def test_only_schedule_builds_an_event():
     # One queue step: every other queue path (send, broadcast, set_timer,
     # inject_crash, the loop's RECOVER) goes through schedule, so a field
     # added to Event is set in one place.
-    callers = []
-    for path in sorted(Path(epochsim.__file__).parent.rglob("*.py")):
-        callers += [f"{path.name}:{name}"
-                    for name in _new_callers(ast.parse(path.read_text(), str(path)))]
+    callers = [f"{path.name}:{name}"
+               for path in SOURCES for name in _scopes_with(_tree(path), _calls_new)]
     assert callers == ["kernel.py:Simulation.schedule"]
+
+
+def _member_aliases(tree: ast.Module, classes: set[str]) -> list[str]:
+    """Module-level names bound to a member of one of classes, as in _X = Cls.X."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) \
+                and isinstance(node.value.value, ast.Name) and node.value.value.id in classes:
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return names
+
+
+@pytest.mark.parametrize("classes,owner", [
+    ({"EventKind"}, "kernel.py"),
+    ({"EpochSymbol", "AtomicityClass"}, "lattice.py"),
+], ids=["EventKind", "lattice"])
+def test_one_module_binds_the_member_aliases(classes, owner):
+    # A per-event alias of a shared enum's member is bound in the enum's own
+    # module and imported everywhere else, so each alias has one definition.
+    binders = {path.name for path in SOURCES if _member_aliases(_tree(path), classes)}
+    assert binders == {owner}
+
+
+def test_only_emit_reads_the_output_format():
+    # Each subcommand hands _emit its text lines, summary and rows, and
+    # _emit alone picks the one that --format names.
+    readers = _scopes_with(_tree(Path(epochsim.__file__).parent / "cli.py"),
+                           lambda node: isinstance(node, ast.Attribute) and node.attr == "format")
+    assert readers == ["_emit"]
+
+
+def test_the_empty_cluster_refusal_is_written_once():
+    # Every cluster builder names its members with kernel._cluster_names,
+    # which alone refuses an empty cluster.
+    message = "cluster size must be at least one component"
+    sites = [path.name for path in SOURCES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Constant) and node.value == message]
+    assert sites == ["kernel.py"]
+
+
+def _module_imports(body: list[ast.stmt]) -> list[str]:
+    """Names bound by the imports of a module body, its if/try blocks included."""
+    names = []
+    for node in body:
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+        elif isinstance(node, (ast.If, ast.Try)):
+            names += _module_imports(node.body + node.orelse)
+    return names
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imports that no name in the module reads and that
+    __all__ does not export."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in _module_imports(tree.body) if name not in used]
+
+
+def test_unused_import_check_sees_each_kind_of_import():
+    source = """
+from __future__ import annotations
+import json
+import os.path
+from typing import TYPE_CHECKING, Any
+from .kernel import Simulation as Sim, digest64
+if TYPE_CHECKING:
+    from .lattice import EpochVector
+__all__ = ["digest64"]
+def f(x: EpochVector) -> Any:
+    return json.dumps(x)
+"""
+    assert _unused_imports(ast.parse(source)) == ["os", "Sim"]
+
+
+def test_src_has_no_unused_module_import():
+    # A definition moved to its one owner leaves no import behind.
+    unused = [f"{path.name}: {name}" for path in SOURCES for name in _unused_imports(_tree(path))]
+    assert unused == []
 
 
 def test_src_reads_no_private_random_attribute():

@@ -159,6 +159,9 @@ def test_new_simulation_registers_its_cluster_in_order():
     assert list(sim.components) == sim.component_names()
     with pytest.raises(TypeError):  # a read-only view of the registry
         sim.components["c9"] = PersistenceProcess("c9", epoch=1)
+    view = sim.components  # one live view, built with the simulation
+    sim.register(Recorder("r0"))
+    assert sim.components is view and view["r0"] is sim.handler("r0")
     with pytest.raises(ConfigError, match="^component 'c3' already registered$"):
         sim.register(PersistenceProcess("c3", epoch=1))
 

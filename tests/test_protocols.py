@@ -258,9 +258,11 @@ def test_battery_covers_every_stage(tmp_path):
 
 
 def test_battery_rejects_empty_cluster():
-    # A run with no components draws no crash, so the battery checks n itself.
-    with pytest.raises(ConfigError, match="^cluster size must be at least one component$"):
-        compare_protocols(0, 1, 0)
+    # battery_case names the cluster before it draws a crash schedule, so an
+    # empty one is refused even where no simulation would be built.
+    for build in (lambda: compare_protocols(0, 1, 0), lambda: battery_case(0, 0)):
+        with pytest.raises(ConfigError, match="^cluster size must be at least one component$"):
+            build()
 
 
 @pytest.mark.parametrize("crash_prob", [1.5, -0.1, math.nan])
