@@ -33,6 +33,9 @@ from .protocols import NaiveCheckpointConfig, ProtocolOutcome, run_naive
 FULL_STRADDLE_THRESHOLD = 2 + len(ACTIVE_STAGE_NAMES)
 # Earliest boundary any straddle fits: the target must begin at t_c - 1 >= 1.
 MIN_BOUNDARY = 2
+# The stage the target's persist straddles t_c in when the boundary leaves
+# room for the stages before it; otherwise it straddles the first stage.
+_STRADDLED_STAGE = ACTIVE_STAGE_NAMES.index("WRITE_SYSCALL")
 
 
 class WitnessFalsification(AssertionError):
@@ -44,9 +47,9 @@ class StraddlingSchedule:
     """Explicit schedule in which component j's persist spans t_c.
 
     Only the target is retimed: its checkpoint is delivered at begin_target
-    and its five stages take stage_durations ticks, in stage order. Every
+    and its active stages take stage_durations ticks, in stage order. Every
     other component keeps AdversarialSchedule's one-tick defaults, so it is
-    delivered at t=1 and completes at t=6.
+    delivered at t=1 and completes at FULL_STRADDLE_THRESHOLD - 1 = 6.
     """
 
     n: int
@@ -97,8 +100,10 @@ def construct_straddling(n: int, j: int, t_c: int) -> StraddlingSchedule:
     All other components keep the one-tick defaults and complete at t=6;
     for t_c >= 7 that satisfies the early-completer requirement. The target
     j is timed so t_c falls strictly inside one of its stages: mid write
-    syscall when the boundary leaves room, otherwise mid buffer flush with
-    j's start shifted to t_c - 1.
+    syscall when the boundary leaves room (t_c >= 4), otherwise mid buffer
+    flush. That stage takes two ticks and every other one tick, and j's
+    checkpoint lands at t_c - (the stage's index + 1), so the stages before
+    it end at t_c - 1 and it ends at t_c + 1.
     """
     if n < 2:
         raise ValueError("a straddle requires at least two components")
@@ -107,13 +112,10 @@ def construct_straddling(n: int, j: int, t_c: int) -> StraddlingSchedule:
     if t_c < MIN_BOUNDARY:
         raise ValueError(
             f"boundary t_c={t_c} leaves no room for a positive-duration stage before it")
-    if t_c >= 4:
-        # Deliver at t_c - 3; stages (1,1,2,1,1) put t_c mid write syscall.
-        begin, per_stage = t_c - 3, (1, 1, 2, 1, 1)
-    else:
-        # Minimal boundary: begin at t_c - 1 with a two-tick buffer flush.
-        begin, per_stage = t_c - 1, (2, 1, 1, 1, 1)
-    schedule = StraddlingSchedule(n=n, target=j, boundary=t_c, begin_target=begin,
+    straddled = _STRADDLED_STAGE if t_c > _STRADDLED_STAGE + 1 else 0
+    per_stage = tuple(2 if i == straddled else 1 for i in range(len(ACTIVE_STAGE_NAMES)))
+    schedule = StraddlingSchedule(n=n, target=j, boundary=t_c,
+                                  begin_target=t_c - (straddled + 1),
                                   stage_durations=per_stage)
     schedule.check_invariants()
     return schedule

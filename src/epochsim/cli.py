@@ -34,9 +34,7 @@ import math
 import sys
 from typing import Any, Sequence, TextIO
 
-import numpy as np
-
-from . import adversary, deploy, lattice, optimizer, protocols
+from . import adversary, deploy, lattice, protocols
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -274,6 +272,12 @@ def cmd_adamw_skew(args: argparse.Namespace, out: TextIO) -> int:
                          f"--horizon {args.horizon}")
     if not math.isfinite(args.g_skip):
         raise ValueError("--g-skip must be finite")
+    # Imported here, not at module level: this is the only subcommand that
+    # needs numpy's arrays or the optimizer.
+    import numpy as np
+
+    from . import optimizer
+
     hyper = optimizer.AdamWHyperparams(lr=args.lr, beta1=args.beta1, beta2=args.beta2)
     g_skip = np.full(args.dim, args.g_skip)
     # Values too large for float64 (say --lr 1e308 or --g-skip 1e200) are a

@@ -16,7 +16,10 @@ only a tick's first event pushes onto the heap. The loop pops the
 earliest tick, takes its list out and runs it in order. An event
 scheduled for the tick being run lands in a fresh list for that tick,
 which runs next, so the (time, seq) order is the same as one heap entry
-per event would give. schedule is the one queue step: send, broadcast,
+per event would give. The step limit counts a tick's events at once, when
+the loop takes its list out: a tick that would pass the limit runs only
+its events within it and raises StepLimitExceeded, so exactly step_limit
+events run. schedule is the one queue step: send, broadcast,
 set_timer, inject_crash and the loop's RECOVER all queue through it, and
 it builds each Event in place, storing its seven fields without the
 dataclass's __init__, so it equals Event(time, seq, target, kind,
@@ -588,10 +591,10 @@ class Simulation:
             self.now = now = pop(ticks)
             # Events scheduled for now from here on go to a fresh list.
             batch = pending.pop(now)
+            steps += len(batch)
+            if steps > limit:
+                del batch[limit - steps:]  # run only the events within the limit
             for ev in batch:
-                steps += 1
-                if steps > limit:
-                    raise StepLimitExceeded(f"exceeded {limit} events; likely livelock")
                 target, kind = ev.target, ev.kind
                 handler = handlers[target]
                 if kind is crash:
@@ -613,8 +616,9 @@ class Simulation:
                     ev.dropped = True
                 else:
                     handler.on_event(self, ev)
-            # The tick's events are recorded once they all ran; the step
-            # limit still counts event by event.
+            if steps > limit:
+                raise StepLimitExceeded(f"exceeded {limit} events; likely livelock")
+            # The tick's events are recorded once they all ran.
             records += batch
         return Trace(seed=self.seed, records=tuple(self._records))
 

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 class LatticeError(ValueError):
     pass
@@ -219,6 +217,8 @@ def monte_carlo_atomicity(params: BinaryModelParams | TernaryModelParams,
     """
     if trials < 1:
         raise LatticeError("trials must be at least 1")
+    import numpy as np  # here, so that importing the lattice does not load numpy
+
     rng = np.random.default_rng(seed)
     n = params.n
     if isinstance(params, BinaryModelParams):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from epochsim.adversary import (
     FULL_STRADDLE_THRESHOLD,
+    MIN_BOUNDARY,
     SearchResult,
     WitnessFalsification,
     boundary_grid,
@@ -16,6 +19,7 @@ from epochsim.adversary import (
 )
 from epochsim.kernel import new_simulation
 from epochsim.lattice import AtomicityClass, EpochSymbol
+from epochsim.persistence import ACTIVE_STAGE_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +43,22 @@ def test_construct_small_boundary():
     # too early for any sibling to have completed
     assert sch.early_completer is None
     sch.check_invariants()
+
+
+@pytest.mark.parametrize("t_c", range(MIN_BOUNDARY, 12))
+def test_straddle_stage_layout_follows_the_active_stages(t_c):
+    # One duration per active stage, and t_c falls strictly inside the
+    # intended stage: the write syscall once the boundary leaves room for
+    # the two stages before it, the buffer flush below that.
+    sch = construct_straddling(3, 1, t_c)
+    assert len(sch.stage_durations) == len(ACTIVE_STAGE_NAMES)
+    starts = list(itertools.accumulate(sch.stage_durations[:-1], initial=sch.begin_target))
+    ends = [start + d for start, d in zip(starts, sch.stage_durations)]
+    straddled = [name for name, start, end in zip(ACTIVE_STAGE_NAMES, starts, ends)
+                 if start < t_c < end]
+    assert straddled == ["WRITE_SYSCALL" if t_c >= 4 else "BUFFER_FLUSH"]
+    assert sch.stage_durations == ((1, 1, 2, 1, 1) if t_c >= 4 else (2, 1, 1, 1, 1))
+    assert sch.begin_target == (t_c - 3 if t_c >= 4 else t_c - 1)
 
 
 def test_construct_rejects_infeasible_boundary():

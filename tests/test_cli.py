@@ -244,6 +244,26 @@ def test_adamw_skew_distance_ignores_blas_threads():
     assert outs[0].count("\n") == 8
 
 
+def test_subcommands_without_arrays_do_not_load_numpy():
+    # Only adamw-skew and lattice-table's Monte Carlo use numpy, so a fresh
+    # process that runs the other subcommands through cli.main never loads it.
+    src = str(Path(epochsim.__file__).resolve().parents[1])
+    script = """
+import io, sys
+from epochsim import cli
+for argv in (["straddle", "--n", "4", "--grid", "20"],
+             ["retry", "--runs", "50"],
+             ["bilateral-vs-naive", "--runs", "50"],
+             ["deploy", "--budget", "20"]):
+    assert cli.main(argv, stdout=io.StringIO()) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"
+
+
 def test_seed_changes_monte_carlo_output():
     _, a = run_cli("lattice-table", "--trials", "500", "--seed", "1",
                    "--format", "json")

@@ -147,6 +147,32 @@ def test_step_limit_enforced():
         sim.run_until_quiescent()
 
 
+@pytest.mark.parametrize("limit", [3, 4, 5])  # on tick 1's last event, then inside tick 2
+def test_step_limit_runs_exactly_limit_events(limit):
+    class Counting(Component):
+        ran = 0
+
+        def on_event(self, sim: Simulation, event) -> None:
+            self.ran += 1
+
+    def three_events_at_ticks_1_and_2(step_limit: int) -> tuple[Simulation, Counting]:
+        counting = Counting("c")
+        sim = Simulation(FixedDelay(1), 0, step_limit=step_limit, components=[counting])
+        for time in (1, 1, 1, 2, 2, 2):
+            sim.schedule(time, "c", EventKind.LOCAL_STEP, {})
+        return sim, counting
+
+    sim, counting = three_events_at_ticks_1_and_2(limit)
+    with pytest.raises(StepLimitExceeded, match=f"^exceeded {limit} events"):
+        sim.run_until_quiescent()
+    assert counting.ran == limit
+    # Tick 1 ran in full and is recorded; tick 2, which raised, is not.
+    assert [(r.time, r.seq) for r in sim._records] == [(1, 1), (1, 2), (1, 3)]
+
+    sim, counting = three_events_at_ticks_1_and_2(6)
+    assert len(sim.run_until_quiescent().records) == counting.ran == 6
+
+
 def test_step_limit_must_be_positive():
     with pytest.raises(ConfigError, match="^step limit must be positive$"):
         Simulation(FixedDelay(1), 0, step_limit=0)

@@ -37,7 +37,7 @@ from epochsim.protocols import (
     run_bilateral,
     run_naive,
     run_retry_loop,
-    settles_top,
+    settle_crashes,
     snap_holds,
 )
 
@@ -331,13 +331,16 @@ def _simulated_reports(n: int, runs: int, seed: int, crash_prob: float,
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_settled_crash_free_runs_equal_full_simulation(n):
-    # The battery settles crash-free runs and runs whose crashes all land
-    # after LATEST_DONE, above the timeout bound of 21; every report must
-    # equal one that simulates every run index, on both sides of the bound.
+    # The battery settles the crashes after LATEST_DONE above the timeout
+    # bound of 21: whole runs when no crash lands earlier, and one by one
+    # when every crash lands by ack_timeout + 1. Every report must equal one
+    # that simulates every run index in full, on both sides of each bound.
     runs, seed = 12, 4242
-    late = 0
-    for crash_prob, timeouts in ((0.0, range(1, 41)), (0.15, (1, 19, 21, 22, 23, 40)),
-                                 (0.5, (1, 21, 22, 30)), (1.0, (21, 22, 40))):
+    late = mixed = 0
+    for crash_prob, timeouts in ((0.0, range(1, 41)),
+                                 (0.15, (1, 19, 21, *range(22, 31), 40)),
+                                 (0.5, (1, 21, *range(22, 31))),
+                                 (1.0, (21, *range(22, 31), 40))):
         want = _simulated_reports(n, runs, seed, crash_prob, timeouts)
         for t in timeouts:
             report = compare_protocols(n, runs, seed, crash_prob=crash_prob, ack_timeout=t)
@@ -345,7 +348,12 @@ def test_settled_crash_free_runs_equal_full_simulation(n):
         cases = [battery_case(n, derive_seed(seed, i), crash_prob) for i in range(runs)]
         late += sum(bool(c.crashes) and min(t for _, t in c.crashes) > LATEST_DONE
                     for c in cases)
-    assert late > 0  # some run with crashes is settled
+        for t in timeouts:
+            settled = [settle_crashes(c.crashes, t) for c in cases]
+            mixed += sum(s is not None and bool(s[0]) and s[1] > 0 for s in settled)
+    assert late > 0  # some run with crashes is settled whole
+    if n > 1:  # some compared run simulates a crash by tick 18 and settles a later one
+        assert mixed > 0
 
 
 def test_late_crash_bound_is_sharp():
@@ -356,9 +364,9 @@ def test_late_crash_bound_is_sharp():
     out = run_bilateral(sim, config, crashes=[("c0", 18)])
     assert out.decision is Decision.ROLLED_BACK
     assert sim.components["c0"].crash_log == [CrashRecord("METADATA_UPDATE", False)]
-    assert not settles_top([("c0", 18)], 30)
+    assert settle_crashes([("c0", 18)], 30) == ((("c0", 18),), 0)
 
-    assert settles_top([("c0", 19)], 30)
+    assert settle_crashes([("c0", 19)], 30) == ((), 1)
     sim = new_simulation(2, FixedDelay(BATTERY_DELAY.hi), 0)
     out = run_bilateral(sim, config, crashes=[("c0", 19)])
     assert out.decision is Decision.COMMITTED
@@ -370,21 +378,48 @@ def test_late_crash_bound_is_sharp():
     assert out.vector_class is AtomicityClass.TOP
 
 
+def test_settled_crash_bound_is_sharp():
+    # c0 crashes mid-persist, so the run rolls back at ack_timeout and the
+    # rollback lands a tick later. A crash on that tick runs first and finds
+    # its component Done; one a tick later finds it Idle.
+    crashes = [("c0", 3), ("c1", 28)]
+    logs = {}
+    for t in (26, 27):
+        sim = new_simulation(2, FixedDelay(1), 0)
+        out = run_bilateral(sim, BilateralConfig(ack_timeout=t), crashes=crashes)
+        assert out.decision is Decision.ROLLED_BACK
+        assert sim.components["c0"].crash_log == [CrashRecord("DMA_TRANSFER", False)]
+        logs[t] = sim.components["c1"].crash_log
+    assert logs == {26: [CrashRecord("IDLE", True)], 27: [CrashRecord("DONE", True)]}
+    assert settle_crashes(crashes, 26) is None
+    assert settle_crashes(crashes, 27) == ((("c0", 3),), 1)
+
+
 def test_default_battery_simulation_count(monkeypatch):
     # Pins the settle's saving at criterion 4's config: of 10,000 runs,
     # 3,291 are simulated, each under both protocols. Simulating every run
-    # with a crash would build 9,448.
-    built = 0
+    # with a crash would build 9,448. Settling each crash after tick 18 in
+    # the simulated runs too cuts their events from 101,261 to 98,969.
+    built = events = 0
     simulation = BatteryCase.simulation
+    run = Simulation.run_until_quiescent
 
     def counted(case):
         nonlocal built
         built += 1
         return simulation(case)
 
+    def counted_events(sim):
+        nonlocal events
+        trace = run(sim)
+        events += len(trace.records)
+        return trace
+
     monkeypatch.setattr(BatteryCase, "simulation", counted)
+    monkeypatch.setattr(Simulation, "run_until_quiescent", counted_events)
     compare_protocols(4, 10_000, 0)
     assert built == 6_582
+    assert events == 98_969
 
 
 def test_crash_free_bound_is_sharp():
@@ -400,8 +435,8 @@ def test_crash_free_bound_is_sharp():
                is Decision.ROLLED_BACK for case in free)
         for t in (21, 22)}
     assert rolled_back == {21: 5, 22: 0}
-    assert not settles_top((), 21)
-    assert settles_top((), 22)
+    assert settle_crashes((), 21) is None
+    assert settle_crashes((), 22) == ((), 0)
 
 
 # ---------------------------------------------------------------------------
